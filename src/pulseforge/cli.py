@@ -8,7 +8,7 @@ repeated runs produce byte-identical output files.
 from __future__ import annotations
 
 import math
-import os
+from functools import partial
 from pathlib import Path
 
 import click
@@ -93,8 +93,19 @@ def _ensure_out_dir(out: str) -> Path:
     return p
 
 
-def _error_kind(name: str) -> ErrorKind:
-    return ErrorKind(name)
+# Built-in schemes: name -> pulse-sequence builder.
+SEQUENCES = {
+    "sequential": sequential_segments,
+    "bb1": bb1_sequence,
+    "corpse": corpse_sequence,
+}
+
+
+def _load_pulse(path: str):
+    try:
+        return import_pulse_csv(path)[0]
+    except (OSError, ValueError) as exc:
+        raise IOFailure(f"cannot load pulse file {path}: {exc}") from exc
 
 
 def _scheme_factories(schemes: str):
@@ -105,23 +116,11 @@ def _scheme_factories(schemes: str):
         token = token.strip()
         if not token:
             continue
-        if token == "sequential":
-            seq = sequential_segments()
-            label, factory = "sequential", (lambda err, s=seq: propagator(s, err))
-        elif token == "bb1":
-            seq = bb1_sequence()
-            label, factory = "bb1", (lambda err, s=seq: propagator(s, err))
-        elif token == "corpse":
-            seq = corpse_sequence()
-            label, factory = "corpse", (lambda err, s=seq: propagator(s, err))
+        if token in SEQUENCES:
+            label, factory = token, partial(propagator, SEQUENCES[token]())
         elif token.startswith("grape:"):
-            path = token[len("grape:") :]
-            try:
-                sched, _meta = import_pulse_csv(path)
-            except (OSError, ValueError) as exc:
-                raise IOFailure(f"cannot load pulse file {path}: {exc}") from exc
-            label = "grape"
-            factory = lambda err, s=sched: schedule_propagator(s, err)
+            sched = _load_pulse(token[len("grape:") :])
+            label, factory = "grape", partial(schedule_propagator, sched)
         else:
             raise click.UsageError(f"unknown scheme {token!r}")
         seen[label] = seen.get(label, 0) + 1
@@ -189,7 +188,7 @@ def main():
 def cmd_scan(ctx, **params):
     """Sweep an error fraction and tabulate fidelity per scheme."""
     params = _merge_config(ctx, params)
-    kind = _error_kind(params["error"])
+    kind = ErrorKind(params["error"])
     factories = _scheme_factories(params["schemes"])
     grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
     try:
@@ -235,7 +234,7 @@ def cmd_scan(ctx, **params):
 def cmd_grape(ctx, **params):
     """Train a robust pulse by gradient ascent and checkpoint it."""
     params = _merge_config(ctx, params)
-    kind = _error_kind(params["error"])
+    kind = ErrorKind(params["error"])
     if kind is ErrorKind.NONE:
         training: tuple[float, ...] = ()
     else:
@@ -314,11 +313,10 @@ def cmd_grape(ctx, **params):
 def cmd_compare(ctx, **params):
     """Run all schemes on one grid; report mean fidelities and durations."""
     params = _merge_config(ctx, params)
-    kind = _error_kind(params["error"])
-    factories = _scheme_factories(
-        f"sequential,bb1,corpse,grape:{params['grape_pulse']}"
-    )
-    grape_sched, _meta = import_pulse_csv(params["grape_pulse"])
+    kind = ErrorKind(params["error"])
+    grape_sched = _load_pulse(params["grape_pulse"])
+    factories = _scheme_factories(",".join(SEQUENCES))
+    factories.append(("grape", partial(schedule_propagator, grape_sched)))
     grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
     try:
         result = scan(factories, grid)
@@ -333,13 +331,8 @@ def cmd_compare(ctx, **params):
         raise IOFailure(str(exc)) from exc
 
     lam = params["lambda_mhz"]
-    seq_d = sequential_segments().duration
-    durations = {
-        "sequential": seq_d,
-        "bb1": bb1_sequence().duration,
-        "corpse": corpse_sequence().duration,
-        "grape": grape_sched.duration,
-    }
+    durations = {name: build().duration for name, build in SEQUENCES.items()}
+    durations["grape"] = grape_sched.duration
     click.echo(f"wrote {csv_path}")
     click.echo(
         f"mean fidelity over [{grid.points[0]:g}, {grid.points[-1]:g}] "
@@ -353,9 +346,8 @@ def cmd_compare(ctx, **params):
             f"  {label:<12} {dur / PI:.6g} pi = {dur / lam:.4g} us "
             f"at Lambda = {lam:g} MHz"
         )
-    click.echo(
-        f"  corpse/sequential duration ratio: {durations['corpse'] / seq_d:.4f}"
-    )
+    ratio = durations["corpse"] / durations["sequential"]
+    click.echo(f"  corpse/sequential duration ratio: {ratio:.4f}")
     _print_corpse_note(result)
 
 

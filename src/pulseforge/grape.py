@@ -12,13 +12,11 @@ systematic error fractions; ascent follows the first-order gradient
 with backtracking on the step size and radial clipping that keeps the
 reconstructed drive amplitudes at or below Lambda = 1.
 
-Error conventions here follow the GRAPE step-propagator forms: a
-pulse-length fraction eps_f scales every bin generator by (1 - eps_f),
-an off-resonance fraction eps_g adds the drift eps_g * Z/3.  The
-pulse-sequence module scales PLE by (1 + eps_f) instead; training sets
-are symmetric about zero, so robustness windows are unaffected, and the
-fidelity curves of each scheme are evaluated under that scheme's own
-convention.
+Bins are evaluated by `sequences.bin_propagators`, the engine of the
+composite pulses too, so every scheme shares one error convention: a
+pulse-length fraction eps_f stretches every bin to (1 + eps_f) dt, i.e.
+T' = (1 + eps_f) T, and an off-resonance fraction eps_g adds the drift
+(eps_g/3) Z.
 """
 
 from __future__ import annotations
@@ -29,27 +27,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY,
-    SIGMA_X_20,
-    SIGMA_X_23,
-    SIGMA_Y_20,
-    SIGMA_Y_23,
-    Z_TOTAL,
-    expm_unitary,
-    gate_fidelity,
+from .linalg import IDENTITY, gate_fidelity
+from .sequences import (
+    ErrorKind,
+    ErrorModel,
+    _write_text,
+    bin_propagators,
+    sequential_gate,
+    time_ordered,
 )
-from .sequences import ErrorKind, ErrorModel, sequential_gate
 
 __all__ = [
     "CONTROL_BOUND",
-    "CONTROL_HAMILTONIANS",
-    "DRIFT",
     "ControlSchedule",
     "GrapeConfig",
     "OptimizedPulse",
     "GrapeNumericsError",
-    "step_propagator",
     "schedule_propagator",
     "performance",
     "power_penalty",
@@ -69,10 +62,6 @@ __all__ = [
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-
-# H_1..H_4 in control order; drift D = Z/3 so that eps_g * D = (delta/3) Z.
-CONTROL_HAMILTONIANS = np.stack([SIGMA_X_20, SIGMA_Y_20, SIGMA_X_23, SIGMA_Y_23])
-DRIFT = Z_TOTAL / 3.0
 
 # |u_k| <= Lambda/2 with Lambda = 1; enforced radially per channel pair so
 # the reconstructed u_m, u_r never exceed Lambda either.
@@ -186,60 +175,9 @@ class OptimizedPulse:
     config: GrapeConfig
 
 
-def _expmh_stack(h: np.ndarray, t) -> np.ndarray:
-    """exp(-i t H) over stacked Hermitian matrices (..., 3, 3)."""
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.asarray(t) * w)
-    return np.einsum("...ab,...b,...cb->...ac", v, phase, v.conj())
-
-
-def _bin_generators(u: np.ndarray) -> np.ndarray:
-    return np.einsum("jk,kab->jab", u, CONTROL_HAMILTONIANS)
-
-
-def _propagators(
-    u: np.ndarray, dt: float, kind: ErrorKind, fractions: Sequence[float]
-) -> np.ndarray:
-    """Step propagators for every training fraction, shape (E, N, 3, 3)."""
-    gen = _bin_generators(u)
-    if kind is ErrorKind.ORE:
-        eps = np.asarray(fractions, dtype=float)
-        stacked = gen[None, :, :, :] + eps[:, None, None, None] * DRIFT
-        return _expmh_stack(stacked, dt)
-    if kind is ErrorKind.PLE:
-        # One eigendecomposition serves every fraction: only the angle scales.
-        w, v = np.linalg.eigh(gen)
-        scale = (1.0 - np.asarray(fractions, dtype=float))[:, None, None]
-        phase = np.exp(-1j * dt * scale * w[None])
-        return np.einsum("jab,ejb,jcb->ejac", v, phase, v.conj())
-    return _expmh_stack(gen, dt)[None]
-
-
-def _forward_product(props: np.ndarray) -> np.ndarray:
-    """Full products U_N ... U_1 per training fraction, shape (E, 3, 3)."""
-    out = np.broadcast_to(IDENTITY, props.shape[:1] + (3, 3)).copy()
-    for j in range(props.shape[1]):
-        out = props[:, j] @ out
-    return out
-
-
-def step_propagator(s: ControlSchedule, j: int, err: ErrorModel) -> np.ndarray:
-    """Propagator of bin j (0-based, bin 0 acts first) under one error model."""
-    if not 0 <= j < s.bins:
-        raise ValueError(f"bin index {j} outside 0..{s.bins - 1}")
-    gen = np.einsum("k,kab->ab", s.u[j], CONTROL_HAMILTONIANS)
-    if err.kind is ErrorKind.PLE:
-        return expm_unitary(gen, s.dt * (1.0 - err.fraction))
-    if err.kind is ErrorKind.ORE:
-        return expm_unitary(gen + err.fraction * DRIFT, s.dt)
-    return expm_unitary(gen, s.dt)
-
-
 def schedule_propagator(s: ControlSchedule, err: ErrorModel) -> np.ndarray:
     """Total propagator of the schedule under one error model."""
-    kind = err.kind
-    fractions = (err.fraction,) if kind is not ErrorKind.NONE else (0.0,)
-    return _forward_product(_propagators(s.u, s.dt, kind, fractions))[0]
+    return time_ordered(bin_propagators(s.u, s.dt, err.kind, (err.fraction,)))[0]
 
 
 def _mean_performance(
@@ -249,8 +187,7 @@ def _mean_performance(
     fractions: Sequence[float],
     target: np.ndarray,
 ) -> float:
-    props = _propagators(u, dt, kind, fractions)
-    full = _forward_product(props)
+    full = time_ordered(bin_propagators(u, dt, kind, fractions))
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
     return float(np.mean(np.abs(tr) ** 2))
 
@@ -297,7 +234,7 @@ def _gradient_u(
     target: np.ndarray,
     penalty: float,
 ) -> np.ndarray:
-    props = _propagators(u, dt, kind, fractions)
+    props = bin_propagators(u, dt, kind, fractions)
     n_e, n_bins = props.shape[:2]
     fwd = np.empty_like(props)  # fwd[j] = U_j ... U_1
     bwd = np.empty_like(props)  # bwd[j] = U_N ... U_{j+1}
@@ -319,7 +256,7 @@ def _gradient_u(
     hk_tr[..., 2] = m[..., 2, 1] + m[..., 1, 2]
     hk_tr[..., 3] = 1j * m[..., 2, 1] - 1j * m[..., 1, 2]
     if kind is ErrorKind.PLE:
-        fac = (1.0 - np.asarray(fractions, dtype=float))[:, None, None]
+        fac = (1.0 + np.asarray(fractions, dtype=float))[:, None, None]
     else:
         fac = 1.0
     g = -2.0 * np.real(1j * dt * fac * hk_tr * tr_m[..., None].conj())
@@ -337,8 +274,8 @@ def gradient(
 
     Per bin j and control k the performance term is
     -2 Re( Tr(i dt A_j^dag H_k B_j) Tr(B_j^dag A_j) ), averaged over the
-    training set, with H_k carrying the same (1 - eps_f) factor as the
-    PLE step propagator; the penalty contributes -2 alpha_p u_k(j) dt.
+    training set, with H_k carrying the same (1 + eps_f) stretch as the
+    PLE bin propagator; the penalty contributes -2 alpha_p u_k(j) dt.
     """
     target = _normalized_target(target)
     if kind is ErrorKind.NONE:
@@ -526,14 +463,7 @@ def render_pulse_csv(pulse: OptimizedPulse) -> str:
 def export_pulse_csv(pulse: OptimizedPulse, destination) -> str:
     """Write the checkpoint CSV to a path or text stream; returns the text."""
     text = render_pulse_csv(pulse)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return text
-    try:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write pulse CSV to {destination}: {exc}") from exc
+    _write_text(destination, text, "pulse CSV")
     return text
 
 
@@ -541,7 +471,8 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
     """Read a checkpoint written by export_pulse_csv.
 
     Returns the reconstructed schedule and the config block as strings.
-    Accepts a path or a text stream.  The bin duration comes from
+    Accepts a path or a text stream.  Rows must be bins 0..N-1 in order,
+    N = bins when the config block gives it.  The bin duration comes from
     total_time/bins when the config block is present, otherwise from the
     t_start column.
     """
@@ -569,7 +500,10 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         rows.append(tuple(float(x) for x in parts))
     if not rows:
         raise ValueError("pulse checkpoint has no rows")
-    rows.sort(key=lambda r: r[0])
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError("pulse checkpoint: bin column is not 0..N-1")
+    if "bins" in meta and int(meta["bins"]) != len(rows):
+        raise ValueError(f"pulse checkpoint: {len(rows)} rows under bins={meta['bins']}")
     if "total_time" in meta and "bins" in meta:
         dt = float(meta["total_time"]) / int(meta["bins"])
     elif len(rows) > 1:

@@ -34,8 +34,8 @@ __all__ = [
     "Z_TOTAL",
     "IDENTITY",
     "effective_hamiltonian",
+    "expm_hermitian",
     "expm_unitary",
-    "compose",
     "gate_fidelity",
     "PhysicalConstants",
     "NV_CONSTANTS",
@@ -131,34 +131,27 @@ def effective_hamiltonian(
     return h
 
 
-def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i * t * H) for a Hermitian generator H.
+def expm_hermitian(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i t H) over a stack of Hermitian generators (..., 3, 3), unchecked.
 
-    Uses the eigendecomposition of H, which is exact for these 3x3
+    t broadcasts against the stack shape, so one eigendecomposition
+    serves several times.  The eigendecomposition is exact for these 3x3
     generators (no series truncation), so products of many propagators
     stay unitary to machine precision.
     """
+    w, v = np.linalg.eigh(h)
+    phase = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(-i * t * H) for one Hermitian 3x3 generator H, checked."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (3, 3):
         raise ValueError(f"expected a 3x3 generator, got shape {h.shape}")
     if np.max(np.abs(h - h.conj().T)) > HERMITIAN_ATOL:
         raise ValueError("generator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def compose(factors) -> np.ndarray:
-    """Time-ordered product of propagators.
-
-    ``factors[0]`` acts first, so the result is U_N ... U_2 U_1.
-    """
-    mats = list(factors)
-    if not mats:
-        raise ValueError("compose needs at least one factor")
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.asarray(m, dtype=complex) @ out
-    return out
+    return expm_hermitian(h, t)
 
 
 def _check_unitary(u: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import gate_fidelity
-from .sequences import ErrorKind, ErrorModel, sequential_gate
+from .sequences import ErrorKind, ErrorModel, _write_text, sequential_gate
 
 __all__ = [
     "ErrorGrid",
@@ -182,14 +182,7 @@ def render_csv(result: ScanResult) -> str:
 def export_csv(result: ScanResult, destination) -> str:
     """Write the scan CSV to a path or text stream; returns the text."""
     text = render_csv(result)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return text
-    try:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write scan CSV to {destination}: {exc}") from exc
+    _write_text(destination, text, "scan CSV")
     return text
 
 
@@ -205,12 +198,4 @@ def write_plot_script(result: ScanResult, csv_path: str, destination) -> None:
         "set grid",
         f"plot for [col=2:{ncols}] '{csv_path}' using 1:col with lines lw 2",
     ]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write plot script to {destination}: {exc}") from exc
+    _write_text(destination, "\n".join(lines) + "\n", "plot script")

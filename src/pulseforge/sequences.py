@@ -10,6 +10,11 @@ acts first.  Systematic errors distort every segment identically:
 * off-resonance error (ORE): a common detuning delta = eps_g Lambda acts
   on the full three-level space during each segment.
 
+A segment is one piecewise-constant control bin at unit amplitude lasting
+its area, the control model of GRAPE schedules, so `bin_propagators`
+evaluates segments and schedule bins alike and is the only place that
+applies these distortions.
+
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
 values fail the zero-error identity by 1e-2 and spoil the BB1 error
@@ -26,10 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SIGMA_X_20,
+    SIGMA_X_23,
     SIGMA_Y_20,
     SIGMA_Y_23,
-    compose,
-    effective_hamiltonian,
+    Z_TOTAL,
+    expm_hermitian,
     expm_unitary,
 )
 
@@ -39,7 +46,9 @@ __all__ = [
     "ErrorModel",
     "PulseSegment",
     "PulseSequence",
-    "segment_propagator",
+    "CONTROL_HAMILTONIANS",
+    "bin_propagators",
+    "time_ordered",
     "propagator",
     "sequential_gate",
     "sequential_segments",
@@ -50,6 +59,9 @@ __all__ = [
 ]
 
 PI = math.pi
+
+# H_1..H_4 in control order: bin j evolves under sum_k u_jk H_k.
+CONTROL_HAMILTONIANS = np.stack([SIGMA_X_20, SIGMA_Y_20, SIGMA_X_23, SIGMA_Y_23])
 
 
 class Channel(enum.Enum):
@@ -119,32 +131,47 @@ class PulseSequence:
         return sum(seg.tau for seg in self.segments)
 
 
-def segment_propagator(seg: PulseSegment, err: ErrorModel) -> np.ndarray:
-    """Exact propagator of one segment under the given error model.
+def bin_propagators(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
+    """exp(-i t_j H_j) for every error fraction and bin, shape (E, N, 3, 3).
 
-    Ideal:        exp(+i (tau/2)(cos(theta) sx_b + sin(theta) sy_b))
-    PLE(eps_f):   same with tau -> (1 + eps_f) tau
-    ORE(eps_g):   exp(-i tau [ (eps_g/3) Z - (1/2)(cos(theta) sx_b + sin(theta) sy_b) ])
-
-    where b is the channel block and the segment amplitude is pinned at
-    u = Lambda = 1, so the detuning drift acts for the full area tau.
+    `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
+    scalar or (N,).  PLE stretches every duration, t -> (1 + eps) t; ORE
+    adds the drift (eps/3) Z_TOTAL.  Kind NONE ignores the fractions and
+    gives E = 1.
     """
-    delta = err.fraction if err.kind is ErrorKind.ORE else 0.0
-    tau = seg.tau
-    if err.kind is ErrorKind.PLE:
-        tau = (1.0 + err.fraction) * tau
-    if seg.channel is Channel.MW:
-        h = effective_hamiltonian(delta, 1.0, seg.theta, 0.0, 0.0)
-    else:
-        h = effective_hamiltonian(delta, 0.0, 0.0, 1.0, seg.theta)
-    return expm_unitary(h, tau)
+    gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
+    times = np.broadcast_to(np.asarray(durations, dtype=float), gen.shape[:1])
+    eps = np.asarray(fractions, dtype=float)
+    if kind is ErrorKind.ORE:
+        return expm_hermitian(gen + (eps[:, None, None, None] / 3.0) * Z_TOTAL, times)
+    if kind is ErrorKind.PLE:
+        # One eigendecomposition per bin serves every fraction.
+        return expm_hermitian(gen, (1.0 + eps)[:, None] * times)
+    return expm_hermitian(gen, times)[None]
+
+
+def time_ordered(props: np.ndarray) -> np.ndarray:
+    """U_N ... U_2 U_1 per error fraction of (E, N, 3, 3) bins, shape (E, 3, 3)."""
+    out = props[:, 0]
+    for j in range(1, props.shape[1]):
+        out = props[:, j] @ out
+    return out
 
 
 def propagator(seq: PulseSequence, err: ErrorModel) -> np.ndarray:
-    """Time-ordered product of segment propagators, same error on every segment."""
+    """Gate of the sequence, same error on every segment.
+
+    Segment j is a bin of duration tau_j with the unit-amplitude controls
+    -(1/2)(cos theta_j, sin theta_j) on its channel's pair.
+    """
     if not seq.segments:
         raise ValueError(f"sequence {seq.label!r} has no segments")
-    return compose([segment_propagator(seg, err) for seg in seq.segments])
+    controls = np.zeros((len(seq.segments), 4))
+    for j, seg in enumerate(seq.segments):
+        c = 0 if seg.channel is Channel.MW else 2
+        controls[j, c : c + 2] = -0.5 * np.cos(seg.theta), -0.5 * np.sin(seg.theta)
+    taus = [seg.tau for seg in seq.segments]
+    return time_ordered(bin_propagators(controls, taus, err.kind, (err.fraction,)))[0]
 
 
 def sequential_gate() -> np.ndarray:
@@ -234,9 +261,8 @@ def sequence_table(seq: PulseSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_sequence_table(seq: PulseSequence, destination) -> None:
-    """Write the segment table to a path or text stream."""
-    text = sequence_table(seq)
+def _write_text(destination, text: str, what: str) -> None:
+    """Write text to a path or a text stream; a failed path write names both."""
     if hasattr(destination, "write"):
         destination.write(text)
         return
@@ -244,4 +270,9 @@ def export_sequence_table(seq: PulseSequence, destination) -> None:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write sequence table to {destination}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
+
+
+def export_sequence_table(seq: PulseSequence, destination) -> None:
+    """Write the segment table to a path or text stream."""
+    _write_text(destination, sequence_table(seq), "sequence table")

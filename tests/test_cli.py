@@ -199,6 +199,20 @@ def test_compare_outputs(runner, tmp_path, tiny_pulse):
     assert np.all((data[:, 1:] >= 0) & (data[:, 1:] <= 1))
 
 
+def test_compare_rejects_truncated_pulse_file(runner, tmp_path, tiny_pulse):
+    # The last bin row deleted: 49 rows under `# bins=50` is an I/O failure.
+    lines = tiny_pulse.read_text().splitlines()
+    del lines[50]
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(
+        main, ["compare", "--grape-pulse", str(short), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 3
+    assert "49 rows under bins=50" in result.output
+    assert not (tmp_path / "ple_compare.csv").exists()
+
+
 def test_compare_requires_pulse_option(runner, tmp_path):
     result = runner.invoke(main, ["compare", "--out", str(tmp_path)])
     assert result.exit_code == 2

@@ -28,12 +28,13 @@ from pulseforge import (
     penalized_performance,
     performance,
     power_penalty,
+    propagator,
     pulses_to_schedule,
     render_pulse_csv,
     schedule_propagator,
     schedule_to_pulses,
     sequential_gate,
-    step_propagator,
+    sequential_segments,
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
@@ -92,14 +93,14 @@ def test_config_defaults_and_validation():
 
 
 def test_step_propagator_zero_bin_is_identity():
-    s = ControlSchedule(np.zeros((3, 4)), 0.7)
-    assert np.allclose(step_propagator(s, 1, IDEAL), np.eye(3), atol=1e-14)
+    s = ControlSchedule(np.zeros((1, 4)), 0.7)
+    assert np.allclose(schedule_propagator(s, IDEAL), np.eye(3), atol=1e-14)
 
 
 def test_step_propagator_detuned_zero_bin():
     # Drift only: exp(-i dt eps Zhat / 3), diagonal phases.
-    s = ControlSchedule(np.zeros((2, 4)), 0.9)
-    got = step_propagator(s, 0, ErrorModel.off_resonance(0.3))
+    s = ControlSchedule(np.zeros((1, 4)), 0.9)
+    got = schedule_propagator(s, ErrorModel.off_resonance(0.3))
     expected = scipy.linalg.expm(-1j * 0.9 * 0.3 * ZHAT / 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -110,29 +111,36 @@ def test_step_propagator_reproduces_mw_rotation():
     u = np.zeros((1, 4))
     u[0, 1] = -0.25
     s = ControlSchedule(u, PI)
-    um = sequential_gate()  # for shape only
     expected = scipy.linalg.expm(
         1j * (PI / 4) * np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
     )
-    got = step_propagator(s, 0, IDEAL)
-    assert got.shape == um.shape
+    got = schedule_propagator(s, IDEAL)
+    assert got.shape == (3, 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def test_step_propagator_index_range():
-    s = ControlSchedule(np.zeros((5, 4)), 0.1)
-    with pytest.raises(ValueError):
-        step_propagator(s, -1, IDEAL)
-    with pytest.raises(ValueError):
-        step_propagator(s, 5, IDEAL)
-
-
 def test_ple_step_scales_time():
+    # T' = (1 + eps) T: the stretched schedule is the ideal one with
+    # every bin lasting (1 + eps) dt.
     s = make_schedule(0, bins=6)
     eps = 0.27
-    got = step_propagator(s, 2, ErrorModel.pulse_length(eps))
-    shrunk = ControlSchedule(s.u, s.dt * (1 - eps))
-    expected = step_propagator(shrunk, 2, IDEAL)
+    got = schedule_propagator(s, ErrorModel.pulse_length(eps))
+    stretched = ControlSchedule(s.u, s.dt * (1 + eps))
+    expected = schedule_propagator(stretched, IDEAL)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+@pytest.mark.parametrize("eps", [-0.6, -0.25, 0.3, 0.8])
+def test_schedule_and_sequence_share_error_convention(kind, eps):
+    # The sequential gate as three bins of dt = pi/2: the MW pi/2 pulse,
+    # then the RF pi pulse split in two, all at unit amplitude, y phase.
+    u = np.zeros((3, 4))
+    u[0, 1] = -0.5
+    u[1:, 3] = -0.5
+    err = ErrorModel(kind, eps)
+    got = schedule_propagator(ControlSchedule(u, PI / 2), err)
+    expected = propagator(sequential_segments(), err)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -156,7 +164,7 @@ def test_schedule_propagator_composes_steps():
     err = ErrorModel.off_resonance(-0.4)
     manual = np.eye(3, dtype=complex)
     for j in range(s.bins):
-        manual = step_propagator(s, j, err) @ manual
+        manual = schedule_propagator(ControlSchedule(s.u[j : j + 1], s.dt), err) @ manual
     assert np.max(np.abs(schedule_propagator(s, err) - manual)) <= 1e-12
 
 
@@ -409,6 +417,21 @@ def test_import_pulse_csv_rejects_garbage(tmp_path):
     empty.write_text("bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi\n")
     with pytest.raises(ValueError):
         import_pulse_csv(empty)
+
+
+def test_import_pulse_csv_rejects_row_count_off_bins(small_run):
+    # The last row deleted: 49 rows under `# bins=50`.
+    lines = render_pulse_csv(small_run).splitlines()
+    del lines[small_run.schedule.bins]
+    with pytest.raises(ValueError, match="49 rows under bins=50"):
+        import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_import_pulse_csv_rejects_duplicate_bin(small_run):
+    lines = render_pulse_csv(small_run).splitlines()
+    lines[2] = lines[1]
+    with pytest.raises(ValueError, match="bin column"):
+        import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_import_pulse_csv_from_stream(small_run):

@@ -172,24 +172,17 @@ def test_expm_unitary_is_unitary(seed):
     assert np.max(np.abs(u @ u.conj().T - np.eye(3))) <= 1e-10
 
 
-def test_compose_order():
-    a = la.expm_unitary(la.SIGMA_X_20, 0.7)
-    b = la.expm_unitary(la.SIGMA_Y_23, -1.3)
-    c = la.expm_unitary(la.Z_TOTAL, 0.4)
-    # Index 0 acts first, so the product is c @ b @ a.
-    assert np.allclose(la.compose([a, b, c]), c @ b @ a, atol=1e-14)
-
-
-def test_compose_inverse_pairs():
+def test_expm_hermitian_broadcasts_times_over_a_stack():
+    # (E, N) times against N generators: entry (e, j) is exp(-i t_ej H_j).
     rng = np.random.default_rng(9)
-    h = random_hermitian(rng)
-    u = la.expm_unitary(h, 2.2)
-    assert np.allclose(la.compose([u, u.conj().T]), np.eye(3), atol=1e-12)
-
-
-def test_compose_empty_rejected():
-    with pytest.raises(ValueError):
-        la.compose([])
+    h = np.stack([random_hermitian(rng) for _ in range(4)])
+    t = rng.uniform(-3, 3, size=(2, 4))
+    got = la.expm_hermitian(h, t)
+    assert got.shape == (2, 4, 3, 3)
+    for e in range(2):
+        for j in range(4):
+            expected = scipy.linalg.expm(-1j * t[e, j] * h[j])
+            assert np.max(np.abs(got[e, j] - expected)) <= 1e-12
 
 
 def test_gate_fidelity_self_is_one():

@@ -20,7 +20,6 @@ from pulseforge import (
     export_sequence_table,
     gate_fidelity,
     propagator,
-    segment_propagator,
     sequence_table,
     sequential_gate,
     sequential_segments,
@@ -68,17 +67,17 @@ def test_segment_order_matters():
 
 
 def test_segment_propagator_ideal_mw():
-    seg = PulseSegment(Channel.MW, PI / 2, PI / 2)
+    seq = PulseSequence((PulseSegment(Channel.MW, PI / 2, PI / 2),), label="mw")
     expected = scipy.linalg.expm(1j * (PI / 4) * Y20)
-    assert np.max(np.abs(segment_propagator(seg, IDEAL) - expected)) <= 1e-12
+    assert np.max(np.abs(propagator(seq, IDEAL) - expected)) <= 1e-12
 
 
 def test_segment_propagator_ideal_rf_phase():
     # A phase-0 area-pi RF segment is a bare x rotation on the (2, 3) block.
-    seg = PulseSegment(Channel.RF, PI, 0.0)
+    seq = PulseSequence((PulseSegment(Channel.RF, PI, 0.0),), label="rf")
     x23 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     expected = scipy.linalg.expm(1j * (PI / 2) * x23)
-    assert np.max(np.abs(segment_propagator(seg, IDEAL) - expected)) <= 1e-12
+    assert np.max(np.abs(propagator(seq, IDEAL) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [-0.5, -0.2, 0.1, 0.3])

@@ -7,20 +7,15 @@ all on the (|0>, |2>, |3>) subspace with dimensionless units.
 
 from .linalg import (
     IDENTITY,
-    LEVELS,
     NV_CONSTANTS,
     SIGMA_X_20,
     SIGMA_X_23,
     SIGMA_Y_20,
     SIGMA_Y_23,
-    SIGMA_Z_20,
-    SIGMA_Z_23,
     Z_TOTAL,
-    PhysicalConstants,
     effective_hamiltonian,
     expm_unitary,
     gate_fidelity,
-    ket,
     sigma,
     sigma_x,
     sigma_y,
@@ -30,12 +25,10 @@ from .sequences import (
     CONTROL_HAMILTONIANS,
     Channel,
     ErrorKind,
-    ErrorModel,
     PulseSegment,
     PulseSequence,
     bb1_sequence,
     corpse_sequence,
-    export_sequence_table,
     propagator,
     sequence_table,
     sequential_gate,
@@ -50,7 +43,6 @@ from .scanning import (
     good_fidelity_window,
     ple_series_fidelity,
     quadratic_loss_coefficient,
-    render_csv,
     scan,
     write_plot_script,
 )
@@ -69,7 +61,6 @@ from .grape import (
     import_pulse_csv,
     penalized_performance,
     performance,
-    power_penalty,
     pulses_to_schedule,
     render_pulse_csv,
     schedule_propagator,

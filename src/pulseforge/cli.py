@@ -38,6 +38,7 @@ from .sequences import (
     bb1_sequence,
     corpse_sequence,
     propagator,
+    sequence_table,
     sequential_gate,
     sequential_segments,
 )
@@ -62,6 +63,8 @@ def _merge_config(ctx: click.Context, params: dict) -> dict:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise IOFailure(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config file {path} is not ASCII text: {exc}") from exc
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -109,7 +112,7 @@ def _load_pulse(path: str):
 
 
 def _scheme_factories(schemes: str):
-    """(label, factory) pairs from a comma list; factories map ErrorModel -> gate."""
+    """(label, scheme) pairs from a comma list; schemes as in `scanning`."""
     pairs = []
     seen: dict[str, int] = {}
     for token in schemes.split(","):
@@ -353,7 +356,7 @@ def cmd_compare(ctx, **params):
 
 @main.command(name="info")
 def cmd_info():
-    """Print the model summary: basis, target gate, constants, units."""
+    """Print the model summary: basis, target gate, composites, constants, units."""
     u_sq = sequential_gate()
     click.echo("three-level effective model, basis order (|0>, |2>, |3>)")
     click.echo("MW drives the |0>-|2> transition, RF drives |2>-|3>")
@@ -363,6 +366,10 @@ def cmd_info():
         cleaned = [0.0 if abs(v) < 5e-13 else v for v in row]
         click.echo("  [ " + "  ".join(f"{v:+9.6f}" for v in cleaned) + " ]")
     click.echo("U_sq |0> = (|0> - |3>)/sqrt(2), the entangled target state")
+    for seq in (bb1_sequence(), corpse_sequence()):
+        click.echo("")
+        click.echo(f"{seq.label} segments ({seq.duration / PI:.6g} pi), index 0 first:")
+        click.echo(sequence_table(seq), nl=False)
     click.echo("")
     click.echo("transition frequencies (documentation only; model is frequency-free):")
     click.echo(f"  |0>-|2> (MW)        {NV_CONSTANTS.mw_transition_hz / 1e9:.2f} GHz")

@@ -30,11 +30,11 @@ import numpy as np
 from .linalg import IDENTITY, gate_fidelity
 from .sequences import (
     ErrorKind,
-    ErrorModel,
     _write_text,
     bin_propagators,
+    error_fractions,
+    gates,
     sequential_gate,
-    time_ordered,
 )
 
 __all__ = [
@@ -148,10 +148,7 @@ class GrapeConfig:
             raise ValueError("penalty >= 0, step size > 0, init scale >= 0 required")
         if self.max_iterations < 1 or self.patience < 1 or self.tolerance < 0:
             raise ValueError("bad stopping parameters")
-        if self.error_kind is not ErrorKind.NONE and not self.training:
-            raise ValueError("training set must be non-empty for an error-aware run")
-        if any(abs(e) > 1.0 for e in self.training):
-            raise ValueError("training fractions must satisfy |eps| <= 1")
+        error_fractions(self.error_kind, self.training)
 
     @property
     def dt(self) -> float:
@@ -159,9 +156,7 @@ class GrapeConfig:
 
     def effective_training(self) -> tuple[float, ...]:
         """The averaging set: {0} when no error model is trained."""
-        if self.error_kind is ErrorKind.NONE:
-            return (0.0,)
-        return self.training
+        return tuple(error_fractions(self.error_kind, self.training).tolist())
 
 
 @dataclass(frozen=True)
@@ -175,9 +170,11 @@ class OptimizedPulse:
     config: GrapeConfig
 
 
-def schedule_propagator(s: ControlSchedule, err: ErrorModel) -> np.ndarray:
-    """Total propagator of the schedule under one error model."""
-    return time_ordered(bin_propagators(s.u, s.dt, err.kind, (err.fraction,)))[0]
+def schedule_propagator(
+    s: ControlSchedule, kind: ErrorKind, fractions=(0.0,)
+) -> np.ndarray:
+    """Total propagators of the schedule, one per error fraction, (E, 3, 3)."""
+    return gates(s.u, s.dt, kind, error_fractions(kind, fractions))
 
 
 def _mean_performance(
@@ -187,7 +184,7 @@ def _mean_performance(
     fractions: Sequence[float],
     target: np.ndarray,
 ) -> float:
-    full = time_ordered(bin_propagators(u, dt, kind, fractions))
+    full = gates(u, dt, kind, fractions)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
     return float(np.mean(np.abs(tr) ** 2))
 
@@ -200,14 +197,11 @@ def performance(
 ) -> float:
     """Mean of |Tr(U_T^dag U(T))|^2 over the training fractions.
 
-    With kind NONE the averaging set is {0} regardless of `fractions`.
+    With kind NONE the averaging set is {0} (`sequences.error_fractions`).
     Perfect overlap gives 9 (the squared dimension).
     """
     target = _normalized_target(target)
-    if kind is ErrorKind.NONE:
-        fractions = (0.0,)
-    elif not fractions:
-        raise ValueError("error-aware performance needs a non-empty training set")
+    fractions = error_fractions(kind, fractions)
     return _mean_performance(s.u, s.dt, kind, fractions, target)
 
 
@@ -278,10 +272,7 @@ def gradient(
     PLE bin propagator; the penalty contributes -2 alpha_p u_k(j) dt.
     """
     target = _normalized_target(target)
-    if kind is ErrorKind.NONE:
-        fractions = (0.0,)
-    elif not fractions:
-        raise ValueError("error-aware gradient needs a non-empty training set")
+    fractions = error_fractions(kind, fractions)
     return _gradient_u(s.u, s.dt, kind, fractions, target, penalty)
 
 
@@ -357,14 +348,8 @@ def trained_min_fidelity(pulse: OptimizedPulse, points: int = 21) -> float:
     fractions = cfg.effective_training()
     lo, hi = min(fractions), max(fractions)
     probes = np.linspace(lo, hi, points) if hi > lo else np.array([lo])
-    fids = []
-    for eps in probes:
-        if cfg.error_kind is ErrorKind.NONE:
-            err = ErrorModel.ideal()
-        else:
-            err = ErrorModel(cfg.error_kind, float(eps))
-        fids.append(gate_fidelity(schedule_propagator(pulse.schedule, err), cfg.target))
-    return float(min(fids))
+    stack = schedule_propagator(pulse.schedule, cfg.error_kind, probes)
+    return float(np.min(gate_fidelity(stack, cfg.target)))
 
 
 def ascend_with_restarts(
@@ -474,7 +459,8 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
     Accepts a path or a text stream.  Rows must be bins 0..N-1 in order,
     N = bins when the config block gives it.  The bin duration comes from
     total_time/bins when the config block is present, otherwise from the
-    t_start column.
+    t_start column; bin j must start at j dt and drive u_m, u_r <= 1, both
+    to a relative 1e-9.  Any malformed input raises ValueError.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -510,5 +496,11 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         dt = rows[1][1] - rows[0][1]
     else:
         raise ValueError("cannot infer bin duration: no config block, single row")
+    j = np.arange(len(rows))
+    t_start = np.array([r[1] for r in rows])
+    if not np.all(np.abs(t_start - j * dt) <= 1e-9 * np.maximum(j, 1) * dt):
+        raise ValueError("pulse checkpoint: t_start is not bin * dt")
     pulses = np.array([(r[2], r[3] * PI, r[4], r[5] * PI) for r in rows])
+    if not np.all(pulses[:, (0, 2)] <= 1.0 + 1e-9):
+        raise ValueError("pulse checkpoint: drive amplitude above 1")
     return pulses_to_schedule(pulses, dt), meta

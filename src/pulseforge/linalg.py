@@ -156,25 +156,31 @@ def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def _check_unitary(u: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if u.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - IDENTITY)) > atol:
+    if u.shape[-2:] != (3, 3):
+        raise ValueError(f"{name} must be 3x3 or a stack of 3x3, got shape {u.shape}")
+    defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - IDENTITY).max(axis=(-2, -1))
+    if np.any(defect > atol):
         raise ValueError(f"{name} is not unitary within tolerance {atol}")
     return u
 
 
-def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
+def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
     """Gate overlap fidelity F = |Tr(U_a^dag U_i) / 3|^(1/2).
 
+    Either argument may be a stack (..., 3, 3); the result is a float for
+    two single gates and an array of the broadcast stack shape otherwise.
     The outer square root is deliberate: it is the convention under
     which the sequential gate's quadratic loss coefficient comes out as
     5 pi^2 / 96, and all robustness curves in this package use it.
     """
     ua = _check_unitary(u_actual, "u_actual")
     ui = _check_unitary(u_ideal, "u_ideal")
-    overlap = abs(np.trace(ua.conj().T @ ui)) / 3.0
+    tr = np.trace(np.swapaxes(ua.conj(), -1, -2) @ ui, axis1=-2, axis2=-1)
+    # hypot, not np.abs: numpy's vectorised complex abs rounds differently
+    # from the scalar one, and a stack must score as its gates do one by one.
+    overlap = np.hypot(tr.real, tr.imag) / 3.0
     # |Tr| <= 3 for unitaries; tiny float overshoot is clipped.
-    return float(min(np.sqrt(overlap), 1.0))
+    return np.minimum(np.sqrt(overlap), 1.0)[()]
 
 
 @dataclass(frozen=True)

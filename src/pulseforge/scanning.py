@@ -1,10 +1,12 @@
 """Fidelity-versus-error sweeps, analytic series checks, and CSV export.
 
-A scan evaluates each registered scheme (a factory mapping an ErrorModel
-to a gate) on a grid of error fractions and scores every gate against
-the sequential target with the overlap fidelity.  Grids are built with
-exact +/- mirroring so evenness checks see true sign pairs instead of
-linspace rounding dust.
+A scheme maps an error kind and an array of E fractions to the (E, 3, 3)
+stack of its gates, as `partial(sequences.propagator, seq)` and
+`partial(grape.schedule_propagator, schedule)` do.  A scan calls each
+scheme once with the whole grid and scores every gate against the
+sequential target with the overlap fidelity.  Grids are built with exact
++/- mirroring so evenness checks see true sign pairs instead of linspace
+rounding dust.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import gate_fidelity
-from .sequences import ErrorKind, ErrorModel, _write_text, sequential_gate
+from .sequences import ErrorKind, _write_text, error_fractions, sequential_gate
 
 __all__ = [
     "ErrorGrid",
@@ -35,7 +37,7 @@ __all__ = [
 # Fidelity floor defining a "good" operating window.
 GOOD_FIDELITY_THRESHOLD = 0.9
 
-GateFactory = Callable[[ErrorModel], np.ndarray]
+Scheme = Callable[[ErrorKind, Sequence[float]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,8 @@ class ErrorGrid:
     def __post_init__(self) -> None:
         if self.kind is ErrorKind.NONE:
             raise ValueError("grid kind must be PLE or ORE")
-        if not self.points:
-            raise ValueError("grid needs at least one point")
+        error_fractions(self.kind, self.points)
         pts = self.points
-        if any(not math.isfinite(p) or abs(p) > 1.0 for p in pts):
-            raise ValueError("grid points must be finite with |eps| <= 1")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing")
 
@@ -62,15 +61,17 @@ class ErrorGrid:
 
         Symmetric ranges (lo == -hi) are mirrored exactly, so every point
         has its sign partner bit-for-bit and odd n contains an exact 0.
+        Their points are hi * ((2k - m) / m) with m = n - 1, the ratio
+        rounded once: hi and 0 are exact, and for a power-of-two hi every
+        point is the double nearest its exact value.
         """
         if n < 1:
             raise ValueError("need at least one grid point")
         if n == 1:
             return cls(kind, (float(lo),))
         if lo == -hi and hi > 0:
-            half = np.linspace(lo, hi, n)[n // 2 :].copy()
-            if n % 2:
-                half[0] = 0.0  # clear linspace dust at the centre
+            m = n - 1
+            half = hi * ((2 * np.arange(n // 2, n) - m) / m)
             pts = np.concatenate([-half[::-1][: n - half.size], half])
         else:
             pts = np.linspace(lo, hi, n)
@@ -94,27 +95,25 @@ class ScanResult:
 
 
 class ScanError(RuntimeError):
-    """A scheme factory failed; message carries the label and error fraction."""
+    """A scheme failed; message carries the label and the grid range."""
 
 
-def scan(schemes: Sequence[tuple[str, GateFactory]], grid: ErrorGrid) -> ScanResult:
+def scan(schemes: Sequence[tuple[str, Scheme]], grid: ErrorGrid) -> ScanResult:
     """Evaluate every scheme over the grid against the sequential target."""
     if not schemes:
         raise ValueError("need at least one scheme")
     target = sequential_gate()
+    pts = grid.points
     series: dict[str, tuple[float, ...]] = {}
-    for label, factory in schemes:
-        vals = []
-        for eps in grid.points:
-            err = ErrorModel(grid.kind, eps)
-            try:
-                gate = factory(err)
-            except Exception as exc:
-                raise ScanError(
-                    f"scheme {label!r} failed at epsilon={eps:.6g}: {exc}"
-                ) from exc
-            vals.append(gate_fidelity(gate, target))
-        series[label] = tuple(vals)
+    for label, scheme in schemes:
+        try:
+            stack = scheme(grid.kind, pts)
+        except Exception as exc:
+            raise ScanError(
+                f"scheme {label!r} failed on the {grid.kind.value} grid "
+                f"[{pts[0]:.6g}, {pts[-1]:.6g}] ({len(pts)} points): {exc}"
+            ) from exc
+        series[label] = tuple(gate_fidelity(stack, target).tolist())
     return ScanResult(grid=grid, series=series)
 
 

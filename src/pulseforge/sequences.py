@@ -13,7 +13,8 @@ acts first.  Systematic errors distort every segment identically:
 A segment is one piecewise-constant control bin at unit amplitude lasting
 its area, the control model of GRAPE schedules, so `bin_propagators`
 evaluates segments and schedule bins alike and is the only place that
-applies these distortions.
+applies these distortions.  An error is an `ErrorKind` and an array of
+E fractions, and `propagator` returns the (E, 3, 3) stack of gates.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -43,19 +44,18 @@ from .linalg import (
 __all__ = [
     "Channel",
     "ErrorKind",
-    "ErrorModel",
+    "error_fractions",
     "PulseSegment",
     "PulseSequence",
     "CONTROL_HAMILTONIANS",
     "bin_propagators",
-    "time_ordered",
+    "gates",
     "propagator",
     "sequential_gate",
     "sequential_segments",
     "bb1_sequence",
     "corpse_sequence",
     "sequence_table",
-    "export_sequence_table",
 ]
 
 PI = math.pi
@@ -77,30 +77,23 @@ class ErrorKind(enum.Enum):
     ORE = "ore"
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    """Systematic error: none, pulse-length fraction, or detuning fraction."""
+def error_fractions(kind: ErrorKind, fractions) -> np.ndarray:
+    """The checked fractions a gate stack is evaluated at, shape (E,).
 
-    kind: ErrorKind = ErrorKind.NONE
-    fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind is ErrorKind.NONE and self.fraction != 0.0:
+    Fractions must be finite with |eps| <= 1.  PLE and ORE need at least
+    one; kind NONE takes none or zeros and gives (0,).
+    """
+    eps = np.array(fractions, dtype=float).reshape(-1)
+    if not np.all(np.abs(eps) <= 1.0):
+        worst = np.max(np.abs(eps))
+        raise ValueError(f"error fractions need |eps| <= 1, got |eps| = {worst:g}")
+    if kind is ErrorKind.NONE:
+        if np.any(eps != 0.0):
             raise ValueError("ideal error model carries no fraction")
-        if not math.isfinite(self.fraction) or abs(self.fraction) > 1.0:
-            raise ValueError(f"|error fraction| must be <= 1, got {self.fraction}")
-
-    @classmethod
-    def ideal(cls) -> "ErrorModel":
-        return cls(ErrorKind.NONE, 0.0)
-
-    @classmethod
-    def pulse_length(cls, eps_f: float) -> "ErrorModel":
-        return cls(ErrorKind.PLE, float(eps_f))
-
-    @classmethod
-    def off_resonance(cls, eps_g: float) -> "ErrorModel":
-        return cls(ErrorKind.ORE, float(eps_g))
+        return np.zeros(1)
+    if eps.size == 0:
+        raise ValueError(f"{kind.value} error needs at least one fraction")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -150,20 +143,35 @@ def bin_propagators(controls, durations, kind: ErrorKind, fractions) -> np.ndarr
     return expm_hermitian(gen, times)[None]
 
 
-def time_ordered(props: np.ndarray) -> np.ndarray:
-    """U_N ... U_2 U_1 per error fraction of (E, N, 3, 3) bins, shape (E, 3, 3)."""
-    out = props[:, 0]
-    for j in range(1, props.shape[1]):
-        out = props[:, j] @ out
+# Fraction x bin propagators held at once by `gates`.
+BLOCK_PROPAGATORS = 512
+
+
+def gates(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
+    """U_N ... U_2 U_1 for every error fraction, shape (E, 3, 3), unchecked.
+
+    Arguments as for `bin_propagators`.  The bins are evaluated in blocks
+    of max(1, 512 // E), so memory stays bounded on dense grids, and
+    multiplied into one running product in bin order.
+    """
+    times = np.broadcast_to(np.asarray(durations, dtype=float), (len(controls),))
+    step = max(1, BLOCK_PROPAGATORS // len(fractions))
+    out = None
+    for start in range(0, len(controls), step):
+        block = slice(start, start + step)
+        props = bin_propagators(controls[block], times[block], kind, fractions)
+        for j in range(props.shape[1]):
+            out = props[:, j] if out is None else props[:, j] @ out
     return out
 
 
-def propagator(seq: PulseSequence, err: ErrorModel) -> np.ndarray:
-    """Gate of the sequence, same error on every segment.
+def propagator(seq: PulseSequence, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:
+    """Gates of the sequence, one per error fraction, shape (E, 3, 3).
 
     Segment j is a bin of duration tau_j with the unit-amplitude controls
     -(1/2)(cos theta_j, sin theta_j) on its channel's pair.
     """
+    eps = error_fractions(kind, fractions)
     if not seq.segments:
         raise ValueError(f"sequence {seq.label!r} has no segments")
     controls = np.zeros((len(seq.segments), 4))
@@ -171,7 +179,7 @@ def propagator(seq: PulseSequence, err: ErrorModel) -> np.ndarray:
         c = 0 if seg.channel is Channel.MW else 2
         controls[j, c : c + 2] = -0.5 * np.cos(seg.theta), -0.5 * np.sin(seg.theta)
     taus = [seg.tau for seg in seq.segments]
-    return time_ordered(bin_propagators(controls, taus, err.kind, (err.fraction,)))[0]
+    return gates(controls, taus, kind, eps)
 
 
 def sequential_gate() -> np.ndarray:
@@ -272,7 +280,3 @@ def _write_text(destination, text: str, what: str) -> None:
     except OSError as exc:
         raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
 
-
-def export_sequence_table(seq: PulseSequence, destination) -> None:
-    """Write the segment table to a path or text stream."""
-    _write_text(destination, sequence_table(seq), "sequence table")

@@ -12,6 +12,7 @@ criterion.  Two claims are stated with the ranges the methods promise:
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from pulseforge import (
     ControlSchedule,
     ErrorGrid,
     ErrorKind,
-    ErrorModel,
     GrapeConfig,
     PulseSegment,
     PulseSequence,
@@ -52,39 +52,9 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
         print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def _schemes(*builders):
-    out = []
-    for label, builder in builders:
-        seq = builder()
-        out.append((label, lambda err, s=seq: propagator(s, err)))
-    return out
-
-
-def _mean_fidelity_sequence(builder, kind, grid):
-    target = sequential_gate()
-    seq = builder()
-    return float(
-        np.mean(
-            [
-                gate_fidelity(propagator(seq, ErrorModel(kind, e)), target)
-                for e in grid.points
-            ]
-        )
-    )
-
-
-def _mean_fidelity_schedule(schedule, kind, grid):
-    target = sequential_gate()
-    return float(
-        np.mean(
-            [
-                gate_fidelity(
-                    schedule_propagator(schedule, ErrorModel(kind, e)), target
-                )
-                for e in grid.points
-            ]
-        )
-    )
+def _mean_fidelity(scheme, grid):
+    gates = scheme(grid.kind, grid.points)
+    return float(np.mean(gate_fidelity(gates, sequential_gate())))
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +100,11 @@ def test_criterion_01_sequential_gate_exact(capsys):
 def test_criterion_02_stretch_series(capsys):
     target = sequential_gate()
     seq = sequential_segments()
-    worst = 0.0
-    for eps in np.linspace(-0.3, 0.3, 61):
-        f_num = gate_fidelity(
-            propagator(seq, ErrorModel.pulse_length(float(eps))), target
-        )
-        worst = max(worst, abs(f_num - ple_series_fidelity(float(eps))))
+    eps = np.linspace(-0.3, 0.3, 61)
+    f_num = gate_fidelity(propagator(seq, ErrorKind.PLE, eps), target)
+    worst = max(abs(f - ple_series_fidelity(float(e))) for e, f in zip(eps, f_num))
     grid = ErrorGrid.uniform(ErrorKind.PLE, -0.05, 0.05, 11)
-    res = scan(_schemes(("sequential", sequential_segments)), grid)
+    res = scan([("sequential", partial(propagator, seq))], grid)
     coeff = quadratic_loss_coefficient(res, "sequential")
     expected = 5 * PI**2 / 96
     rel = abs(coeff - expected) / expected
@@ -154,9 +121,9 @@ def test_criterion_02_stretch_series(capsys):
 
 def test_criterion_03_composites_collapse_at_zero_error(capsys):
     target = sequential_gate()
-    ideal = ErrorModel.ideal()
-    err_bb1 = float(np.max(np.abs(propagator(bb1_sequence(), ideal) - target)))
-    err_cor = float(np.max(np.abs(propagator(corpse_sequence(), ideal) - target)))
+    ideal = ErrorKind.NONE
+    err_bb1 = float(np.max(np.abs(propagator(bb1_sequence(), ideal)[0] - target)))
+    err_cor = float(np.max(np.abs(propagator(corpse_sequence(), ideal)[0] - target)))
     ok = err_bb1 <= 1e-10 and err_cor <= 1e-10
     report(
         capsys,
@@ -190,9 +157,8 @@ def test_criterion_04_durations(capsys):
 
 def test_criterion_05_robustness_windows(capsys):
     grid = ErrorGrid.uniform(ErrorKind.PLE, -1.0, 1.0, 81)
-    res = scan(
-        _schemes(("sequential", sequential_segments), ("bb1", bb1_sequence)), grid
-    )
+    sequential = ("sequential", partial(propagator, sequential_segments()))
+    res = scan([sequential, ("bb1", partial(propagator, bb1_sequence()))], grid)
     pts = np.asarray(grid.points)
     seq = np.asarray(res.series["sequential"])
     bb1 = np.asarray(res.series["bb1"])
@@ -203,8 +169,7 @@ def test_criterion_05_robustness_windows(capsys):
 
     ore_grid = ErrorGrid.uniform(ErrorKind.ORE, -1.0, 1.0, 81)
     ore = scan(
-        _schemes(("sequential", sequential_segments), ("corpse", corpse_sequence)),
-        ore_grid,
+        [sequential, ("corpse", partial(propagator, corpse_sequence()))], ore_grid
     )
     opts = np.asarray(ore_grid.points)
     sel = (opts > 0) & (opts <= 0.5)
@@ -262,15 +227,15 @@ def test_criterion_07_robust_training(capsys, ple_training, ore_training):
 
     wide_ple = ErrorGrid.uniform(ErrorKind.PLE, -0.5, 0.5, 41)
     wide_ore = ErrorGrid.uniform(ErrorKind.ORE, -0.5, 0.5, 41)
-    grape_ple_mean = _mean_fidelity_schedule(
-        ple_pulse.schedule, ErrorKind.PLE, wide_ple
+    grape_ple_mean = _mean_fidelity(
+        partial(schedule_propagator, ple_pulse.schedule), wide_ple
     )
-    grape_ore_mean = _mean_fidelity_schedule(
-        ore_pulse.schedule, ErrorKind.ORE, wide_ore
+    grape_ore_mean = _mean_fidelity(
+        partial(schedule_propagator, ore_pulse.schedule), wide_ore
     )
-    bb1_mean = _mean_fidelity_sequence(bb1_sequence, ErrorKind.PLE, wide_ple)
-    seq_mean = _mean_fidelity_sequence(sequential_segments, ErrorKind.ORE, wide_ore)
-    cor_mean = _mean_fidelity_sequence(corpse_sequence, ErrorKind.ORE, wide_ore)
+    bb1_mean = _mean_fidelity(partial(propagator, bb1_sequence()), wide_ple)
+    seq_mean = _mean_fidelity(partial(propagator, sequential_segments()), wide_ore)
+    cor_mean = _mean_fidelity(partial(propagator, corpse_sequence()), wide_ore)
 
     clause_a_min = ple_score >= 0.99
     clause_a_mean = grape_ple_mean > bb1_mean
@@ -358,7 +323,7 @@ def test_criterion_09_propagator_property_sweep(capsys):
     for i in range(1000):
         kind = kinds[int(rng.integers(3))]
         frac = 0.0 if kind is ErrorKind.NONE else float(rng.uniform(-1, 1))
-        err = ErrorModel(kind, frac)
+        err = (kind, (frac,))
         if i % 2 == 0:
             n = int(rng.integers(1, 7))
             segments = tuple(
@@ -369,13 +334,13 @@ def test_criterion_09_propagator_property_sweep(capsys):
                 )
                 for _ in range(n)
             )
-            u = propagator(PulseSequence(segments, label="random"), err)
+            u = propagator(PulseSequence(segments, label="random"), *err)[0]
         else:
             bins = int(rng.integers(1, 21))
             controls = rng.uniform(-1, 1, size=(bins, 4))
             u = schedule_propagator(
-                ControlSchedule(controls, float(rng.uniform(0.01, 1.5))), err
-            )
+                ControlSchedule(controls, float(rng.uniform(0.01, 1.5))), *err
+            )[0]
         worst_unitarity = max(
             worst_unitarity, float(np.max(np.abs(u @ u.conj().T - np.eye(3))))
         )

@@ -1,10 +1,16 @@
 """Command-line interface: outputs, exit codes, config merge, determinism."""
 
+import os
+import tempfile
+
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulseforge.cli import main
+from pulseforge.cli import _merge_config, cmd_scan, main
 
 TINY_GRAPE = [
     "grape",
@@ -44,6 +50,14 @@ def test_info(runner):
     assert "2 MHz" in result.output
     again = runner.invoke(main, ["info"])
     assert again.output == result.output
+
+
+def test_info_prints_composite_tables(runner):
+    result = runner.invoke(main, ["info"])
+    assert result.exit_code == 0
+    # BB1's first MW correction pulse: area pi at phase 1.0399 pi.
+    assert "\n1,MW,1,1.03989309\n" in result.output
+    assert "\n4,RF,1.66666667,-0.5\n" in result.output
 
 
 def test_scan_writes_csv_and_plot(runner, tmp_path):
@@ -274,3 +288,36 @@ def test_prefix_option(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert (tmp_path / "mylabel_scan.csv").exists()
+
+
+_CONFIG_LINE = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(
+            ["grid-points", "grid_min", "GRID-MAX", "error", "schemes", "out",
+             "prefix", "config", "nosuch", ""]
+        ),
+        st.one_of(
+            st.sampled_from(["5", "-0.5", "ore", "nan", "1e400"]), st.text(max_size=12)
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=6).map("\n".join))
+def test_merge_config_fails_only_with_usage_error(text):
+    # Any config file text merges or raises click.UsageError (exit 2).
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        ctx = cmd_scan.make_context("scan", ["--config", path])
+        with ctx:
+            try:
+                _merge_config(ctx, dict(ctx.params))
+            except click.UsageError:
+                pass
+    finally:
+        os.unlink(path)

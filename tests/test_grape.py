@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import USQ, ZHAT, probe_gradient_fd
 from pulseforge import (
     CONTROL_BOUND,
+    PULSE_CSV_HEADER,
     ControlSchedule,
     ErrorKind,
-    ErrorModel,
     GrapeConfig,
     GrapeNumericsError,
     OptimizedPulse,
@@ -27,7 +27,6 @@ from pulseforge import (
     import_pulse_csv,
     penalized_performance,
     performance,
-    power_penalty,
     propagator,
     pulses_to_schedule,
     render_pulse_csv,
@@ -38,9 +37,10 @@ from pulseforge import (
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
+from pulseforge.grape import power_penalty
 
 PI = np.pi
-IDEAL = ErrorModel.ideal()
+NONE = ErrorKind.NONE
 
 
 def make_schedule(seed, bins=40, total_time=6 * PI, scale=0.4):
@@ -87,6 +87,8 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         GrapeConfig(error_kind=ErrorKind.PLE, training=())
     with pytest.raises(ValueError):
+        GrapeConfig(training=(0.2,))  # kind NONE trains on no fraction
+    with pytest.raises(ValueError):
         GrapeConfig(penalty=-0.1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         GrapeConfig().bins = 10
@@ -94,13 +96,13 @@ def test_config_defaults_and_validation():
 
 def test_step_propagator_zero_bin_is_identity():
     s = ControlSchedule(np.zeros((1, 4)), 0.7)
-    assert np.allclose(schedule_propagator(s, IDEAL), np.eye(3), atol=1e-14)
+    assert np.allclose(schedule_propagator(s, NONE)[0], np.eye(3), atol=1e-14)
 
 
 def test_step_propagator_detuned_zero_bin():
     # Drift only: exp(-i dt eps Zhat / 3), diagonal phases.
     s = ControlSchedule(np.zeros((1, 4)), 0.9)
-    got = schedule_propagator(s, ErrorModel.off_resonance(0.3))
+    got = schedule_propagator(s, ErrorKind.ORE, (0.3,))[0]
     expected = scipy.linalg.expm(-1j * 0.9 * 0.3 * ZHAT / 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -114,7 +116,7 @@ def test_step_propagator_reproduces_mw_rotation():
     expected = scipy.linalg.expm(
         1j * (PI / 4) * np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
     )
-    got = schedule_propagator(s, IDEAL)
+    got = schedule_propagator(s, NONE)[0]
     assert got.shape == (3, 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -124,9 +126,9 @@ def test_ple_step_scales_time():
     # every bin lasting (1 + eps) dt.
     s = make_schedule(0, bins=6)
     eps = 0.27
-    got = schedule_propagator(s, ErrorModel.pulse_length(eps))
+    got = schedule_propagator(s, ErrorKind.PLE, (eps,))[0]
     stretched = ControlSchedule(s.u, s.dt * (1 + eps))
-    expected = schedule_propagator(stretched, IDEAL)
+    expected = schedule_propagator(stretched, NONE)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -138,9 +140,8 @@ def test_schedule_and_sequence_share_error_convention(kind, eps):
     u = np.zeros((3, 4))
     u[0, 1] = -0.5
     u[1:, 3] = -0.5
-    err = ErrorModel(kind, eps)
-    got = schedule_propagator(ControlSchedule(u, PI / 2), err)
-    expected = propagator(sequential_segments(), err)
+    got = schedule_propagator(ControlSchedule(u, PI / 2), kind, (eps,))
+    expected = propagator(sequential_segments(), kind, (eps,))
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -155,17 +156,18 @@ def test_schedule_propagator_unitarity(seed, kind):
     u = rng.uniform(-1, 1, size=(bins, 4))
     s = ControlSchedule(u, float(rng.uniform(0.01, 2.0)))
     frac = 0.0 if kind is ErrorKind.NONE else float(rng.uniform(-1, 1))
-    prop = schedule_propagator(s, ErrorModel(kind, frac))
+    prop = schedule_propagator(s, kind, (frac,))[0]
     assert np.max(np.abs(prop @ prop.conj().T - np.eye(3))) <= 1e-10
 
 
 def test_schedule_propagator_composes_steps():
     s = make_schedule(7, bins=5)
-    err = ErrorModel.off_resonance(-0.4)
+    err = (ErrorKind.ORE, (-0.4,))
     manual = np.eye(3, dtype=complex)
     for j in range(s.bins):
-        manual = schedule_propagator(ControlSchedule(s.u[j : j + 1], s.dt), err) @ manual
-    assert np.max(np.abs(schedule_propagator(s, err) - manual)) <= 1e-12
+        step = ControlSchedule(s.u[j : j + 1], s.dt)
+        manual = schedule_propagator(step, *err)[0] @ manual
+    assert np.max(np.abs(schedule_propagator(s, *err)[0] - manual)) <= 1e-12
 
 
 def test_performance_perfect_schedule():
@@ -298,7 +300,7 @@ def small_run():
 
 def test_ascend_converges_small(small_run):
     f = gate_fidelity(
-        schedule_propagator(small_run.schedule, IDEAL), sequential_gate()
+        schedule_propagator(small_run.schedule, NONE)[0], sequential_gate()
     )
     assert f >= 0.999
     assert small_run.iterations <= 800
@@ -432,6 +434,67 @@ def test_import_pulse_csv_rejects_duplicate_bin(small_run):
     lines[2] = lines[1]
     with pytest.raises(ValueError, match="bin column"):
         import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_import_pulse_csv_rejects_t_start_off_bin_grid(small_run):
+    # Bin 3 starting half a bin late: t_start must be 3 dt.
+    lines = render_pulse_csv(small_run).splitlines()
+    fields = lines[4].split(",")
+    fields[1] = repr(3.5 * small_run.schedule.dt)
+    lines[4] = ",".join(fields)
+    with pytest.raises(ValueError, match="t_start"):
+        import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("column", [2, 4])
+def test_import_pulse_csv_rejects_amplitude_over_one(small_run, column):
+    lines = render_pulse_csv(small_run).splitlines()
+    fields = lines[5].split(",")
+    fields[column] = "1.000001"
+    lines[5] = ",".join(fields)
+    with pytest.raises(ValueError, match="amplitude"):
+        import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+_CHECKPOINT_LINES = [
+    PULSE_CSV_HEADER,
+    "0,0,0.5,1,0.25,0.5",
+    "1,0.1,1,0,0,0",
+    "1,0.1,1.5,0,0,0",
+    "1,0.2,0.3,1.5,1,1",
+    "2,inf,0.1,0,0.1,0",
+    "0,0,nan,0,0,0",
+    "0,0,-0.5,0,2,0",
+    "1,1e308,0,0,0,0",
+    "# bins=2",
+    "# bins=0",
+    "# bins=x",
+    "# total_time=0.2",
+    "# total_time=-1",
+    "# total_time=inf",
+    "# total_time=nan",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(
+            st.one_of(st.sampled_from(_CHECKPOINT_LINES), st.text(max_size=24)),
+            max_size=8,
+        ).map(lambda rows: "\n".join([PULSE_CSV_HEADER, *rows])),
+    )
+)
+def test_import_pulse_csv_fails_only_with_value_error(text):
+    # Whatever the text, the parser returns a schedule or raises
+    # ValueError, the error the CLI reports as an I/O failure (exit 3).
+    try:
+        schedule, _ = import_pulse_csv(io.StringIO(text))
+    except ValueError:
+        return
+    pulses = schedule_to_pulses(schedule)
+    assert np.all(pulses[:, (0, 2)] <= 1.0 + 1e-9)
 
 
 def test_import_pulse_csv_from_stream(small_run):

@@ -222,6 +222,28 @@ def test_gate_fidelity_bounds(seed):
     assert 0.0 <= f <= 1.0
 
 
+def test_gate_fidelity_scores_a_stack_gate_by_gate():
+    # A stack scores bit for bit as the one-gate formula with Python's
+    # complex abs, and every gate in it must be a unitary 3x3.
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_unitary(rng) for _ in range(200)])
+    target = random_unitary(rng)
+    expected = [
+        min(np.sqrt(abs(np.trace(u.conj().T @ target)) / 3.0), 1.0) for u in stack
+    ]
+    got = la.gate_fidelity(stack, target)
+    assert got.shape == (200,)
+    assert np.array_equal(got, expected)
+    assert la.gate_fidelity(stack[7], target) == expected[7]
+    assert isinstance(la.gate_fidelity(stack[7], target), float)
+    bad = stack.copy()
+    bad[117] *= 1.001
+    with pytest.raises(ValueError, match="unitary"):
+        la.gate_fidelity(bad, target)
+    with pytest.raises(ValueError, match="3x3"):
+        la.gate_fidelity(stack[:, :, :2], target)
+
+
 def test_gate_fidelity_known_overlap():
     # Orthogonal-trace pair pins the lower end of the scale.  The outer
     # square root turns ~1e-16 of trace cancellation noise into ~1e-8,

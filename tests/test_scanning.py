@@ -1,6 +1,7 @@
 """Error-fraction grids, fidelity scans, windows and CSV export."""
 
 import io
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from pulseforge import (
     ErrorGrid,
     ErrorKind,
-    ErrorModel,
     ScanError,
     ScanResult,
     bb1_sequence,
@@ -19,24 +19,19 @@ from pulseforge import (
     ple_series_fidelity,
     propagator,
     quadratic_loss_coefficient,
-    render_csv,
     scan,
     sequential_gate,
     sequential_segments,
     write_plot_script,
 )
+from pulseforge.scanning import render_csv
 
 PI = np.pi
 
 
-def _scheme(label, builder):
-    seq = builder()
-    return (label, lambda err, s=seq: propagator(s, err))
-
-
-SEQ = _scheme("sequential", sequential_segments)
-BB1 = _scheme("bb1", bb1_sequence)
-CORPSE = _scheme("corpse", corpse_sequence)
+SEQ = ("sequential", partial(propagator, sequential_segments()))
+BB1 = ("bb1", partial(propagator, bb1_sequence()))
+CORPSE = ("corpse", partial(propagator, corpse_sequence()))
 
 
 def grid81(kind):
@@ -64,6 +59,11 @@ def test_uniform_grid_mirrors_symmetric_ranges():
     # Bitwise mirror symmetry so +/- pairs probe identical magnitudes.
     assert np.array_equal(pts[:40], -pts[:40:-1])
     assert pts[0] == -1.0 and pts[-1] == 1.0
+    # Each point is the double nearest k/40, with no linspace dust.
+    assert g.points == tuple((k - 40) / 40 for k in range(81))
+    assert ErrorGrid.uniform(ErrorKind.ORE, -0.2, 0.2, 5).points == (
+        -0.2, -0.1, 0.0, 0.1, 0.2,
+    )
 
 
 def test_uniform_grid_even_count_and_asymmetric_range():
@@ -98,7 +98,7 @@ def test_scan_requires_schemes():
 
 
 def test_scan_wraps_factory_failure():
-    def broken(err):
+    def broken(kind, fractions):
         raise RuntimeError("boom")
 
     with pytest.raises(ScanError, match="bad.*0.25|0.25.*bad"):
@@ -115,8 +115,8 @@ def test_scan_result_validation():
 
 def test_stretch_windows_frozen():
     res = scan([SEQ, BB1], grid81(ErrorKind.PLE))
-    assert good_fidelity_window(res, "sequential") == pytest.approx(0.425)
-    assert good_fidelity_window(res, "bb1") == pytest.approx(0.675)
+    assert good_fidelity_window(res, "sequential") == 0.425
+    assert good_fidelity_window(res, "bb1") == 0.675
 
 
 def test_detuning_windows_frozen():
@@ -170,7 +170,7 @@ def test_series_matches_numerics_in_validity_range():
     target = sequential_gate()
     worst = 0.0
     for eps in np.linspace(-0.3, 0.3, 61):
-        u = propagator(sequential_segments(), ErrorModel.pulse_length(float(eps)))
+        u = propagator(sequential_segments(), ErrorKind.PLE, (eps,))[0]
         worst = max(worst, abs(gate_fidelity(u, target) - ple_series_fidelity(eps)))
     assert worst <= 2e-3
     # The truncation error is far below the advertised envelope.

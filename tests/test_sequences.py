@@ -1,7 +1,5 @@
 """Pulse sequences: the bare gate, its error response, and the composites."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,22 +9,23 @@ from hypothesis import strategies as st
 from conftest import USQ, Y20, Y23, ZHAT
 from pulseforge import (
     Channel,
+    ControlSchedule,
     ErrorKind,
-    ErrorModel,
     PulseSegment,
     PulseSequence,
     bb1_sequence,
     corpse_sequence,
-    export_sequence_table,
     gate_fidelity,
     propagator,
+    schedule_propagator,
     sequence_table,
     sequential_gate,
     sequential_segments,
 )
+from pulseforge.sequences import bin_propagators, gates
 
 PI = np.pi
-IDEAL = ErrorModel.ideal()
+NONE = ErrorKind.NONE
 
 
 def test_sequential_gate_matrix():
@@ -55,21 +54,21 @@ def test_sequential_segments_layout():
 
 
 def test_sequential_segments_reproduce_gate():
-    u = propagator(sequential_segments(), IDEAL)
+    u = propagator(sequential_segments(), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
 def test_segment_order_matters():
     seq = sequential_segments()
     flipped = PulseSequence(tuple(reversed(seq.segments)), label="flipped")
-    u = propagator(flipped, IDEAL)
+    u = propagator(flipped, NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) > 0.1
 
 
 def test_segment_propagator_ideal_mw():
     seq = PulseSequence((PulseSegment(Channel.MW, PI / 2, PI / 2),), label="mw")
     expected = scipy.linalg.expm(1j * (PI / 4) * Y20)
-    assert np.max(np.abs(propagator(seq, IDEAL) - expected)) <= 1e-12
+    assert np.max(np.abs(propagator(seq, NONE)[0] - expected)) <= 1e-12
 
 
 def test_segment_propagator_ideal_rf_phase():
@@ -77,13 +76,13 @@ def test_segment_propagator_ideal_rf_phase():
     seq = PulseSequence((PulseSegment(Channel.RF, PI, 0.0),), label="rf")
     x23 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     expected = scipy.linalg.expm(1j * (PI / 2) * x23)
-    assert np.max(np.abs(propagator(seq, IDEAL) - expected)) <= 1e-12
+    assert np.max(np.abs(propagator(seq, NONE)[0] - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [-0.5, -0.2, 0.1, 0.3])
 def test_sequential_ple_closed_form(eps):
     # Amplitude miscalibration stretches both areas by the same factor.
-    u = propagator(sequential_segments(), ErrorModel.pulse_length(eps))
+    u = propagator(sequential_segments(), ErrorKind.PLE, (eps,))[0]
     expected = scipy.linalg.expm(1j * (PI / 2) * (1 + eps) * Y23) @ scipy.linalg.expm(
         1j * (PI / 4) * (1 + eps) * Y20
     )
@@ -93,22 +92,57 @@ def test_sequential_ple_closed_form(eps):
 @pytest.mark.parametrize("eps", [-0.4, 0.25])
 def test_sequential_ore_closed_form(eps):
     # Detuning adds the diagonal generator inside each segment exponent.
-    u = propagator(sequential_segments(), ErrorModel.off_resonance(eps))
+    u = propagator(sequential_segments(), ErrorKind.ORE, (eps,))[0]
     um = scipy.linalg.expm(-1j * (PI / 6) * eps * ZHAT + 1j * (PI / 4) * Y20)
     ur = scipy.linalg.expm(-1j * (PI / 3) * eps * ZHAT + 1j * (PI / 2) * Y23)
     assert np.max(np.abs(u - ur @ um)) <= 1e-10
 
 
-def test_error_model_validation():
-    with pytest.raises(ValueError):
-        ErrorModel(ErrorKind.PLE, 1.5)
-    with pytest.raises(ValueError):
-        ErrorModel(ErrorKind.NONE, 0.3)
-    with pytest.raises(ValueError):
-        ErrorModel(ErrorKind.ORE, float("nan"))
-    assert ErrorModel.pulse_length(0.2).fraction == 0.2
-    assert ErrorModel.off_resonance(-0.3).kind is ErrorKind.ORE
-    assert ErrorModel.ideal().fraction == 0.0
+def test_propagators_reject_bad_fractions():
+    schedule = ControlSchedule(np.zeros((2, 4)), 0.5)
+    bad = [
+        (ErrorKind.PLE, (1.5,)),
+        (ErrorKind.PLE, (0.1, -1.01)),
+        (ErrorKind.NONE, (0.3,)),
+        (ErrorKind.ORE, (float("nan"),)),
+        (ErrorKind.ORE, (float("inf"),)),
+        (ErrorKind.PLE, ()),
+        (ErrorKind.ORE, ()),
+    ]
+    for kind, fractions in bad:
+        with pytest.raises(ValueError):
+            propagator(sequential_segments(), kind, fractions)
+        with pytest.raises(ValueError):
+            schedule_propagator(schedule, kind, fractions)
+
+
+def test_propagator_stacks_one_gate_per_fraction():
+    seq = bb1_sequence()
+    fractions = (-0.4, 0.0, 0.25)
+    stack = propagator(seq, ErrorKind.ORE, fractions)
+    assert stack.shape == (3, 3, 3)
+    for gate, eps in zip(stack, fractions):
+        assert np.array_equal(gate, propagator(seq, ErrorKind.ORE, (eps,))[0])
+    # Kind NONE is one ideal gate, for no fraction or zeros.
+    assert propagator(seq, NONE, ()).shape == (1, 3, 3)
+    assert np.array_equal(propagator(seq, NONE, (0.0, 0.0)), propagator(seq, NONE))
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+@pytest.mark.parametrize("n_bins", [1, 10, 400])
+@pytest.mark.parametrize("n_fractions", [1, 5, 21, 403])
+def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
+    # Blocks over bins bound memory but change no arithmetic: the gates
+    # equal the running product over one full stack of bin propagators.
+    rng = np.random.default_rng(1000 * n_bins + n_fractions)
+    controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
+    durations = rng.uniform(0.01, 0.2, size=n_bins)
+    eps = np.linspace(-1.0, 1.0, n_fractions)
+    props = bin_propagators(controls, durations, kind, eps)
+    expected = props[:, 0]
+    for j in range(1, n_bins):
+        expected = props[:, j] @ expected
+    assert np.array_equal(gates(controls, durations, kind, eps), expected)
 
 
 def test_segment_validation():
@@ -120,7 +154,7 @@ def test_segment_validation():
 
 def test_propagator_empty_sequence_rejected():
     with pytest.raises(ValueError):
-        propagator(PulseSequence((), label="empty"), IDEAL)
+        propagator(PulseSequence((), label="empty"), NONE)
 
 
 def test_bb1_structure():
@@ -159,21 +193,21 @@ def test_bb1_duration():
 
 
 def test_bb1_ideal_collapses_to_gate():
-    u = propagator(bb1_sequence(), IDEAL)
+    u = propagator(bb1_sequence(), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
 def test_bb1_beats_sequential_under_stretch():
-    err = ErrorModel.pulse_length(0.3)
-    f_seq = gate_fidelity(propagator(sequential_segments(), err), sequential_gate())
-    f_bb1 = gate_fidelity(propagator(bb1_sequence(), err), sequential_gate())
+    err = (ErrorKind.PLE, (0.3,))
+    f_seq = gate_fidelity(propagator(sequential_segments(), *err)[0], sequential_gate())
+    f_bb1 = gate_fidelity(propagator(bb1_sequence(), *err)[0], sequential_gate())
     assert f_bb1 > f_seq
     assert f_bb1 > 0.99
 
 
 def test_bb1_tolerates_half_scale_error():
-    err = ErrorModel.pulse_length(-0.5)
-    f = gate_fidelity(propagator(bb1_sequence(), err), sequential_gate())
+    u = propagator(bb1_sequence(), ErrorKind.PLE, (-0.5,))[0]
+    f = gate_fidelity(u, sequential_gate())
     assert f >= 0.9
 
 
@@ -211,7 +245,7 @@ def test_corpse_area_values():
 
 
 def test_corpse_ideal_collapses_to_gate():
-    u = propagator(corpse_sequence(), IDEAL)
+    u = propagator(corpse_sequence(), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
@@ -223,9 +257,9 @@ def test_corpse_duration_ratio():
 
 def test_corpse_detuning_tradeoff():
     # The composite trades detuning robustness away near eps = 0.3.
-    err = ErrorModel.off_resonance(0.3)
-    f_seq = gate_fidelity(propagator(sequential_segments(), err), sequential_gate())
-    f_cor = gate_fidelity(propagator(corpse_sequence(), err), sequential_gate())
+    err = (ErrorKind.ORE, (0.3,))
+    f_seq = gate_fidelity(propagator(sequential_segments(), *err)[0], sequential_gate())
+    f_cor = gate_fidelity(propagator(corpse_sequence(), *err)[0], sequential_gate())
     assert f_cor < f_seq
 
 
@@ -239,7 +273,7 @@ def test_bb1_quadratic_suppression_slope():
         [
             1.0
             - gate_fidelity(
-                propagator(bb1_sequence(), ErrorModel.pulse_length(e)), target
+                propagator(bb1_sequence(), ErrorKind.PLE, (e,))[0], target
             )
             for e in eps
         ]
@@ -266,7 +300,7 @@ def test_propagator_unitarity(seed, kind):
         for _ in range(n)
     )
     frac = 0.0 if kind is ErrorKind.NONE else float(rng.uniform(-1, 1))
-    u = propagator(PulseSequence(segments, label="random"), ErrorModel(kind, frac))
+    u = propagator(PulseSequence(segments, label="random"), kind, (frac,))[0]
     assert np.max(np.abs(u @ u.conj().T - np.eye(3))) <= 1e-10
 
 
@@ -275,10 +309,10 @@ def test_stretch_response_is_even(builder):
     target = sequential_gate()
     for eps in (0.1, 0.35, 0.6):
         fp = gate_fidelity(
-            propagator(builder(), ErrorModel.pulse_length(eps)), target
+            propagator(builder(), ErrorKind.PLE, (eps,))[0], target
         )
         fm = gate_fidelity(
-            propagator(builder(), ErrorModel.pulse_length(-eps)), target
+            propagator(builder(), ErrorKind.PLE, (-eps,))[0], target
         )
         assert fp == pytest.approx(fm, abs=1e-9)
 
@@ -295,16 +329,3 @@ def test_sequence_table_round_trip():
     assert float(row[2]) == pytest.approx(2.0, abs=1e-9)
     assert float(row[3]) == pytest.approx(seq.segments[2].theta / PI, rel=1e-8)
 
-
-def test_export_sequence_table_stream_and_path(tmp_path):
-    buf = io.StringIO()
-    export_sequence_table(corpse_sequence(), buf)
-    assert buf.getvalue().startswith("idx,channel")
-    out = tmp_path / "table.csv"
-    export_sequence_table(corpse_sequence(), out)
-    assert out.read_text() == buf.getvalue()
-
-
-def test_export_sequence_table_bad_path():
-    with pytest.raises(OSError):
-        export_sequence_table(corpse_sequence(), "/nonexistent-dir/t.csv")

@@ -55,7 +55,6 @@ from .grape import (
     OptimizedPulse,
     ascend,
     ascend_with_restarts,
-    clip_controls,
     export_pulse_csv,
     gradient,
     import_pulse_csv,

@@ -35,6 +35,7 @@ from .scanning import (
 )
 from .sequences import (
     ErrorKind,
+    _write_text,
     bb1_sequence,
     corpse_sequence,
     propagator,
@@ -135,6 +136,12 @@ def _scheme_factories(schemes: str):
     return pairs
 
 
+def _lambda_mhz(params: dict) -> float:
+    if not (math.isfinite(lam := params["lambda_mhz"]) and lam > 0):
+        raise click.UsageError(f"--lambda-mhz must be finite and positive, got {lam:g}")
+    return lam
+
+
 def _grid(kind: ErrorKind, lo: float, hi: float, n: int) -> ErrorGrid:
     try:
         return ErrorGrid.uniform(kind, lo, hi, n)
@@ -225,9 +232,8 @@ def cmd_scan(ctx, **params):
 @click.option("--restarts", type=int, default=5, show_default=True)
 @click.option("--penalty", type=float, default=0.01, show_default=True,
               help="power penalty weight alpha_p")
-@click.option("--step-size", type=float, default=0.1, show_default=True)
 @click.option("--init-scale", type=float, default=0.1, show_default=True)
-@click.option("--max-iterations", type=int, default=5000, show_default=True)
+@click.option("--max-iterations", type=int, default=500, show_default=True)
 @click.option("--lambda-mhz", type=float, default=1.0, show_default=True,
               help="physical max Rabi amplitude, for printed unit annotations only")
 @click.option("--out", envvar="PULSEFORGE_OUT", default=".", show_default=True)
@@ -235,8 +241,9 @@ def cmd_scan(ctx, **params):
 @click.option("--config", "config_path", default=None)
 @click.pass_context
 def cmd_grape(ctx, **params):
-    """Train a robust pulse by gradient ascent and checkpoint it."""
+    """Train a robust pulse by L-BFGS ascent and checkpoint it."""
     params = _merge_config(ctx, params)
+    lam = _lambda_mhz(params)
     kind = ErrorKind(params["error"])
     if kind is ErrorKind.NONE:
         training: tuple[float, ...] = ()
@@ -251,7 +258,6 @@ def cmd_grape(ctx, **params):
             total_time=params["total_time"],
             bins=params["bins"],
             penalty=params["penalty"],
-            step_size=params["step_size"],
             max_iterations=params["max_iterations"],
             seed=params["seed"],
             init_scale=params["init_scale"],
@@ -269,14 +275,11 @@ def cmd_grape(ctx, **params):
     trace_path = out / f"{prefix}_trace.csv"
     try:
         export_pulse_csv(pulse, pulse_path)
-        with open(trace_path, "w", encoding="ascii") as fh:
-            fh.write("iteration,objective\n")
-            for i, val in enumerate(pulse.trace):
-                fh.write(f"{i},{val:.12g}\n")
+        rows = "".join(f"{i},{val:.12g}\n" for i, val in enumerate(pulse.trace))
+        _write_text(trace_path, "iteration,objective\n" + rows, "trace CSV")
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
 
-    lam = params["lambda_mhz"]
     click.echo(f"wrote {pulse_path} and {trace_path}")
     click.echo(
         f"best restart seed {pulse.config.seed}: objective {pulse.performance:.6f} "
@@ -316,6 +319,7 @@ def cmd_grape(ctx, **params):
 def cmd_compare(ctx, **params):
     """Run all schemes on one grid; report mean fidelities and durations."""
     params = _merge_config(ctx, params)
+    lam = _lambda_mhz(params)
     kind = ErrorKind(params["error"])
     grape_sched = _load_pulse(params["grape_pulse"])
     factories = _scheme_factories(",".join(SEQUENCES))
@@ -333,7 +337,6 @@ def cmd_compare(ctx, **params):
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
 
-    lam = params["lambda_mhz"]
     durations = {name: build().duration for name, build in SEQUENCES.items()}
     durations["grape"] = grape_sched.duration
     click.echo(f"wrote {csv_path}")

@@ -8,11 +8,12 @@ Controls are N time bins of four piecewise-constant amplitudes
 multiplying the control Hamiltonians (sigma_x^20, sigma_y^20,
 sigma_x^23, sigma_y^23).  The performance of a schedule against a
 target U_T is P = |Tr(U_T^dag U(T))|^2, averaged over a training set of
-systematic error fractions; ascent follows the first-order gradient
-with backtracking on the step size and radial clipping that keeps the
-reconstructed drive amplitudes at or below Lambda = 1.
+systematic error fractions.  One pass over the bin eigensystems gives
+the objective and its exact gradient (the divided-difference derivative
+of each bin exponential), and L-BFGS with Armijo backtracking ascends it
+over free parameters that map smoothly onto drives below Lambda = 1.
 
-Bins are evaluated by `sequences.bin_propagators`, the engine of the
+Bin generators come from `sequences.bin_generators`, the engine of the
 composite pulses too, so every scheme shares one error convention: a
 pulse-length fraction eps_f stretches every bin to (1 + eps_f) dt, i.e.
 T' = (1 + eps_f) T, and an off-resonance fraction eps_g adds the drift
@@ -29,9 +30,10 @@ import numpy as np
 
 from .linalg import IDENTITY, gate_fidelity
 from .sequences import (
+    CONTROL_HAMILTONIANS,
     ErrorKind,
     _write_text,
-    bin_propagators,
+    bin_generators,
     error_fractions,
     gates,
     sequential_gate,
@@ -45,10 +47,8 @@ __all__ = [
     "GrapeNumericsError",
     "schedule_propagator",
     "performance",
-    "power_penalty",
     "penalized_performance",
     "gradient",
-    "clip_controls",
     "ascend",
     "trained_min_fidelity",
     "ascend_with_restarts",
@@ -63,9 +63,14 @@ __all__ = [
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-# |u_k| <= Lambda/2 with Lambda = 1; enforced radially per channel pair so
-# the reconstructed u_m, u_r never exceed Lambda either.
+# |u_k| <= Lambda/2 with Lambda = 1; `ascend` keeps each channel pair
+# radially below it, so the reconstructed u_m, u_r stay below Lambda too.
 CONTROL_BOUND = 0.5
+
+# L-BFGS pairs kept, Armijo constant, step halvings before `ascend` stops.
+LBFGS_MEMORY = 10
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 20
 
 PULSE_CSV_HEADER = "bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi"
 
@@ -83,9 +88,9 @@ class ControlSchedule:
     """N x 4 piecewise-constant control amplitudes with bin duration dt.
 
     Bin 0 acts first.  The optimizer keeps every channel pair inside the
-    radial bound |(u1,u2)|, |(u3,u4)| <= 1/2; the constructor only
-    checks shape and finiteness so that probe schedules for gradient
-    tests are unrestricted.
+    radial bound |(u1,u2)|, |(u3,u4)| < 1/2; the constructor only checks
+    shape and finiteness so that probe schedules for gradient tests are
+    unrestricted.
     """
 
     u: np.ndarray
@@ -97,8 +102,8 @@ class ControlSchedule:
             raise ValueError(f"controls must be (N, 4) with N >= 1, got {u.shape}")
         if not np.all(np.isfinite(u)):
             raise ValueError("controls must be finite")
-        if not (self.dt > 0):
-            raise ValueError(f"bin duration must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"bin duration must be finite and positive, got {self.dt}")
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
 
@@ -130,10 +135,7 @@ class GrapeConfig:
     total_time: float = 6.0 * PI
     bins: int = 400
     penalty: float = 0.01
-    step_size: float = 0.1
-    max_iterations: int = 5000
-    tolerance: float = 1e-9
-    patience: int = 20
+    max_iterations: int = 500
     seed: int = 0
     init_scale: float = 0.1
 
@@ -142,12 +144,12 @@ class GrapeConfig:
         object.__setattr__(self, "training", tuple(float(e) for e in self.training))
         if self.bins < 1:
             raise ValueError("need at least one bin")
-        if not (self.total_time > 0):
-            raise ValueError("total time must be positive")
-        if self.penalty < 0 or self.step_size <= 0 or self.init_scale < 0:
-            raise ValueError("penalty >= 0, step size > 0, init scale >= 0 required")
-        if self.max_iterations < 1 or self.patience < 1 or self.tolerance < 0:
-            raise ValueError("bad stopping parameters")
+        if not all(map(math.isfinite, (self.total_time, self.penalty, self.init_scale))):
+            raise ValueError("total time, penalty and init scale must be finite")
+        if self.total_time <= 0 or self.penalty < 0 or self.init_scale < 0:
+            raise ValueError("total time > 0, penalty >= 0, init scale >= 0 required")
+        if self.max_iterations < 1:
+            raise ValueError("need at least one iteration")
         error_fractions(self.error_kind, self.training)
 
     @property
@@ -161,7 +163,7 @@ class GrapeConfig:
 
 @dataclass(frozen=True)
 class OptimizedPulse:
-    """Ascent output: final schedule, objective, and the accepted-step trace."""
+    """Ascent output: final schedule, objective, and the per-iteration trace."""
 
     schedule: ControlSchedule
     performance: float
@@ -177,18 +179,6 @@ def schedule_propagator(
     return gates(s.u, s.dt, kind, error_fractions(kind, fractions))
 
 
-def _mean_performance(
-    u: np.ndarray,
-    dt: float,
-    kind: ErrorKind,
-    fractions: Sequence[float],
-    target: np.ndarray,
-) -> float:
-    full = gates(u, dt, kind, fractions)
-    tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
-    return float(np.mean(np.abs(tr) ** 2))
-
-
 def performance(
     s: ControlSchedule,
     target: np.ndarray,
@@ -201,13 +191,9 @@ def performance(
     Perfect overlap gives 9 (the squared dimension).
     """
     target = _normalized_target(target)
-    fractions = error_fractions(kind, fractions)
-    return _mean_performance(s.u, s.dt, kind, fractions, target)
-
-
-def power_penalty(s: ControlSchedule, penalty: float) -> float:
-    """alpha_p * dt * sum(u^2), the amount subtracted from the objective."""
-    return float(penalty * s.dt * np.sum(s.u * s.u))
+    full = schedule_propagator(s, kind, fractions)
+    tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
+    return float(np.mean(np.abs(tr) ** 2))
 
 
 def penalized_performance(
@@ -217,44 +203,51 @@ def penalized_performance(
     fractions: Sequence[float] = (),
     penalty: float = 0.0,
 ) -> float:
-    return performance(s, target, kind, fractions) - power_penalty(s, penalty)
+    """performance minus the power penalty alpha_p * dt * sum(u^2)."""
+    power = penalty * s.dt * float(np.sum(s.u * s.u))
+    return performance(s, target, kind, fractions) - power
 
 
-def _gradient_u(
-    u: np.ndarray,
-    dt: float,
-    kind: ErrorKind,
-    fractions: Sequence[float],
-    target: np.ndarray,
-    penalty: float,
-) -> np.ndarray:
-    props = bin_propagators(u, dt, kind, fractions)
+def _objective(u, dt, kind, fractions, target, penalty) -> tuple[float, np.ndarray]:
+    """Penalized mean performance and its exact gradient (N, 4), one pass.
+
+    Bin propagators U = V exp(-i t w) V^dag come from one eigensystem per
+    generator.  The derivative along H_k is V (Phi o V^dag H_k V) V^dag with
+    Phi_ab = (e^{-i t w_a} - e^{-i t w_b}) / (w_a - w_b)
+    = -i t e^{-i t (w_a + w_b)/2} sinc(t (w_a - w_b) / 2), so with
+    A_j = U_{j-1} ... U_1 and R_j = U_T^dag U_N ... U_{j+1},
+    d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), Y_j = V ((V^dag A_j R_j V) o Phi) V^dag.
+    """
+    gen, times = bin_generators(u, dt, kind, fractions)
+    w, v = np.linalg.eigh(gen)
+    del gen
+    tw = times[..., None] * w  # (E, N, 3)
+    vh = np.swapaxes(v.conj(), -1, -2)
+    props = (v * np.exp(-1j * tw)[..., None, :]) @ vh
     n_e, n_bins = props.shape[:2]
-    fwd = np.empty_like(props)  # fwd[j] = U_j ... U_1
-    bwd = np.empty_like(props)  # bwd[j] = U_N ... U_{j+1}
-    acc = np.broadcast_to(IDENTITY, (n_e, 3, 3)).copy()
-    for j in range(n_bins):
+    before, after = np.empty_like(props), np.empty_like(props)  # A_j, R_j
+    before[:, 0] = IDENTITY
+    acc = props[:, 0]
+    for j in range(1, n_bins):
+        before[:, j] = acc
         acc = props[:, j] @ acc
-        fwd[:, j] = acc
-    acc = np.broadcast_to(IDENTITY, (n_e, 3, 3)).copy()
+    tr = np.einsum("ba,eba->e", target.conj(), acc)  # Tr(U_T^dag U), as `performance`
+    acc = np.broadcast_to(target.conj().T, (n_e, 3, 3))
     for j in range(n_bins - 1, -1, -1):
-        bwd[:, j] = acc
+        after[:, j] = acc
         acc = acc @ props[:, j]
-    # M_j = B_j U_T^dag S_j collects both traces of the gradient formula:
-    # Tr(H_k M_j) = Tr(A_j^dag H_k B_j) and Tr(M_j) = conj(Tr(B_j^dag A_j)).
-    m = np.einsum("ejab,bc,ejcd->ejad", fwd, target.conj().T, bwd)
-    tr_m = np.einsum("ejaa->ej", m)
-    hk_tr = np.empty((n_e, n_bins, 4), dtype=complex)
-    hk_tr[..., 0] = m[..., 1, 0] + m[..., 0, 1]
-    hk_tr[..., 1] = -1j * m[..., 1, 0] + 1j * m[..., 0, 1]
-    hk_tr[..., 2] = m[..., 2, 1] + m[..., 1, 2]
-    hk_tr[..., 3] = 1j * m[..., 2, 1] - 1j * m[..., 1, 2]
-    if kind is ErrorKind.PLE:
-        fac = (1.0 + np.asarray(fractions, dtype=float))[:, None, None]
-    else:
-        fac = 1.0
-    g = -2.0 * np.real(1j * dt * fac * hk_tr * tr_m[..., None].conj())
-    return g.mean(axis=0) - 2.0 * penalty * dt * u
+    del props
+    m = (vh @ before) @ (after @ v)
+    del before, after
+    half = np.exp(-0.5j * tw)
+    m *= half[..., :, None] * half[..., None, :]
+    m *= np.sinc((tw[..., :, None] - tw[..., None, :]) / TWO_PI)
+    m *= -1j * times[..., None, None]
+    y = v @ m @ vh
+    d_tr = np.einsum("ejab,kba->ejk", y, CONTROL_HAMILTONIANS)  # Tr(Y_j H_k)
+    grad = 2.0 * np.real(tr.conj()[:, None, None] * d_tr).mean(axis=0)
+    value = float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
+    return value, grad - 2.0 * penalty * dt * u
 
 
 def gradient(
@@ -264,79 +257,86 @@ def gradient(
     fractions: Sequence[float] = (),
     penalty: float = 0.0,
 ) -> np.ndarray:
-    """First-order gradient of the penalized mean performance, shape (N, 4).
+    """Exact gradient of `penalized_performance` in the controls, shape (N, 4).
 
-    Per bin j and control k the performance term is
-    -2 Re( Tr(i dt A_j^dag H_k B_j) Tr(B_j^dag A_j) ), averaged over the
-    training set, with H_k carrying the same (1 + eps_f) stretch as the
-    PLE bin propagator; the penalty contributes -2 alpha_p u_k(j) dt.
+    Each bin exponential is differentiated exactly, error included (`_objective`).
     """
     target = _normalized_target(target)
     fractions = error_fractions(kind, fractions)
-    return _gradient_u(s.u, s.dt, kind, fractions, target, penalty)
+    return _objective(s.u, s.dt, kind, fractions, target, penalty)[1]
 
 
-def clip_controls(u: np.ndarray) -> np.ndarray:
-    """Scale each channel pair radially onto |(u1,u2)|, |(u3,u4)| <= 1/2.
+def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = p / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel pair, and the factors."""
+    pairs = p.reshape(-1, 2, 2)
+    radial = np.sum(pairs * pairs, axis=-1, keepdims=True) / CONTROL_BOUND**2
+    scale = 1.0 / np.sqrt(1.0 + radial)
+    return (pairs * scale).reshape(p.shape), scale
 
-    Radial (not per-component) clipping keeps the phase of each drive
-    and guarantees the reconstructed amplitudes u_m, u_r stay <= 1.
-    """
-    out = np.array(u, dtype=float)
-    for c in (0, 2):
-        r = np.hypot(out[:, c], out[:, c + 1])
-        f = np.where(r > CONTROL_BOUND, CONTROL_BOUND / np.maximum(r, 1e-300), 1.0)
-        out[:, c] *= f
-        out[:, c + 1] *= f
-    return out
+
+def _lbfgs_direction(grad: np.ndarray, history: list) -> np.ndarray:
+    """H g by the two-loop recursion over the stored (s, y) pairs, oldest first."""
+    q, coefs = grad.copy(), []
+    for s, y in reversed(history):
+        coefs.append(np.sum(s * q) / np.sum(s * y))
+        q -= coefs[-1] * y
+    if history:
+        s, y = history[-1]
+        q *= np.sum(s * y) / np.sum(y * y)
+    for (s, y), a in zip(history, reversed(coefs)):
+        q += (a - np.sum(y * q) / np.sum(s * y)) * s
+    return q
 
 
 def ascend(cfg: GrapeConfig) -> OptimizedPulse:
-    """Gradient ascent with backtracking step control.
+    """L-BFGS ascent of the penalized objective with Armijo backtracking.
 
-    Controls start uniform in [-scale, scale] from the seeded generator
-    (then clipped).  A step is accepted only if it improves the
-    penalized objective; rejection halves the step size and reuses the
-    cached gradient, acceptance restores the configured step size.
-    Stops at max_iterations or when the objective improves by less than
-    the tolerance over `patience` iterations.  Bit-reproducible for a
-    fixed config.
+    Free parameters p start uniform in [-init_scale, init_scale] from the
+    seeded generator and map onto drives below Lambda by `_drives`.  Each
+    iteration takes the first step 1, 1/2, ... along the quasi-Newton
+    direction that gains ARMIJO times its first-order gain; the ascent
+    stops at max_iterations or when MAX_BACKTRACKS halvings find none.
+    The trace (start, then one value per iteration) never decreases.
     """
     dt = cfg.dt
     fractions = cfg.effective_training()
     rng = np.random.default_rng(cfg.seed)
-    u = clip_controls(rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.bins, 4)))
+    p = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.bins, 4))
 
-    def objective(controls: np.ndarray) -> float:
-        p = _mean_performance(controls, dt, cfg.error_kind, fractions, cfg.target)
-        return p - cfg.penalty * dt * float(np.sum(controls * controls))
-
-    best = objective(u)
-    if not math.isfinite(best):
-        raise GrapeNumericsError("non-finite objective", 0)
-    trace = [best]
-    eta = cfg.step_size
-    grad = None
-    iterations = 0
-    for it in range(1, cfg.max_iterations + 1):
-        iterations = it
-        if grad is None:
-            grad = _gradient_u(u, dt, cfg.error_kind, fractions, cfg.target, cfg.penalty)
-        candidate = clip_controls(u + eta * grad)
-        value = objective(candidate)
+    def evaluate(params: np.ndarray, iteration: int):
+        u, scale = _drives(params)
+        value, g = _objective(u, dt, cfg.error_kind, fractions, cfg.target, cfg.penalty)
         if not math.isfinite(value):
-            raise GrapeNumericsError("non-finite objective", it)
-        if value > best:
-            u, best, eta, grad = candidate, value, cfg.step_size, None
+            raise GrapeNumericsError("non-finite objective", iteration)
+        pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)
+        inward = np.sum(pairs * g, axis=-1, keepdims=True) / CONTROL_BOUND**2
+        return u, value, (scale * g - scale**3 * inward * pairs).reshape(params.shape)
+
+    u, best, grad = evaluate(p, 0)
+    trace = [best]
+    history: list = []  # (p_{i+1} - p_i, g_i - g_{i+1}), at most LBFGS_MEMORY
+    for it in range(1, cfg.max_iterations + 1):
+        direction = _lbfgs_direction(grad, history)
+        slope = float(np.sum(grad * direction))
+        alpha = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = p + alpha * direction
+            u_trial, value, grad_trial = evaluate(trial, it)
+            if value - best > ARMIJO * alpha * slope > 0.0:
+                break
+            alpha *= 0.5
         else:
-            eta *= 0.5
-        trace.append(best)
-        if it >= cfg.patience and trace[-1] - trace[-1 - cfg.patience] < cfg.tolerance:
+            trace.append(best)
             break
+        step, change = trial - p, grad - grad_trial
+        if np.sum(step * change) > 0.0:
+            history = (history + [(step, change)])[-LBFGS_MEMORY:]
+        p, u, best, grad = trial, u_trial, value, grad_trial
+        trace.append(best)
     return OptimizedPulse(
         schedule=ControlSchedule(u=u, dt=dt),
         performance=best,
-        iterations=iterations,
+        iterations=it,
         trace=tuple(trace),
         config=cfg,
     )
@@ -414,10 +414,7 @@ def _config_block(pulse: OptimizedPulse) -> list[str]:
         ("total_time", f"{cfg.total_time:.12g}"),
         ("bins", str(cfg.bins)),
         ("penalty", f"{cfg.penalty:.12g}"),
-        ("step_size", f"{cfg.step_size:.12g}"),
         ("max_iterations", str(cfg.max_iterations)),
-        ("tolerance", f"{cfg.tolerance:.12g}"),
-        ("patience", str(cfg.patience)),
         ("seed", str(cfg.seed)),
         ("init_scale", f"{cfg.init_scale:.12g}"),
         ("performance", f"{pulse.performance:.12g}"),

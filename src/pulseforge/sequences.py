@@ -11,10 +11,11 @@ acts first.  Systematic errors distort every segment identically:
   on the full three-level space during each segment.
 
 A segment is one piecewise-constant control bin at unit amplitude lasting
-its area, the control model of GRAPE schedules, so `bin_propagators`
-evaluates segments and schedule bins alike and is the only place that
-applies these distortions.  An error is an `ErrorKind` and an array of
-E fractions, and `propagator` returns the (E, 3, 3) stack of gates.
+its area, the control model of GRAPE schedules.  `bin_generators` is the
+only place that applies these distortions, to segments and schedule bins
+alike; `gates` exponentiates its output and the GRAPE objective
+differentiates it.  An error is an `ErrorKind` and an array of E
+fractions, and `propagator` returns the (E, 3, 3) stack of gates.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -48,7 +49,7 @@ __all__ = [
     "PulseSegment",
     "PulseSequence",
     "CONTROL_HAMILTONIANS",
-    "bin_propagators",
+    "bin_generators",
     "gates",
     "propagator",
     "sequential_gate",
@@ -124,23 +125,22 @@ class PulseSequence:
         return sum(seg.tau for seg in self.segments)
 
 
-def bin_propagators(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
-    """exp(-i t_j H_j) for every error fraction and bin, shape (E, N, 3, 3).
+def bin_generators(controls, durations, kind: ErrorKind, fractions):
+    """Generators H_j and durations t_j of every bin under the error, unchecked.
 
     `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
     scalar or (N,).  PLE stretches every duration, t -> (1 + eps) t; ORE
-    adds the drift (eps/3) Z_TOTAL.  Kind NONE ignores the fractions and
-    gives E = 1.
+    adds the drift (eps/3) Z_TOTAL.  exp(-i t H) broadcasts to (E, N, 3, 3);
+    kind NONE ignores the fractions and gives E = 1.
     """
     gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
     times = np.broadcast_to(np.asarray(durations, dtype=float), gen.shape[:1])
     eps = np.asarray(fractions, dtype=float)
     if kind is ErrorKind.ORE:
-        return expm_hermitian(gen + (eps[:, None, None, None] / 3.0) * Z_TOTAL, times)
+        return gen + (eps[:, None, None, None] / 3.0) * Z_TOTAL, times
     if kind is ErrorKind.PLE:
-        # One eigendecomposition per bin serves every fraction.
-        return expm_hermitian(gen, (1.0 + eps)[:, None] * times)
-    return expm_hermitian(gen, times)[None]
+        return gen, (1.0 + eps)[:, None] * times
+    return gen, times[None]
 
 
 # Fraction x bin propagators held at once by `gates`.
@@ -150,7 +150,7 @@ BLOCK_PROPAGATORS = 512
 def gates(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
     """U_N ... U_2 U_1 for every error fraction, shape (E, 3, 3), unchecked.
 
-    Arguments as for `bin_propagators`.  The bins are evaluated in blocks
+    Arguments as for `bin_generators`.  The bins are exponentiated in blocks
     of max(1, 512 // E), so memory stays bounded on dense grids, and
     multiplied into one running product in bin order.
     """
@@ -159,7 +159,8 @@ def gates(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
     out = None
     for start in range(0, len(controls), step):
         block = slice(start, start + step)
-        props = bin_propagators(controls[block], times[block], kind, fractions)
+        gen, stretched = bin_generators(controls[block], times[block], kind, fractions)
+        props = expm_hermitian(gen, stretched)
         for j in range(props.shape[1]):
             out = props[:, j] if out is None else props[:, j] @ out
     return out

@@ -185,6 +185,60 @@ def test_grape_rejects_bad_error_kind(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("grape", ["--time", "inf"]),
+        ("grape", ["--penalty", "nan"]),
+        ("grape", ["--init-scale", "inf"]),
+        ("grape", ["--lambda-mhz", "0"]),
+        ("grape", ["--lambda-mhz", "-1"]),
+        ("compare", ["--lambda-mhz", "0"]),
+        ("compare", ["--lambda-mhz", "-1"]),
+    ],
+)
+def test_bad_numeric_input_exits_2_before_any_work(
+    runner, tmp_path, tiny_pulse, command, flags
+):
+    if command == "grape":
+        args = TINY_GRAPE + flags
+    else:
+        args = ["compare", "--grape-pulse", str(tiny_pulse)] + flags
+    out = tmp_path / "out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "must be finite" in result.output
+    assert not out.exists()
+
+
+def test_grape_step_size_flag_is_gone(runner, tmp_path):
+    result = runner.invoke(
+        main, TINY_GRAPE + ["--step-size", "0.1", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "--step-size" in result.output
+
+
+def test_grape_config_with_retired_step_size_runs(runner, tmp_path, tiny_pulse):
+    # A config file written for the fixed-step ascent still works: the
+    # retired key is noted and skipped.
+    cfg = tmp_path / "grape.cfg"
+    cfg.write_text("step_size = 0.1\n")
+    result = runner.invoke(
+        main, TINY_GRAPE + ["--config", str(cfg), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "config key 'step_size' not used by this command" in result.output
+    assert (tmp_path / "none_pulse.csv").read_bytes() == tiny_pulse.read_bytes()
+
+
+def test_grape_trace_write_failure_is_io_error(runner, tmp_path):
+    (tmp_path / "none_trace.csv").mkdir()
+    result = runner.invoke(main, TINY_GRAPE + ["--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert "cannot write trace CSV to" in result.output
+
+
 def test_compare_outputs(runner, tmp_path, tiny_pulse):
     result = runner.invoke(
         main,

@@ -22,7 +22,8 @@ from pulseforge import (
     sequential_gate,
     sequential_segments,
 )
-from pulseforge.sequences import bin_propagators, gates
+from pulseforge.linalg import expm_hermitian
+from pulseforge.sequences import bin_generators, gates
 
 PI = np.pi
 NONE = ErrorKind.NONE
@@ -138,7 +139,7 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     eps = np.linspace(-1.0, 1.0, n_fractions)
-    props = bin_propagators(controls, durations, kind, eps)
+    props = expm_hermitian(*bin_generators(controls, durations, kind, eps))
     expected = props[:, 0]
     for j in range(1, n_bins):
         expected = props[:, j] @ expected

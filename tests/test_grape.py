@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, ZHAT, probe_gradient_fd
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, probe_gradient_fd
 from pulseforge import (
     CONTROL_BOUND,
     PULSE_CSV_HEADER,
@@ -256,14 +256,110 @@ def test_exact_gradient_matches_central_differences(kind, fractions):
     assert err / rms <= 1e-6
 
 
+EDGE_ERRORS = [
+    (ErrorKind.NONE, ()),
+    (ErrorKind.PLE, (-0.5, 0.0, 0.5)),
+    (ErrorKind.ORE, (-0.2, 0.1)),
+]
+
+
+def central_difference_gradient(s, kind, fractions, penalty, h=1e-6):
+    """Every entry of the penalized objective's gradient by central differences."""
+    out = np.empty_like(s.u)
+    for j in range(s.bins):
+        for k in range(4):
+            up, um = s.u.copy(), s.u.copy()
+            up[j, k] += h
+            um[j, k] -= h
+            jp = penalized_performance(ControlSchedule(up, s.dt), USQ, kind, fractions, penalty)
+            jm = penalized_performance(ControlSchedule(um, s.dt), USQ, kind, fractions, penalty)
+            out[j, k] = (jp - jm) / (2 * h)
+    return out
+
+
+def edge_schedule(shape):
+    """1, 2 or 3 bins; or 40 bins whose odd bins carry no drive ("silent")."""
+    if shape != "silent":
+        return make_schedule(5 + shape, bins=shape, total_time=2 * PI, scale=0.4)
+    u = make_schedule(23, bins=40, total_time=6 * PI, scale=0.4).u.copy()
+    u[1::2] = 0.0
+    return ControlSchedule(u, 6 * PI / 40)
+
+
+@pytest.mark.parametrize("kind,fractions", EDGE_ERRORS)
+@pytest.mark.parametrize("shape", [1, 2, 3, "silent"])
+def test_exact_gradient_at_sweep_edges(kind, fractions, shape):
+    # Short schedules: the forward sweep has no interior bin, and the first
+    # and last bins are the same or adjacent.  Silent bins: H = 0 under
+    # NONE and PLE (a triply degenerate spectrum), the drift
+    # (eps/3) diag(-1, 2, -1) under ORE (the pair -eps/3, -eps/3); Psi
+    # takes its sinc limit -i t there.
+    s = edge_schedule(shape)
+    g = gradient(s, USQ, kind, fractions, 0.01)
+    fd = central_difference_gradient(s, kind, fractions, 0.01)
+    assert np.max(np.abs(g - fd)) / np.sqrt(np.mean(fd**2)) <= 1e-6
+
+
+def van_loan_gradient(s, kind, fractions, penalty):
+    """Gradient from Frechet derivatives and explicit prefix/suffix products.
+
+    Independent of the unitarity shortcut: expm([[X, D], [0, X]]) is
+    [[exp(X), L], [0, exp(X)]] with L the derivative of exp at X along D,
+    here X = -i t H_j and D = -i t H_k; the overlap's derivative is then
+    Tr(U_T^dag U_N ... U_{j+1} dU_j U_{j-1} ... U_1).
+    """
+    controls = (X20, Y20, X23, Y23)
+    eps_list = (0.0,) if kind is NONE else fractions
+    grad = np.zeros_like(s.u)
+    for eps in eps_list:
+        t = s.dt * (1 + eps) if kind is ErrorKind.PLE else s.dt
+        drift = eps / 3 * ZHAT if kind is ErrorKind.ORE else 0 * ZHAT
+        gens = [drift + sum(c * h for c, h in zip(row, controls)) for row in s.u]
+        props = [scipy.linalg.expm(-1j * t * h) for h in gens]
+        prefix = [np.eye(3, dtype=complex)]
+        for p in props[:-1]:
+            prefix.append(p @ prefix[-1])
+        suffix = [USQ.conj().T]
+        for p in props[:0:-1]:
+            suffix.append(suffix[-1] @ p)
+        suffix.reverse()  # suffix[j] = U_T^dag U_N ... U_{j+1}
+        overlap = np.trace(suffix[0] @ props[0] @ prefix[0])
+        for j, h in enumerate(gens):
+            for k, hk in enumerate(controls):
+                block = np.zeros((6, 6), dtype=complex)
+                block[:3, :3] = block[3:, 3:] = -1j * t * h
+                block[:3, 3:] = -1j * t * hk
+                d_prop = scipy.linalg.expm(block)[:3, 3:]
+                d_tr = np.trace(suffix[j] @ d_prop @ prefix[j])
+                grad[j, k] += 2 * np.real(np.conj(overlap) * d_tr) / len(eps_list)
+    return grad - 2 * penalty * s.dt * s.u
+
+
+@pytest.mark.parametrize("kind,fractions", EDGE_ERRORS[1:])
+def test_exact_gradient_matches_van_loan_reference(kind, fractions):
+    # Far tighter than central differences: the unitarity shortcut
+    # C A_j^dag U_j^dag for the suffix products must hold to rounding.
+    s = make_schedule(31, bins=30, total_time=3 * PI, scale=0.4)
+    g = gradient(s, USQ, kind, fractions, 0.01)
+    ref = van_loan_gradient(s, kind, fractions, 0.01)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_objective_value_is_penalized_performance():
-    # The one pass takes the objective from the same forward product as
-    # the gate stack of `performance`, bit for bit.
-    s = make_schedule(4, bins=60)
-    for kind, fractions in ((ErrorKind.PLE, (-0.3, 0.1)), (ErrorKind.ORE, (0.2,))):
-        eps = error_fractions(kind, fractions)
-        value, _ = grape_module._objective(s.u, s.dt, kind, eps, USQ, 0.02)
-        assert value == penalized_performance(s, USQ, kind, fractions, 0.02)
+    # The one sweep takes the objective from the same forward product as
+    # the gate stack of `performance`, bit for bit, at every bin count
+    # and on a training set that splits `gates` into bin blocks.
+    errors = (
+        (ErrorKind.PLE, (-0.3, 0.1)),
+        (ErrorKind.ORE, (0.2,)),
+        (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 21))),
+    )
+    for bins in (1, 2, 60, 400):
+        s = make_schedule(4, bins=bins)
+        for kind, fractions in errors:
+            eps = error_fractions(kind, fractions)
+            value, _ = grape_module._objective(s.u, s.dt, kind, eps, USQ, 0.02)
+            assert value == penalized_performance(s, USQ, kind, fractions, 0.02)
 
 
 def test_gradient_penalty_term_exact():

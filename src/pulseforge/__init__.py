@@ -13,7 +13,6 @@ from .linalg import (
     SIGMA_Y_20,
     SIGMA_Y_23,
     Z_TOTAL,
-    effective_hamiltonian,
     expm_unitary,
     gate_fidelity,
     sigma,
@@ -58,10 +57,8 @@ from .grape import (
     export_pulse_csv,
     gradient,
     import_pulse_csv,
-    penalized_performance,
     performance,
     pulses_to_schedule,
-    render_pulse_csv,
     schedule_propagator,
     schedule_to_pulses,
     trained_min_fidelity,

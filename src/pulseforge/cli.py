@@ -13,7 +13,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from .grape import (
     GrapeConfig,
@@ -55,11 +54,10 @@ class OptimizationFailure(click.ClickException):
     exit_code = 4
 
 
-def _merge_config(ctx: click.Context, params: dict) -> dict:
-    """Fill unset options from a key=value config file; explicit flags win."""
-    path = params.get("config_path")
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a key=value config file the command's defaults; flags and env win."""
     if not path:
-        return params
+        return
     try:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
@@ -75,17 +73,27 @@ def _merge_config(ctx: click.Context, params: dict) -> dict:
             raise click.UsageError(f"bad config line (want key=value): {raw!r}")
         key, value = line.split("=", 1)
         entries[key.strip().lower().replace("-", "_")] = value.strip()
-    merged = dict(params)
-    by_name = {p.name: p for p in ctx.command.params}
-    for key, value in entries.items():
-        param = by_name.get(key)
-        if param is None or key == "config_path":
+    names = {p.name for p in ctx.command.params} - {param.name}
+    for key in entries:
+        if key not in names:
             click.echo(f"note: config key {key!r} not used by this command", err=True)
-            continue
-        if ctx.get_parameter_source(key) is not ParameterSource.DEFAULT:
-            continue
-        merged[key] = param.type.convert(value, param, ctx)
-    return merged
+    ctx.default_map = {k: v for k, v in entries.items() if k in names}
+
+
+def _output_options(command):
+    """--out, --prefix and --config, shared by the commands that write files."""
+    options = (
+        click.option("--out", envvar="PULSEFORGE_OUT", default=".", show_default=True,
+                     help="output directory (env PULSEFORGE_OUT)"),
+        click.option("--prefix", default=None,
+                     help="output file prefix [default: error kind]"),
+        click.option("--config", "config_path", callback=_read_config, is_eager=True,
+                     expose_value=False,
+                     help="key=value file supplying defaults; explicit flags win"),
+    )
+    for option in reversed(options):  # the last one applied is listed first
+        command = option(command)
+    return command
 
 
 def _ensure_out_dir(out: str) -> Path:
@@ -149,6 +157,23 @@ def _grid(kind: ErrorKind, lo: float, hi: float, n: int) -> ErrorGrid:
         raise click.UsageError(str(exc)) from exc
 
 
+def _sweep(params: dict, factories, name: str):
+    """Scan the schemes over the command's grid; write `<prefix>_<name>.csv`."""
+    kind = ErrorKind(params["error"])
+    grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
+    try:
+        result = scan(factories, grid)
+    except ScanError as exc:
+        raise OptimizationFailure(str(exc)) from exc
+    out = _ensure_out_dir(params["out"])
+    csv_path = out / f"{params['prefix'] or params['error']}_{name}.csv"
+    try:
+        export_csv(result, csv_path)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    return result, csv_path
+
+
 def _print_windows(result) -> None:
     for label in result.series:
         w = good_fidelity_window(result, label)
@@ -189,31 +214,15 @@ def main():
 @click.option("--grid-min", type=float, default=-1.0, show_default=True)
 @click.option("--grid-max", type=float, default=1.0, show_default=True)
 @click.option("--grid-points", type=int, default=81, show_default=True)
-@click.option("--out", envvar="PULSEFORGE_OUT", default=".", show_default=True,
-              help="output directory (env PULSEFORGE_OUT)")
-@click.option("--prefix", default=None, help="output file prefix [default: error kind]")
-@click.option("--config", "config_path", default=None,
-              help="key=value file supplying defaults; explicit flags win")
-@click.pass_context
-def cmd_scan(ctx, **params):
+@_output_options
+def cmd_scan(**params):
     """Sweep an error fraction and tabulate fidelity per scheme."""
-    params = _merge_config(ctx, params)
-    kind = ErrorKind(params["error"])
-    factories = _scheme_factories(params["schemes"])
-    grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
+    result, csv_path = _sweep(params, _scheme_factories(params["schemes"]), "scan")
     try:
-        result = scan(factories, grid)
-    except ScanError as exc:
-        raise OptimizationFailure(str(exc)) from exc
-    out = _ensure_out_dir(params["out"])
-    prefix = params["prefix"] or params["error"]
-    csv_path = out / f"{prefix}_scan.csv"
-    try:
-        export_csv(result, csv_path)
-        write_plot_script(result, csv_path.name, out / f"{prefix}_scan.gp")
+        write_plot_script(result, csv_path.name, csv_path.with_suffix(".gp"))
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
-    click.echo(f"wrote {csv_path} ({len(grid.points)} points, {params['error']})")
+    click.echo(f"wrote {csv_path} ({len(result.grid.points)} points, {params['error']})")
     click.echo("good-fidelity windows:")
     _print_windows(result)
     _print_corpse_note(result)
@@ -236,13 +245,9 @@ def cmd_scan(ctx, **params):
 @click.option("--max-iterations", type=int, default=500, show_default=True)
 @click.option("--lambda-mhz", type=float, default=1.0, show_default=True,
               help="physical max Rabi amplitude, for printed unit annotations only")
-@click.option("--out", envvar="PULSEFORGE_OUT", default=".", show_default=True)
-@click.option("--prefix", default=None, help="output file prefix [default: error kind]")
-@click.option("--config", "config_path", default=None)
-@click.pass_context
-def cmd_grape(ctx, **params):
+@_output_options
+def cmd_grape(**params):
     """Train a robust pulse by L-BFGS ascent and checkpoint it."""
-    params = _merge_config(ctx, params)
     lam = _lambda_mhz(params)
     kind = ErrorKind(params["error"])
     if kind is ErrorKind.NONE:
@@ -312,37 +317,22 @@ def cmd_grape(ctx, **params):
 @click.option("--grid-max", type=float, default=0.5, show_default=True)
 @click.option("--grid-points", type=int, default=41, show_default=True)
 @click.option("--lambda-mhz", type=float, default=1.0, show_default=True)
-@click.option("--out", envvar="PULSEFORGE_OUT", default=".", show_default=True)
-@click.option("--prefix", default=None, help="output file prefix [default: error kind]")
-@click.option("--config", "config_path", default=None)
-@click.pass_context
-def cmd_compare(ctx, **params):
+@_output_options
+def cmd_compare(**params):
     """Run all schemes on one grid; report mean fidelities and durations."""
-    params = _merge_config(ctx, params)
     lam = _lambda_mhz(params)
-    kind = ErrorKind(params["error"])
     grape_sched = _load_pulse(params["grape_pulse"])
     factories = _scheme_factories(",".join(SEQUENCES))
     factories.append(("grape", partial(schedule_propagator, grape_sched)))
-    grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
-    try:
-        result = scan(factories, grid)
-    except ScanError as exc:
-        raise OptimizationFailure(str(exc)) from exc
-    out = _ensure_out_dir(params["out"])
-    prefix = params["prefix"] or params["error"]
-    csv_path = out / f"{prefix}_compare.csv"
-    try:
-        export_csv(result, csv_path)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    result, csv_path = _sweep(params, factories, "compare")
 
     durations = {name: build().duration for name, build in SEQUENCES.items()}
     durations["grape"] = grape_sched.duration
     click.echo(f"wrote {csv_path}")
+    pts = result.grid.points
     click.echo(
-        f"mean fidelity over [{grid.points[0]:g}, {grid.points[-1]:g}] "
-        f"({len(grid.points)} points, {params['error']}):"
+        f"mean fidelity over [{pts[0]:g}, {pts[-1]:g}] "
+        f"({len(pts)} points, {params['error']}):"
     )
     for label, vals in result.series.items():
         click.echo(f"  {label:<12} {np.mean(vals):.6f}")

@@ -25,7 +25,7 @@ T' = (1 + eps_f) T, and an off-resonance fraction eps_g adds the drift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,14 +49,12 @@ __all__ = [
     "GrapeNumericsError",
     "schedule_propagator",
     "performance",
-    "penalized_performance",
     "gradient",
     "ascend",
     "trained_min_fidelity",
     "ascend_with_restarts",
     "schedule_to_pulses",
     "pulses_to_schedule",
-    "render_pulse_csv",
     "export_pulse_csv",
     "import_pulse_csv",
     "PULSE_CSV_HEADER",
@@ -75,6 +73,14 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 20
 
 PULSE_CSV_HEADER = "bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi"
+
+# The gate every pulse is trained for.
+TARGET = sequential_gate()
+
+# Trained-range min fidelity at which `ascend_with_restarts` stops, and the
+# number of evenly spaced fractions `trained_min_fidelity` probes.
+GOAL = 0.99
+PROBES = 21
 
 
 class GrapeNumericsError(RuntimeError):
@@ -129,9 +135,8 @@ def _normalized_target(target: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrapeConfig:
-    """Optimization problem plus every knob that affects the result."""
+    """Training problem for TARGET plus every knob that affects the result."""
 
-    target: np.ndarray = field(default_factory=sequential_gate)
     error_kind: ErrorKind = ErrorKind.NONE
     training: tuple[float, ...] = ()
     total_time: float = 6.0 * PI
@@ -142,7 +147,6 @@ class GrapeConfig:
     init_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target", _normalized_target(self.target))
         object.__setattr__(self, "training", tuple(float(e) for e in self.training))
         if self.bins < 1:
             raise ValueError("need at least one bin")
@@ -186,8 +190,10 @@ def performance(
     target: np.ndarray,
     kind: ErrorKind = ErrorKind.NONE,
     fractions: Sequence[float] = (),
+    penalty: float = 0.0,
 ) -> float:
-    """Mean of |Tr(U_T^dag U(T))|^2 over the training fractions.
+    """Mean of |Tr(U_T^dag U(T))|^2 over the training fractions, minus the
+    power penalty alpha_p * dt * sum(u^2) with alpha_p = `penalty`.
 
     With kind NONE the averaging set is {0} (`sequences.error_fractions`).
     Perfect overlap gives 9 (the squared dimension).
@@ -195,19 +201,7 @@ def performance(
     target = _normalized_target(target)
     full = schedule_propagator(s, kind, fractions)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
-    return float(np.mean(np.abs(tr) ** 2))
-
-
-def penalized_performance(
-    s: ControlSchedule,
-    target: np.ndarray,
-    kind: ErrorKind = ErrorKind.NONE,
-    fractions: Sequence[float] = (),
-    penalty: float = 0.0,
-) -> float:
-    """performance minus the power penalty alpha_p * dt * sum(u^2)."""
-    power = penalty * s.dt * float(np.sum(s.u * s.u))
-    return performance(s, target, kind, fractions) - power
+    return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
 
 
 def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,7 +265,7 @@ def gradient(
     fractions: Sequence[float] = (),
     penalty: float = 0.0,
 ) -> np.ndarray:
-    """Exact gradient of `penalized_performance` in the controls, shape (N, 4).
+    """Exact gradient of `performance` in the controls, shape (N, 4).
 
     Each bin exponential is differentiated exactly, error included (`_objective`).
     """
@@ -319,7 +313,7 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
 
     def evaluate(params: np.ndarray, iteration: int):
         u, scale = _drives(params)
-        value, g = _objective(u, dt, cfg.error_kind, fractions, cfg.target, cfg.penalty)
+        value, g = _objective(u, dt, cfg.error_kind, fractions, TARGET, cfg.penalty)
         if not math.isfinite(value):
             raise GrapeNumericsError("non-finite objective", iteration)
         pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)
@@ -356,23 +350,23 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
     )
 
 
-def trained_min_fidelity(pulse: OptimizedPulse, points: int = 21) -> float:
-    """Minimum gate fidelity over the trained error range (dense probe)."""
+def trained_min_fidelity(pulse: OptimizedPulse) -> float:
+    """Minimum gate fidelity over the trained error range, at PROBES fractions."""
     cfg = pulse.config
     fractions = cfg.effective_training()
     lo, hi = min(fractions), max(fractions)
-    probes = np.linspace(lo, hi, points) if hi > lo else np.array([lo])
+    probes = np.linspace(lo, hi, PROBES) if hi > lo else np.array([lo])
     stack = schedule_propagator(pulse.schedule, cfg.error_kind, probes)
-    return float(np.min(gate_fidelity(stack, cfg.target)))
+    return float(np.min(gate_fidelity(stack, TARGET)))
 
 
 def ascend_with_restarts(
-    cfg: GrapeConfig, restarts: int = 5, goal: float = 0.99
+    cfg: GrapeConfig, restarts: int = 5
 ) -> tuple[OptimizedPulse, float]:
     """Up to `restarts` seeded runs (seed, seed+1, ...), best kept.
 
     Runs are ranked by the trained-range minimum fidelity; the loop
-    stops early once a run reaches `goal`.  Returns the best pulse and
+    stops early once a run reaches GOAL.  Returns the best pulse and
     its score.
     """
     if restarts < 1:
@@ -384,7 +378,7 @@ def ascend_with_restarts(
         score = trained_min_fidelity(result)
         if score > best_score:
             best, best_score = result, score
-        if best_score >= goal:
+        if best_score >= GOAL:
             break
     assert best is not None
     return best, best_score
@@ -437,12 +431,13 @@ def _config_block(pulse: OptimizedPulse) -> list[str]:
     return [f"# {k}={v}" for k, v in items]
 
 
-def render_pulse_csv(pulse: OptimizedPulse) -> str:
-    """Checkpoint text: pulse rows plus a `# key=value` config block.
+def export_pulse_csv(pulse: OptimizedPulse, destination) -> str:
+    """Write the checkpoint CSV to a path or text stream; returns the text.
 
-    Values carry 12 significant digits; 9 would leave phase quantization
-    of order 5e-9 in the reconstructed controls, breaking the 1e-9
-    import round-trip, so the checkpoint format is the wider one.
+    The text is the pulse rows plus a `# key=value` config block.  Values
+    carry 12 significant digits; 9 would leave phase quantization of
+    order 5e-9 in the reconstructed controls, breaking the 1e-9 import
+    round-trip, so the checkpoint format is the wider one.
     """
     s = pulse.schedule
     rows = schedule_to_pulses(s)
@@ -453,12 +448,7 @@ def render_pulse_csv(pulse: OptimizedPulse) -> str:
             f"{j},{j * s.dt:.12g},{u_m:.12g},{th_m / PI:.12g},{u_r:.12g},{th_r / PI:.12g}"
         )
     lines.extend(_config_block(pulse))
-    return "\n".join(lines) + "\n"
-
-
-def export_pulse_csv(pulse: OptimizedPulse, destination) -> str:
-    """Write the checkpoint CSV to a path or text stream; returns the text."""
-    text = render_pulse_csv(pulse)
+    text = "\n".join(lines) + "\n"
     _write_text(destination, text, "pulse CSV")
     return text
 

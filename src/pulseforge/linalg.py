@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "LEVELS",
-    "ket",
     "sigma",
     "sigma_x",
     "sigma_y",
@@ -33,7 +32,6 @@ __all__ = [
     "SIGMA_Z_23",
     "Z_TOTAL",
     "IDENTITY",
-    "effective_hamiltonian",
     "expm_hermitian",
     "expm_unitary",
     "gate_fidelity",
@@ -47,15 +45,6 @@ _ROW = {0: 0, 2: 1, 3: 2}
 
 # Hermiticity tolerance for generators handed to expm_unitary.
 HERMITIAN_ATOL = 1e-10
-
-
-def ket(level: int) -> np.ndarray:
-    """Basis column vector for one of the levels 0, 2, 3."""
-    if level not in _ROW:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    v = np.zeros(3, dtype=complex)
-    v[_ROW[level]] = 1.0
-    return v
 
 
 def sigma(p: int, q: int) -> np.ndarray:
@@ -99,36 +88,6 @@ SIGMA_Z_23 = sigma_z(2, 3)
 Z_TOTAL = SIGMA_Z_20 + SIGMA_Z_23
 
 IDENTITY = np.eye(3, dtype=complex)
-
-
-def effective_hamiltonian(
-    delta: float, u_m: float, theta_m: float, u_r: float, theta_r: float
-) -> np.ndarray:
-    """Effective three-level Hamiltonian of the doubly driven system.
-
-    Parameters
-    ----------
-    delta : float
-        Common detuning of both drives, in units of Lambda.
-    u_m, u_r : float
-        MW and RF Rabi amplitudes (>= 0), in units of Lambda.
-    theta_m, theta_r : float
-        Drive phases in radians.
-
-    Returns
-    -------
-    ndarray
-        Hermitian 3x3 matrix
-        (delta/3) Z_TOTAL
-        - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)
-        - (u_r/2)(cos(theta_r) sigma_x^23 + sin(theta_r) sigma_y^23).
-    """
-    if u_m < 0 or u_r < 0:
-        raise ValueError(f"amplitudes must be non-negative, got u_m={u_m}, u_r={u_r}")
-    h = (delta / 3.0) * Z_TOTAL
-    h = h - (u_m / 2.0) * (np.cos(theta_m) * SIGMA_X_20 + np.sin(theta_m) * SIGMA_Y_20)
-    h = h - (u_r / 2.0) * (np.cos(theta_r) * SIGMA_X_23 + np.sin(theta_r) * SIGMA_Y_23)
-    return h
 
 
 def expm_hermitian(h: np.ndarray, t) -> np.ndarray:

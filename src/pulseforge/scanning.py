@@ -28,7 +28,6 @@ __all__ = [
     "ple_series_fidelity",
     "quadratic_loss_coefficient",
     "good_fidelity_window",
-    "render_csv",
     "export_csv",
     "write_plot_script",
     "GOOD_FIDELITY_THRESHOLD",
@@ -168,19 +167,17 @@ def good_fidelity_window(
     return best
 
 
-def render_csv(result: ScanResult) -> str:
-    """CSV text: header `epsilon,<labels...>`, 9 significant digits."""
+def export_csv(result: ScanResult, destination) -> str:
+    """Write the scan CSV to a path or text stream; returns the text.
+
+    Header `epsilon,<labels...>`, values to 9 significant digits.
+    """
     labels = list(result.series)
     lines = ["epsilon," + ",".join(labels)]
     for i, eps in enumerate(result.grid.points):
         row = [f"{eps:.9g}"] + [f"{result.series[lab][i]:.9g}" for lab in labels]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def export_csv(result: ScanResult, destination) -> str:
-    """Write the scan CSV to a path or text stream; returns the text."""
-    text = render_csv(result)
+    text = "\n".join(lines) + "\n"
     _write_text(destination, text, "scan CSV")
     return text
 

@@ -131,7 +131,13 @@ def bin_generators(controls, durations, kind: ErrorKind, fractions):
     `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
     scalar or (N,).  PLE stretches every duration, t -> (1 + eps) t; ORE
     adds the drift (eps/3) Z_TOTAL.  exp(-i t H) broadcasts to (E, N, 3, 3);
-    kind NONE ignores the fractions and gives E = 1.
+    kind NONE ignores the fractions and gives E = 1.  A bin driven at
+    amplitudes u_m, u_r and phases theta_m, theta_r (`grape.pulses_to_schedule`)
+    under detuning delta = eps thus has the effective Hamiltonian
+
+        (delta/3) Z_TOTAL
+        - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)
+        - (u_r/2)(cos(theta_r) sigma_x^23 + sin(theta_r) sigma_y^23).
     """
     gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
     times = np.broadcast_to(np.asarray(durations, dtype=float), gen.shape[:1])

@@ -53,7 +53,7 @@ def probe_gradient_fd(schedule, target, kind, fractions, penalty, n_probes, rng,
     Probes random (bin, control) coordinates of the penalized objective.
     Returns an (n_probes, 2) array of (analytic, finite-difference) pairs.
     """
-    from pulseforge import ControlSchedule, gradient, penalized_performance
+    from pulseforge import ControlSchedule, gradient, performance
 
     g = gradient(schedule, target, kind, fractions, penalty)
     pairs = []
@@ -64,10 +64,10 @@ def probe_gradient_fd(schedule, target, kind, fractions, penalty, n_probes, rng,
         up[j, k] += h
         um = schedule.u.copy()
         um[j, k] -= h
-        jp = penalized_performance(
+        jp = performance(
             ControlSchedule(up, schedule.dt), target, kind, fractions, penalty
         )
-        jm = penalized_performance(
+        jm = performance(
             ControlSchedule(um, schedule.dt), target, kind, fractions, penalty
         )
         pairs.append((g[j, k], (jp - jm) / (2 * h)))

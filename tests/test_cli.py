@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulseforge.cli import _merge_config, cmd_scan, main
+from pulseforge.cli import cmd_scan, main
 
 TINY_GRAPE = [
     "grape",
@@ -325,6 +325,45 @@ def test_config_missing_file_is_io_error(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_out_env_var_beats_config_file(runner, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"out = {tmp_path / 'from_file'}\n")
+    result = runner.invoke(
+        main,
+        ["scan", "--grid-points", "5", "--config", str(cfg)],
+        env={"PULSEFORGE_OUT": str(tmp_path / "from_env")},
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "from_env" / "ple_scan.csv").exists()
+    assert not (tmp_path / "from_file").exists()
+
+
+def test_config_notes_each_unknown_key_once_in_file_order(runner, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    lines = ["zeta = 1", "alpha = 2", "zeta = 3", "grid-points = 5", "config = x", "mid = 4"]
+    cfg.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(
+        main, ["scan", "--config", str(cfg), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    notes = [ln for ln in result.output.splitlines() if ln.startswith("note: config")]
+    assert notes == [
+        f"note: config key {key!r} not used by this command"
+        for key in ("zeta", "alpha", "config", "mid")
+    ]
+
+
+def test_compare_config_names_the_pulse(runner, tmp_path, tiny_pulse):
+    # A config file may supply compare's required --grape-pulse.
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(f"grape-pulse = {tiny_pulse}\ngrid-points = 5\n")
+    result = runner.invoke(
+        main, ["compare", "--config", str(cfg), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert len((tmp_path / "ple_compare.csv").read_text().splitlines()) == 6
+
+
 def test_out_env_var(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -362,16 +401,16 @@ _CONFIG_LINE = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_CONFIG_LINE, max_size=6).map("\n".join))
 def test_merge_config_fails_only_with_usage_error(text):
-    # Any config file text merges or raises click.UsageError (exit 2).
+    # Any config file text becomes the command's defaults or raises
+    # click.UsageError (exit 2) while the options are parsed.
     fd, path = tempfile.mkstemp(suffix=".cfg")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
-        ctx = cmd_scan.make_context("scan", ["--config", path])
-        with ctx:
-            try:
-                _merge_config(ctx, dict(ctx.params))
-            except click.UsageError:
+        try:
+            with cmd_scan.make_context("scan", ["--config", path]):
                 pass
+        except click.UsageError:
+            pass
     finally:
         os.unlink(path)

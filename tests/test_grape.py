@@ -24,11 +24,9 @@ from pulseforge import (
     gate_fidelity,
     gradient,
     import_pulse_csv,
-    penalized_performance,
     performance,
     propagator,
     pulses_to_schedule,
-    render_pulse_csv,
     schedule_propagator,
     schedule_to_pulses,
     sequential_gate,
@@ -79,7 +77,7 @@ def test_config_defaults_and_validation():
     assert cfg.penalty == 0.01
     assert cfg.max_iterations == 500
     assert cfg.effective_training() == (0.0,)
-    assert np.max(np.abs(cfg.target - USQ)) <= 1e-12
+    assert np.max(np.abs(grape_module.TARGET - USQ)) <= 1e-12
     with pytest.raises(ValueError):
         GrapeConfig(bins=0)
     with pytest.raises(ValueError):
@@ -209,7 +207,7 @@ def test_performance_requires_training_set():
 def test_power_penalty_formula():
     s = make_schedule(5, bins=12)
     expected = 0.01 * s.dt * np.sum(s.u**2)
-    penalized = penalized_performance(s, USQ, penalty=0.01)
+    penalized = performance(s, USQ, penalty=0.01)
     assert performance(s, USQ) - penalized == pytest.approx(expected, abs=1e-14)
 
 
@@ -271,8 +269,8 @@ def central_difference_gradient(s, kind, fractions, penalty, h=1e-6):
             up, um = s.u.copy(), s.u.copy()
             up[j, k] += h
             um[j, k] -= h
-            jp = penalized_performance(ControlSchedule(up, s.dt), USQ, kind, fractions, penalty)
-            jm = penalized_performance(ControlSchedule(um, s.dt), USQ, kind, fractions, penalty)
+            jp = performance(ControlSchedule(up, s.dt), USQ, kind, fractions, penalty)
+            jm = performance(ControlSchedule(um, s.dt), USQ, kind, fractions, penalty)
             out[j, k] = (jp - jm) / (2 * h)
     return out
 
@@ -359,7 +357,7 @@ def test_objective_value_is_penalized_performance():
         for kind, fractions in errors:
             eps = error_fractions(kind, fractions)
             value, _ = grape_module._objective(s.u, s.dt, kind, eps, USQ, 0.02)
-            assert value == penalized_performance(s, USQ, kind, fractions, 0.02)
+            assert value == performance(s, USQ, kind, fractions, 0.02)
 
 
 def test_gradient_penalty_term_exact():
@@ -472,10 +470,10 @@ def test_trained_min_fidelity_ideal(small_run):
 
 def test_ascend_with_restarts_returns_goal_run():
     cfg = GrapeConfig(bins=50, seed=3, max_iterations=800)
-    pulse, score = ascend_with_restarts(cfg, restarts=3, goal=0.99)
+    pulse, score = ascend_with_restarts(cfg, restarts=3)
     assert pulse.config.seed == 3  # first seed already clears the goal
     assert score >= 0.99
-    pulse2, score2 = ascend_with_restarts(cfg, restarts=3, goal=0.99)
+    pulse2, score2 = ascend_with_restarts(cfg, restarts=3)
     assert np.array_equal(pulse.schedule.u, pulse2.schedule.u)
     assert score == score2
 
@@ -518,6 +516,9 @@ def test_pulses_to_schedule_validation():
     bad[0, 0] = -0.2
     with pytest.raises(ValueError):
         pulses_to_schedule(bad, 0.1)
+    bad[0, 0], bad[1, 2] = 0.2, -1.0
+    with pytest.raises(ValueError):
+        pulses_to_schedule(bad, 0.1)
 
 
 def test_pulse_csv_round_trip(small_run, tmp_path):
@@ -538,7 +539,8 @@ def test_pulse_csv_round_trip(small_run, tmp_path):
 
 
 def test_pulse_csv_deterministic(small_run):
-    assert render_pulse_csv(small_run) == render_pulse_csv(small_run)
+    first = export_pulse_csv(small_run, io.StringIO())
+    assert export_pulse_csv(small_run, io.StringIO()) == first
 
 
 def test_import_pulse_csv_rejects_garbage(tmp_path):
@@ -554,14 +556,14 @@ def test_import_pulse_csv_rejects_garbage(tmp_path):
 
 def test_import_pulse_csv_rejects_row_count_off_bins(small_run):
     # The last row deleted: 49 rows under `# bins=50`.
-    lines = render_pulse_csv(small_run).splitlines()
+    lines = export_pulse_csv(small_run, io.StringIO()).splitlines()
     del lines[small_run.schedule.bins]
     with pytest.raises(ValueError, match="49 rows under bins=50"):
         import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_import_pulse_csv_rejects_duplicate_bin(small_run):
-    lines = render_pulse_csv(small_run).splitlines()
+    lines = export_pulse_csv(small_run, io.StringIO()).splitlines()
     lines[2] = lines[1]
     with pytest.raises(ValueError, match="bin column"):
         import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
@@ -569,7 +571,7 @@ def test_import_pulse_csv_rejects_duplicate_bin(small_run):
 
 def test_import_pulse_csv_rejects_t_start_off_bin_grid(small_run):
     # Bin 3 starting half a bin late: t_start must be 3 dt.
-    lines = render_pulse_csv(small_run).splitlines()
+    lines = export_pulse_csv(small_run, io.StringIO()).splitlines()
     fields = lines[4].split(",")
     fields[1] = repr(3.5 * small_run.schedule.dt)
     lines[4] = ",".join(fields)
@@ -579,7 +581,7 @@ def test_import_pulse_csv_rejects_t_start_off_bin_grid(small_run):
 
 @pytest.mark.parametrize("column", [2, 4])
 def test_import_pulse_csv_rejects_amplitude_over_one(small_run, column):
-    lines = render_pulse_csv(small_run).splitlines()
+    lines = export_pulse_csv(small_run, io.StringIO()).splitlines()
     fields = lines[5].split(",")
     fields[column] = "1.000001"
     lines[5] = ",".join(fields)
@@ -631,7 +633,7 @@ def test_import_pulse_csv_fails_only_with_value_error(text):
 def test_import_pulse_csv_reads_retired_ascent_keys(small_run):
     # Checkpoints written by the fixed-step ascent carry step_size,
     # tolerance and patience rows; they still import, keys kept as text.
-    lines = render_pulse_csv(small_run).splitlines()
+    lines = export_pulse_csv(small_run, io.StringIO()).splitlines()
     lines += ["# step_size=0.1", "# tolerance=1e-09", "# patience=20"]
     schedule, meta = import_pulse_csv(io.StringIO("\n".join(lines) + "\n"))
     assert np.max(np.abs(schedule.u - small_run.schedule.u)) <= 1e-9
@@ -639,7 +641,8 @@ def test_import_pulse_csv_reads_retired_ascent_keys(small_run):
 
 
 def test_import_pulse_csv_from_stream(small_run):
-    schedule, _ = import_pulse_csv(io.StringIO(render_pulse_csv(small_run)))
+    text = export_pulse_csv(small_run, io.StringIO())
+    schedule, _ = import_pulse_csv(io.StringIO(text))
     assert np.max(np.abs(schedule.u - small_run.schedule.u)) <= 1e-9
 
 

@@ -24,7 +24,6 @@ from pulseforge import (
     sequential_segments,
     write_plot_script,
 )
-from pulseforge.scanning import render_csv
 
 PI = np.pi
 
@@ -234,7 +233,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_deterministic():
     res1 = scan([SEQ, CORPSE], grid81(ErrorKind.ORE))
     res2 = scan([SEQ, CORPSE], grid81(ErrorKind.ORE))
-    assert render_csv(res1) == render_csv(res2)
+    assert export_csv(res1, io.StringIO()) == export_csv(res2, io.StringIO())
 
 
 def test_export_csv_stream():

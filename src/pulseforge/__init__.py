@@ -7,7 +7,6 @@ all on the (|0>, |2>, |3>) subspace with dimensionless units.
 
 from .linalg import (
     IDENTITY,
-    NV_CONSTANTS,
     SIGMA_X_20,
     SIGMA_X_23,
     SIGMA_Y_20,
@@ -59,7 +58,6 @@ from .grape import (
     import_pulse_csv,
     performance,
     pulses_to_schedule,
-    schedule_propagator,
     schedule_to_pulses,
     trained_min_fidelity,
 )

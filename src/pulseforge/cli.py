@@ -8,7 +8,6 @@ repeated runs produce byte-identical output files.
 from __future__ import annotations
 
 import math
-from functools import partial
 from pathlib import Path
 
 import click
@@ -20,9 +19,7 @@ from .grape import (
     ascend_with_restarts,
     export_pulse_csv,
     import_pulse_csv,
-    schedule_propagator,
 )
-from .linalg import NV_CONSTANTS
 from .scanning import (
     GOOD_FIDELITY_THRESHOLD,
     ErrorGrid,
@@ -37,7 +34,6 @@ from .sequences import (
     _write_text,
     bb1_sequence,
     corpse_sequence,
-    propagator,
     sequence_table,
     sequential_gate,
     sequential_segments,
@@ -73,11 +69,15 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             raise click.UsageError(f"bad config line (want key=value): {raw!r}")
         key, value = line.split("=", 1)
         entries[key.strip().lower().replace("-", "_")] = value.strip()
-    names = {p.name for p in ctx.command.params} - {param.name}
+    names = {}  # parameter name or long flag -> parameter, so total_time or time
+    for p in ctx.command.params:
+        if p is not param:
+            for key in [p.name] + [o[2:] for o in p.opts if o.startswith("--")]:
+                names[key.replace("-", "_")] = p.name
     for key in entries:
         if key not in names:
             click.echo(f"note: config key {key!r} not used by this command", err=True)
-    ctx.default_map = {k: v for k, v in entries.items() if k in names}
+    ctx.default_map = {names[k]: v for k, v in entries.items() if k in names}
 
 
 def _output_options(command):
@@ -121,7 +121,7 @@ def _load_pulse(path: str):
 
 
 def _scheme_factories(schemes: str):
-    """(label, scheme) pairs from a comma list; schemes as in `scanning`."""
+    """(label, pulse) pairs from a comma list; schemes as in `scanning`."""
     pairs = []
     seen: dict[str, int] = {}
     for token in schemes.split(","):
@@ -129,16 +129,15 @@ def _scheme_factories(schemes: str):
         if not token:
             continue
         if token in SEQUENCES:
-            label, factory = token, partial(propagator, SEQUENCES[token]())
+            label, pulse = token, SEQUENCES[token]()
         elif token.startswith("grape:"):
-            sched = _load_pulse(token[len("grape:") :])
-            label, factory = "grape", partial(schedule_propagator, sched)
+            label, pulse = "grape", _load_pulse(token[len("grape:") :])
         else:
             raise click.UsageError(f"unknown scheme {token!r}")
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label = f"{label}_{seen[label]}"
-        pairs.append((label, factory))
+        pairs.append((label, pulse))
     if not pairs:
         raise click.UsageError("no schemes given")
     return pairs
@@ -157,12 +156,12 @@ def _grid(kind: ErrorKind, lo: float, hi: float, n: int) -> ErrorGrid:
         raise click.UsageError(str(exc)) from exc
 
 
-def _sweep(params: dict, factories, name: str):
+def _sweep(params: dict, pulses, name: str):
     """Scan the schemes over the command's grid; write `<prefix>_<name>.csv`."""
     kind = ErrorKind(params["error"])
     grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
     try:
-        result = scan(factories, grid)
+        result = scan(pulses, grid)
     except ScanError as exc:
         raise OptimizationFailure(str(exc)) from exc
     out = _ensure_out_dir(params["out"])
@@ -322,12 +321,10 @@ def cmd_compare(**params):
     """Run all schemes on one grid; report mean fidelities and durations."""
     lam = _lambda_mhz(params)
     grape_sched = _load_pulse(params["grape_pulse"])
-    factories = _scheme_factories(",".join(SEQUENCES))
-    factories.append(("grape", partial(schedule_propagator, grape_sched)))
-    result, csv_path = _sweep(params, factories, "compare")
+    pulses = _scheme_factories(",".join(SEQUENCES)) + [("grape", grape_sched)]
+    result, csv_path = _sweep(params, pulses, "compare")
 
-    durations = {name: build().duration for name, build in SEQUENCES.items()}
-    durations["grape"] = grape_sched.duration
+    durations = {label: pulse.duration for label, pulse in pulses}
     click.echo(f"wrote {csv_path}")
     pts = result.grid.points
     click.echo(
@@ -365,9 +362,9 @@ def cmd_info():
         click.echo(sequence_table(seq), nl=False)
     click.echo("")
     click.echo("transition frequencies (documentation only; model is frequency-free):")
-    click.echo(f"  |0>-|2> (MW)        {NV_CONSTANTS.mw_transition_hz / 1e9:.2f} GHz")
-    click.echo(f"  |2>-|3> (RF)        {NV_CONSTANTS.rf_transition_hz / 1e6:.0f} MHz")
-    click.echo(f"  hyperfine splitting {NV_CONSTANTS.hyperfine_splitting_hz / 1e6:.0f} MHz")
+    click.echo("  |0>-|2> (MW)        2.88 GHz")
+    click.echo("  |2>-|3> (RF)        130 MHz")
+    click.echo("  hyperfine splitting 2 MHz")
     click.echo("")
     click.echo("units: amplitudes in Lambda, times in 1/Lambda; at Lambda = 1 MHz")
     click.echo("the sequential gate (duration 1.5 pi) lasts 4.712 us")

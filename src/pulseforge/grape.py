@@ -15,11 +15,11 @@ difference Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the
 bin eigenbasis V.  L-BFGS with Armijo backtracking ascends it over free
 parameters that map smoothly onto drives below Lambda = 1.
 
-Bin generators come from `sequences.bin_generators`, the engine of the
-composite pulses too, so every scheme shares one error convention: a
-pulse-length fraction eps_f stretches every bin to (1 + eps_f) dt, i.e.
-T' = (1 + eps_f) T, and an off-resonance fraction eps_g adds the drift
-(eps_g/3) Z.
+Bin propagators come from `sequences.bin_propagators`, and a schedule's
+gates from `sequences.propagator`, the engine of the composite pulses too,
+so every scheme shares one error convention: a pulse-length fraction eps_f
+stretches every bin to (1 + eps_f) dt, i.e. T' = (1 + eps_f) T, and an
+off-resonance fraction eps_g adds the drift (eps_g/3) Z.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import IDENTITY, gate_fidelity
+from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     CONTROL_HAMILTONIANS,
     ErrorKind,
     _write_text,
-    bin_generators,
+    bin_propagators,
     error_fractions,
-    gates,
+    propagator,
     sequential_gate,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "GrapeConfig",
     "OptimizedPulse",
     "GrapeNumericsError",
-    "schedule_propagator",
     "performance",
     "gradient",
     "ascend",
@@ -124,15 +123,6 @@ class ControlSchedule:
         return self.bins * self.dt
 
 
-def _normalized_target(target: np.ndarray) -> np.ndarray:
-    t = np.asarray(target, dtype=complex)
-    if t.shape != (3, 3):
-        raise ValueError(f"target must be 3x3, got {t.shape}")
-    if np.max(np.abs(t.conj().T @ t - IDENTITY)) > 1e-8:
-        raise ValueError("target is not unitary within tolerance")
-    return t
-
-
 @dataclass(frozen=True)
 class GrapeConfig:
     """Training problem for TARGET plus every knob that affects the result."""
@@ -178,13 +168,6 @@ class OptimizedPulse:
     config: GrapeConfig
 
 
-def schedule_propagator(
-    s: ControlSchedule, kind: ErrorKind, fractions=(0.0,)
-) -> np.ndarray:
-    """Total propagators of the schedule, one per error fraction, (E, 3, 3)."""
-    return gates(s.u, s.dt, kind, error_fractions(kind, fractions))
-
-
 def performance(
     s: ControlSchedule,
     target: np.ndarray,
@@ -198,8 +181,8 @@ def performance(
     With kind NONE the averaging set is {0} (`sequences.error_fractions`).
     Perfect overlap gives 9 (the squared dimension).
     """
-    target = _normalized_target(target)
-    full = schedule_propagator(s, kind, fractions)
+    target = _check_unitary(target, "target")
+    full = propagator(s, kind, fractions)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
     return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
 
@@ -215,25 +198,17 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _objective(u, dt, kind, fractions, target, penalty) -> tuple[float, np.ndarray]:
     """Penalized mean performance and its exact gradient (N, 4), one sweep.
 
-    Bin propagators U_j = V diag(e^{-i t w}) V^dag come from one eigensystem
-    per generator, and one forward sweep gives A_j = U_{j-1} ... U_1 and
-    U = U_N A_N, from which the value is taken as in `performance`.  With
-    C = U_T^dag U, unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag,
+    One forward sweep over the bin propagators U_j = V diag(e^{-i t w}) V^dag
+    (`sequences.bin_propagators`) gives A_j = U_{j-1} ... U_1 and U = U_N A_N,
+    from which the value is taken as in `performance`.  With C = U_T^dag U,
+    unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag,
     so d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
     Y_j = V (K_j o Psi) V^dag, K_j = (V^dag A_j) C (V^dag A_j)^dag and
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
     divided difference of the bin exponential times e^{i t w_b}.
     """
-    gen, times = bin_generators(u, dt, kind, fractions)
-    w, v = np.linalg.eigh(gen)
-    del gen
-    tw = times[..., None] * w  # (E, N, 3)
-    # Bin-major from here: t (N, E), v (N, E or 1, 3, 3), tw (N, E, 3).
-    t = np.broadcast_to(times, tw.shape[:2]).T
-    v = np.ascontiguousarray(np.moveaxis(v.reshape((-1,) + v.shape[-3:]), 1, 0))
-    tw = np.swapaxes(tw, 0, 1)
+    t, tw, v, props = bin_propagators(u, dt, kind, fractions)
     vh = np.swapaxes(v.conj(), -1, -2)
-    props = (v * np.exp(-1j * tw)[..., None, :]) @ vh
     before = np.empty_like(props)  # A_j
     before[0] = IDENTITY
     for j in range(1, len(props)):
@@ -269,7 +244,7 @@ def gradient(
 
     Each bin exponential is differentiated exactly, error included (`_objective`).
     """
-    target = _normalized_target(target)
+    target = _check_unitary(target, "target")
     fractions = error_fractions(kind, fractions)
     return _objective(s.u, s.dt, kind, fractions, target, penalty)[1]
 
@@ -356,7 +331,7 @@ def trained_min_fidelity(pulse: OptimizedPulse) -> float:
     fractions = cfg.effective_training()
     lo, hi = min(fractions), max(fractions)
     probes = np.linspace(lo, hi, PROBES) if hi > lo else np.array([lo])
-    stack = schedule_propagator(pulse.schedule, cfg.error_kind, probes)
+    stack = propagator(pulse.schedule, cfg.error_kind, probes)
     return float(np.min(gate_fidelity(stack, TARGET)))
 
 

@@ -14,8 +14,6 @@ the presentation layer (CLI) and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -32,11 +30,8 @@ __all__ = [
     "SIGMA_Z_23",
     "Z_TOTAL",
     "IDENTITY",
-    "expm_hermitian",
     "expm_unitary",
     "gate_fidelity",
-    "PhysicalConstants",
-    "NV_CONSTANTS",
 ]
 
 # Physical level labels and their row/column positions.
@@ -90,19 +85,6 @@ Z_TOTAL = SIGMA_Z_20 + SIGMA_Z_23
 IDENTITY = np.eye(3, dtype=complex)
 
 
-def expm_hermitian(h: np.ndarray, t) -> np.ndarray:
-    """exp(-i t H) over a stack of Hermitian generators (..., 3, 3), unchecked.
-
-    t broadcasts against the stack shape, so one eigendecomposition
-    serves several times.  The eigendecomposition is exact for these 3x3
-    generators (no series truncation), so products of many propagators
-    stay unitary to machine precision.
-    """
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.asarray(t)[..., None] * w)
-    return (v * phase[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(-i * t * H) for one Hermitian 3x3 generator H, checked."""
     h = np.asarray(hamiltonian, dtype=complex)
@@ -110,7 +92,8 @@ def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"expected a 3x3 generator, got shape {h.shape}")
     if np.max(np.abs(h - h.conj().T)) > HERMITIAN_ATOL:
         raise ValueError("generator is not Hermitian within tolerance")
-    return expm_hermitian(h, t)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def _check_unitary(u: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:
@@ -140,21 +123,3 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
     overlap = np.hypot(tr.real, tr.imag) / 3.0
     # |Tr| <= 3 for unitaries; tiny float overshoot is clipped.
     return np.minimum(np.sqrt(overlap), 1.0)[()]
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Documented NV transition frequencies (annotation only).
-
-    The effective model is frequency-free; these values never enter a
-    computation.  They are the measured |0>-|2> (MW), |2>-|3> (RF) and
-    |0>-|1> (hyperfine) splittings used when annotating outputs with
-    physical units.
-    """
-
-    mw_transition_hz: float = 2.88e9
-    rf_transition_hz: float = 130e6
-    hyperfine_splitting_hz: float = 2e6
-
-
-NV_CONSTANTS = PhysicalConstants()

@@ -1,9 +1,8 @@
 """Fidelity-versus-error sweeps, analytic series checks, and CSV export.
 
-A scheme maps an error kind and an array of E fractions to the (E, 3, 3)
-stack of its gates, as `partial(sequences.propagator, seq)` and
-`partial(grape.schedule_propagator, schedule)` do.  A scan calls each
-scheme once with the whole grid and scores every gate against the
+A scheme is a labelled pulse: a `sequences.PulseSequence` or a
+`grape.ControlSchedule`.  A scan evaluates each pulse once over the whole
+grid through `sequences.propagator` and scores every gate against the
 sequential target with the overlap fidelity.  Grids are built with exact
 +/- mirroring so evenness checks see true sign pairs instead of linspace
 rounding dust.
@@ -13,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import gate_fidelity
-from .sequences import ErrorKind, _write_text, error_fractions, sequential_gate
+from .sequences import ErrorKind, _write_text, error_fractions, propagator, sequential_gate
 
 __all__ = [
     "ErrorGrid",
@@ -35,9 +34,6 @@ __all__ = [
 
 # Fidelity floor defining a "good" operating window.
 GOOD_FIDELITY_THRESHOLD = 0.9
-
-Scheme = Callable[[ErrorKind, Sequence[float]], np.ndarray]
-
 
 @dataclass(frozen=True)
 class ErrorGrid:
@@ -97,16 +93,16 @@ class ScanError(RuntimeError):
     """A scheme failed; message carries the label and the grid range."""
 
 
-def scan(schemes: Sequence[tuple[str, Scheme]], grid: ErrorGrid) -> ScanResult:
-    """Evaluate every scheme over the grid against the sequential target."""
+def scan(schemes: Sequence[tuple[str, object]], grid: ErrorGrid) -> ScanResult:
+    """Score every (label, pulse) scheme over the grid against the sequential gate."""
     if not schemes:
         raise ValueError("need at least one scheme")
     target = sequential_gate()
     pts = grid.points
     series: dict[str, tuple[float, ...]] = {}
-    for label, scheme in schemes:
+    for label, pulse in schemes:
         try:
-            stack = scheme(grid.kind, pts)
+            stack = propagator(pulse, grid.kind, pts)
         except Exception as exc:
             raise ScanError(
                 f"scheme {label!r} failed on the {grid.kind.value} grid "

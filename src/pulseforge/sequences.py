@@ -11,11 +11,12 @@ acts first.  Systematic errors distort every segment identically:
   on the full three-level space during each segment.
 
 A segment is one piecewise-constant control bin at unit amplitude lasting
-its area, the control model of GRAPE schedules.  `bin_generators` is the
-only place that applies these distortions, to segments and schedule bins
-alike; `gates` exponentiates its output and the GRAPE objective
-differentiates it.  An error is an `ErrorKind` and an array of E
-fractions, and `propagator` returns the (E, 3, 3) stack of gates.
+its area, so a `PulseSequence` gives controls `u` (N, 4) and durations `dt`
+as a `grape.ControlSchedule` does.  `bin_generators` is the only place that
+applies the distortions and `bin_propagators` the only one that
+exponentiates bins; `gates` multiplies them, the GRAPE objective
+differentiates them, and `propagator` returns the (E, 3, 3) stack of a
+pulse's gates at an `ErrorKind` and an array of E fractions.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -38,7 +39,6 @@ from .linalg import (
     SIGMA_Y_20,
     SIGMA_Y_23,
     Z_TOTAL,
-    expm_hermitian,
     expm_unitary,
 )
 
@@ -50,6 +50,7 @@ __all__ = [
     "PulseSequence",
     "CONTROL_HAMILTONIANS",
     "bin_generators",
+    "bin_propagators",
     "gates",
     "propagator",
     "sequential_gate",
@@ -119,10 +120,28 @@ class PulseSequence:
     segments: tuple[PulseSegment, ...]
     label: str
 
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError(f"sequence {self.label!r} has no segments")
+
     @property
     def duration(self) -> float:
         """Total dimensionless duration at unit amplitude, sum of areas."""
         return sum(seg.tau for seg in self.segments)
+
+    @property
+    def u(self) -> np.ndarray:
+        """Controls (N, 4): -(1/2)(cos theta, sin theta) on each segment's pair."""
+        u = np.zeros((len(self.segments), 4))
+        for j, seg in enumerate(self.segments):
+            c = 0 if seg.channel is Channel.MW else 2
+            u[j, c : c + 2] = -0.5 * np.cos(seg.theta), -0.5 * np.sin(seg.theta)
+        return u
+
+    @property
+    def dt(self) -> np.ndarray:
+        """Bin durations (N,): each segment lasts its area."""
+        return np.array([seg.tau for seg in self.segments])
 
 
 def bin_generators(controls, durations, kind: ErrorKind, fractions):
@@ -149,6 +168,25 @@ def bin_generators(controls, durations, kind: ErrorKind, fractions):
     return gen, times[None]
 
 
+def bin_propagators(controls, durations, kind: ErrorKind, fractions):
+    """Every bin's exponential under the error, bin-major, unchecked.
+
+    Arguments as for `bin_generators`.  Returns t (N, E), t w (N, E, 3),
+    V (N, E or 1, 3, 3) and U_j = V diag(e^{-i t w}) V^dag (N, E, 3, 3) from
+    one exact eigensystem w, V per generator (under PLE one serves every
+    fraction), so long products stay unitary to machine precision.
+    """
+    gen, times = bin_generators(controls, durations, kind, fractions)
+    w, v = np.linalg.eigh(gen)
+    del gen
+    tw = times[..., None] * w  # (E, N, 3)
+    t = np.broadcast_to(times, tw.shape[:2]).T
+    tw = np.swapaxes(tw, 0, 1)
+    v = np.ascontiguousarray(np.moveaxis(v.reshape((-1,) + v.shape[-3:]), 1, 0))
+    props = (v * np.exp(-1j * tw)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return t, tw, v, props
+
+
 # Fraction x bin propagators held at once by `gates`.
 BLOCK_PROPAGATORS = 512
 
@@ -156,37 +194,27 @@ BLOCK_PROPAGATORS = 512
 def gates(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
     """U_N ... U_2 U_1 for every error fraction, shape (E, 3, 3), unchecked.
 
-    Arguments as for `bin_generators`.  The bins are exponentiated in blocks
-    of max(1, 512 // E), so memory stays bounded on dense grids, and
-    multiplied into one running product in bin order.
+    Arguments as for `bin_generators`.  `bin_propagators` exponentiates the
+    bins in blocks of max(1, 512 // E), so memory stays bounded on dense
+    grids, and they are multiplied into one running product in bin order.
     """
     times = np.broadcast_to(np.asarray(durations, dtype=float), (len(controls),))
     step = max(1, BLOCK_PROPAGATORS // len(fractions))
     out = None
     for start in range(0, len(controls), step):
         block = slice(start, start + step)
-        gen, stretched = bin_generators(controls[block], times[block], kind, fractions)
-        props = expm_hermitian(gen, stretched)
-        for j in range(props.shape[1]):
-            out = props[:, j] if out is None else props[:, j] @ out
+        for prop in bin_propagators(controls[block], times[block], kind, fractions)[3]:
+            out = prop if out is None else prop @ out
     return out
 
 
-def propagator(seq: PulseSequence, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:
-    """Gates of the sequence, one per error fraction, shape (E, 3, 3).
+def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:
+    """Gates of a pulse, one per error fraction, shape (E, 3, 3).
 
-    Segment j is a bin of duration tau_j with the unit-amplitude controls
-    -(1/2)(cos theta_j, sin theta_j) on its channel's pair.
+    The pulse is a `PulseSequence` or a `grape.ControlSchedule`: anything
+    with controls `u` (N, 4) and bin durations `dt`, a scalar or (N,).
     """
-    eps = error_fractions(kind, fractions)
-    if not seq.segments:
-        raise ValueError(f"sequence {seq.label!r} has no segments")
-    controls = np.zeros((len(seq.segments), 4))
-    for j, seg in enumerate(seq.segments):
-        c = 0 if seg.channel is Channel.MW else 2
-        controls[j, c : c + 2] = -0.5 * np.cos(seg.theta), -0.5 * np.sin(seg.theta)
-    taus = [seg.tau for seg in seq.segments]
-    return gates(controls, taus, kind, eps)
+    return gates(pulse.u, pulse.dt, kind, error_fractions(kind, fractions))
 
 
 def sequential_gate() -> np.ndarray:

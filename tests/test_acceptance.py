@@ -12,7 +12,6 @@ criterion.  Two claims are stated with the ranges the methods promise:
 """
 
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from pulseforge import (
     propagator,
     quadratic_loss_coefficient,
     scan,
-    schedule_propagator,
     sequential_gate,
     sequential_segments,
 )
@@ -52,8 +50,8 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
         print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def _mean_fidelity(scheme, grid):
-    gates = scheme(grid.kind, grid.points)
+def _mean_fidelity(pulse, grid):
+    gates = propagator(pulse, grid.kind, grid.points)
     return float(np.mean(gate_fidelity(gates, sequential_gate())))
 
 
@@ -104,7 +102,7 @@ def test_criterion_02_stretch_series(capsys):
     f_num = gate_fidelity(propagator(seq, ErrorKind.PLE, eps), target)
     worst = max(abs(f - ple_series_fidelity(float(e))) for e, f in zip(eps, f_num))
     grid = ErrorGrid.uniform(ErrorKind.PLE, -0.05, 0.05, 11)
-    res = scan([("sequential", partial(propagator, seq))], grid)
+    res = scan([("sequential", seq)], grid)
     coeff = quadratic_loss_coefficient(res, "sequential")
     expected = 5 * PI**2 / 96
     rel = abs(coeff - expected) / expected
@@ -157,8 +155,8 @@ def test_criterion_04_durations(capsys):
 
 def test_criterion_05_robustness_windows(capsys):
     grid = ErrorGrid.uniform(ErrorKind.PLE, -1.0, 1.0, 81)
-    sequential = ("sequential", partial(propagator, sequential_segments()))
-    res = scan([sequential, ("bb1", partial(propagator, bb1_sequence()))], grid)
+    sequential = ("sequential", sequential_segments())
+    res = scan([sequential, ("bb1", bb1_sequence())], grid)
     pts = np.asarray(grid.points)
     seq = np.asarray(res.series["sequential"])
     bb1 = np.asarray(res.series["bb1"])
@@ -168,9 +166,7 @@ def test_criterion_05_robustness_windows(capsys):
     w_bb1 = good_fidelity_window(res, "bb1")
 
     ore_grid = ErrorGrid.uniform(ErrorKind.ORE, -1.0, 1.0, 81)
-    ore = scan(
-        [sequential, ("corpse", partial(propagator, corpse_sequence()))], ore_grid
-    )
+    ore = scan([sequential, ("corpse", corpse_sequence())], ore_grid)
     opts = np.asarray(ore_grid.points)
     sel = (opts > 0) & (opts <= 0.5)
     clause_cor = bool(
@@ -227,15 +223,11 @@ def test_criterion_07_robust_training(capsys, ple_training, ore_training):
 
     wide_ple = ErrorGrid.uniform(ErrorKind.PLE, -0.5, 0.5, 41)
     wide_ore = ErrorGrid.uniform(ErrorKind.ORE, -0.5, 0.5, 41)
-    grape_ple_mean = _mean_fidelity(
-        partial(schedule_propagator, ple_pulse.schedule), wide_ple
-    )
-    grape_ore_mean = _mean_fidelity(
-        partial(schedule_propagator, ore_pulse.schedule), wide_ore
-    )
-    bb1_mean = _mean_fidelity(partial(propagator, bb1_sequence()), wide_ple)
-    seq_mean = _mean_fidelity(partial(propagator, sequential_segments()), wide_ore)
-    cor_mean = _mean_fidelity(partial(propagator, corpse_sequence()), wide_ore)
+    grape_ple_mean = _mean_fidelity(ple_pulse.schedule, wide_ple)
+    grape_ore_mean = _mean_fidelity(ore_pulse.schedule, wide_ore)
+    bb1_mean = _mean_fidelity(bb1_sequence(), wide_ple)
+    seq_mean = _mean_fidelity(sequential_segments(), wide_ore)
+    cor_mean = _mean_fidelity(corpse_sequence(), wide_ore)
 
     clause_a_min = ple_score >= 0.99
     clause_a_mean = grape_ple_mean > bb1_mean
@@ -338,7 +330,7 @@ def test_criterion_09_propagator_property_sweep(capsys):
         else:
             bins = int(rng.integers(1, 21))
             controls = rng.uniform(-1, 1, size=(bins, 4))
-            u = schedule_propagator(
+            u = propagator(
                 ControlSchedule(controls, float(rng.uniform(0.01, 1.5))), *err
             )[0]
         worst_unitarity = max(

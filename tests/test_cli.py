@@ -232,6 +232,21 @@ def test_grape_config_with_retired_step_size_runs(runner, tmp_path, tiny_pulse):
     assert (tmp_path / "none_pulse.csv").read_bytes() == tiny_pulse.read_bytes()
 
 
+@pytest.mark.parametrize("key", ["time", "total_time"])
+def test_config_key_is_long_flag_or_parameter_name(runner, tmp_path, key):
+    # --time stores total_time; either name sets it from a config file.
+    cfg = tmp_path / "grape.cfg"
+    cfg.write_text(f"{key} = 3.14\n")
+    result = runner.invoke(
+        main,
+        ["grape", "--error", "none", "--bins", "20", "--max-iterations", "40",
+         "--restarts", "1", "--config", str(cfg), "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert "not used" not in result.output
+    assert "# total_time=3.14\n" in (tmp_path / "none_pulse.csv").read_text()
+
+
 def test_grape_trace_write_failure_is_io_error(runner, tmp_path):
     (tmp_path / "none_trace.csv").mkdir()
     result = runner.invoke(main, TINY_GRAPE + ["--out", str(tmp_path)])

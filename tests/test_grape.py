@@ -27,7 +27,6 @@ from pulseforge import (
     performance,
     propagator,
     pulses_to_schedule,
-    schedule_propagator,
     schedule_to_pulses,
     sequential_gate,
     sequential_segments,
@@ -100,13 +99,13 @@ def test_config_defaults_and_validation():
 
 def test_step_propagator_zero_bin_is_identity():
     s = ControlSchedule(np.zeros((1, 4)), 0.7)
-    assert np.allclose(schedule_propagator(s, NONE)[0], np.eye(3), atol=1e-14)
+    assert np.allclose(propagator(s, NONE)[0], np.eye(3), atol=1e-14)
 
 
 def test_step_propagator_detuned_zero_bin():
     # Drift only: exp(-i dt eps Zhat / 3), diagonal phases.
     s = ControlSchedule(np.zeros((1, 4)), 0.9)
-    got = schedule_propagator(s, ErrorKind.ORE, (0.3,))[0]
+    got = propagator(s, ErrorKind.ORE, (0.3,))[0]
     expected = scipy.linalg.expm(-1j * 0.9 * 0.3 * ZHAT / 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -120,7 +119,7 @@ def test_step_propagator_reproduces_mw_rotation():
     expected = scipy.linalg.expm(
         1j * (PI / 4) * np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
     )
-    got = schedule_propagator(s, NONE)[0]
+    got = propagator(s, NONE)[0]
     assert got.shape == (3, 3)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -130,9 +129,9 @@ def test_ple_step_scales_time():
     # every bin lasting (1 + eps) dt.
     s = make_schedule(0, bins=6)
     eps = 0.27
-    got = schedule_propagator(s, ErrorKind.PLE, (eps,))[0]
+    got = propagator(s, ErrorKind.PLE, (eps,))[0]
     stretched = ControlSchedule(s.u, s.dt * (1 + eps))
-    expected = schedule_propagator(stretched, NONE)[0]
+    expected = propagator(stretched, NONE)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -144,7 +143,7 @@ def test_schedule_and_sequence_share_error_convention(kind, eps):
     u = np.zeros((3, 4))
     u[0, 1] = -0.5
     u[1:, 3] = -0.5
-    got = schedule_propagator(ControlSchedule(u, PI / 2), kind, (eps,))
+    got = propagator(ControlSchedule(u, PI / 2), kind, (eps,))
     expected = propagator(sequential_segments(), kind, (eps,))
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -160,7 +159,7 @@ def test_schedule_propagator_unitarity(seed, kind):
     u = rng.uniform(-1, 1, size=(bins, 4))
     s = ControlSchedule(u, float(rng.uniform(0.01, 2.0)))
     frac = 0.0 if kind is ErrorKind.NONE else float(rng.uniform(-1, 1))
-    prop = schedule_propagator(s, kind, (frac,))[0]
+    prop = propagator(s, kind, (frac,))[0]
     assert np.max(np.abs(prop @ prop.conj().T - np.eye(3))) <= 1e-10
 
 
@@ -170,8 +169,8 @@ def test_schedule_propagator_composes_steps():
     manual = np.eye(3, dtype=complex)
     for j in range(s.bins):
         step = ControlSchedule(s.u[j : j + 1], s.dt)
-        manual = schedule_propagator(step, *err)[0] @ manual
-    assert np.max(np.abs(schedule_propagator(s, *err)[0] - manual)) <= 1e-12
+        manual = propagator(step, *err)[0] @ manual
+    assert np.max(np.abs(propagator(s, *err)[0] - manual)) <= 1e-12
 
 
 def test_performance_perfect_schedule():
@@ -420,7 +419,7 @@ def small_run():
 
 def test_ascend_converges_small(small_run):
     f = gate_fidelity(
-        schedule_propagator(small_run.schedule, NONE)[0], sequential_gate()
+        propagator(small_run.schedule, NONE)[0], sequential_gate()
     )
     assert f >= 0.999
     assert small_run.iterations <= 800

@@ -1,7 +1,5 @@
 """Operator construction, matrix exponentials, composition, fidelity."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import USQ, X20, X23, Y20, Y23, ZHAT, random_hermitian, random_unitary
 from pulseforge import ErrorKind, pulses_to_schedule
 from pulseforge import linalg as la
-from pulseforge.sequences import bin_generators
+from pulseforge.sequences import bin_generators, bin_propagators
 
 PI = np.pi
 
@@ -165,16 +163,20 @@ def test_expm_unitary_is_unitary(seed):
 
 
 def test_expm_hermitian_broadcasts_times_over_a_stack():
-    # (E, N) times against N generators: entry (e, j) is exp(-i t_ej H_j).
+    # Under PLE one eigensystem per bin serves every fraction: entry (j, e)
+    # of the bin-major stack is exp(-i (1 + eps_e) t_j H_j).
     rng = np.random.default_rng(9)
-    h = np.stack([random_hermitian(rng) for _ in range(4)])
-    t = rng.uniform(-3, 3, size=(2, 4))
-    got = la.expm_hermitian(h, t)
-    assert got.shape == (2, 4, 3, 3)
-    for e in range(2):
-        for j in range(4):
-            expected = scipy.linalg.expm(-1j * t[e, j] * h[j])
-            assert np.max(np.abs(got[e, j] - expected)) <= 1e-12
+    controls = rng.uniform(-0.5, 0.5, size=(4, 4))
+    t = rng.uniform(0.1, 3.0, size=4)
+    eps = np.array([-0.6, 0.0, 0.35])
+    _, _, v, props = bin_propagators(controls, t, ErrorKind.PLE, eps)
+    assert v.shape == (4, 1, 3, 3)
+    assert props.shape == (4, 3, 3, 3)
+    for j, (u1, u2, u3, u4) in enumerate(controls):
+        h = u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23
+        for e in range(3):
+            expected = scipy.linalg.expm(-1j * (1 + eps[e]) * t[j] * h)
+            assert np.max(np.abs(props[j, e] - expected)) <= 1e-12
 
 
 def test_gate_fidelity_self_is_one():
@@ -255,11 +257,3 @@ def test_gate_fidelity_stretched_gate_point():
     f = la.gate_fidelity(distorted, USQ)
     assert f == pytest.approx(0.9794713351739027, abs=1e-12)
     assert f == pytest.approx(0.9795, abs=5e-4)
-
-
-def test_physical_constants_frozen():
-    assert la.NV_CONSTANTS.mw_transition_hz == pytest.approx(2.88e9)
-    assert la.NV_CONSTANTS.rf_transition_hz == pytest.approx(130e6)
-    assert la.NV_CONSTANTS.hyperfine_splitting_hz == pytest.approx(2e6)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        la.NV_CONSTANTS.mw_transition_hz = 0.0

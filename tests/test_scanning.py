@@ -1,7 +1,6 @@
 """Error-fraction grids, fidelity scans, windows and CSV export."""
 
 import io
-from functools import partial
 
 import numpy as np
 import pytest
@@ -28,9 +27,9 @@ from pulseforge import (
 PI = np.pi
 
 
-SEQ = ("sequential", partial(propagator, sequential_segments()))
-BB1 = ("bb1", partial(propagator, bb1_sequence()))
-CORPSE = ("corpse", partial(propagator, corpse_sequence()))
+SEQ = ("sequential", sequential_segments())
+BB1 = ("bb1", bb1_sequence())
+CORPSE = ("corpse", corpse_sequence())
 
 
 def grid81(kind):
@@ -97,11 +96,15 @@ def test_scan_requires_schemes():
 
 
 def test_scan_wraps_factory_failure():
-    def broken(kind, fractions):
-        raise RuntimeError("boom")
+    class Broken:
+        dt = 1.0
+
+        @property
+        def u(self):
+            raise RuntimeError("boom")
 
     with pytest.raises(ScanError, match="bad.*0.25|0.25.*bad"):
-        scan([("bad", broken)], ErrorGrid(ErrorKind.PLE, (0.25,)))
+        scan([("bad", Broken())], ErrorGrid(ErrorKind.PLE, (0.25,)))
 
 
 def test_scan_result_validation():

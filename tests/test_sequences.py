@@ -17,13 +17,11 @@ from pulseforge import (
     corpse_sequence,
     gate_fidelity,
     propagator,
-    schedule_propagator,
     sequence_table,
     sequential_gate,
     sequential_segments,
 )
-from pulseforge.linalg import expm_hermitian
-from pulseforge.sequences import bin_generators, gates
+from pulseforge.sequences import bin_propagators, gates
 
 PI = np.pi
 NONE = ErrorKind.NONE
@@ -114,7 +112,7 @@ def test_propagators_reject_bad_fractions():
         with pytest.raises(ValueError):
             propagator(sequential_segments(), kind, fractions)
         with pytest.raises(ValueError):
-            schedule_propagator(schedule, kind, fractions)
+            propagator(schedule, kind, fractions)
 
 
 def test_propagator_stacks_one_gate_per_fraction():
@@ -139,10 +137,10 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     eps = np.linspace(-1.0, 1.0, n_fractions)
-    props = expm_hermitian(*bin_generators(controls, durations, kind, eps))
-    expected = props[:, 0]
+    props = bin_propagators(controls, durations, kind, eps)[3]
+    expected = props[0]
     for j in range(1, n_bins):
-        expected = props[:, j] @ expected
+        expected = props[j] @ expected
     assert np.array_equal(gates(controls, durations, kind, eps), expected)
 
 
@@ -154,8 +152,8 @@ def test_segment_validation():
 
 
 def test_propagator_empty_sequence_rejected():
-    with pytest.raises(ValueError):
-        propagator(PulseSequence((), label="empty"), NONE)
+    with pytest.raises(ValueError, match="no segments"):
+        PulseSequence((), label="empty")
 
 
 def test_bb1_structure():

@@ -12,7 +12,9 @@ systematic error fractions.  One forward sweep over the bin propagators
 gives the objective and, by unitarity (C = U_T^dag U stands in for the
 backward products), its exact gradient: each bin exponential's divided
 difference Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the
-bin eigenbasis V.  L-BFGS with Armijo backtracking ascends it over free
+bin eigenbasis V, which `sequences.bin_propagators` writes down in closed
+form (the Lambda system's dark state, and its bright state mixed with
+|2>).  L-BFGS with Armijo backtracking ascends it over free
 parameters that map smoothly onto drives below Lambda = 1.
 
 Bin propagators come from `sequences.bin_propagators`, and a schedule's
@@ -34,6 +36,7 @@ from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     CONTROL_HAMILTONIANS,
     ErrorKind,
+    _matmul3,
     _write_text,
     bin_propagators,
     error_fractions,
@@ -185,14 +188,6 @@ def performance(
     full = propagator(s, kind, fractions)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
     return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
-
-
-def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast 3x3 stacks; twice `np.matmul`'s speed at (N, E)."""
-    out = a[..., :, :1] * b[..., :1, :]
-    out += a[..., :, 1:2] * b[..., 1:2, :]
-    out += a[..., :, 2:3] * b[..., 2:3, :]
-    return out
 
 
 def _objective(u, dt, kind, fractions, target, penalty) -> tuple[float, np.ndarray]:

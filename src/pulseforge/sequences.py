@@ -12,11 +12,18 @@ acts first.  Systematic errors distort every segment identically:
 
 A segment is one piecewise-constant control bin at unit amplitude lasting
 its area, so a `PulseSequence` gives controls `u` (N, 4) and durations `dt`
-as a `grape.ControlSchedule` does.  `bin_generators` is the only place that
+as a `grape.ControlSchedule` does.  `_error_terms` is the only place that
 applies the distortions and `bin_propagators` the only one that
 exponentiates bins; `gates` multiplies them, the GRAPE objective
 differentiates them, and `propagator` returns the (E, 3, 3) stack of a
 pulse's gates at an `ErrorKind` and an array of E fractions.
+
+Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
+(RF), and the detuning drift gives |0> and |3> the same energy.  So the
+dark state, the superposition of |0> and |3> that the drives cancel on,
+is an exact eigenvector, and what remains is a 2x2 block of the bright
+state and |2>.  `bin_propagators` writes the eigensystem down in closed
+form from the controls; no general eigensolver runs per bin.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -144,46 +151,93 @@ class PulseSequence:
         return np.array([seg.tau for seg in self.segments])
 
 
+def _error_terms(durations, bins: int, kind: ErrorKind, fractions):
+    """Bin durations (E or 1, N) under the error and the drift coefficients.
+
+    PLE stretches every duration, t -> (1 + eps) t; ORE adds the drift
+    (eps/3) Z_TOTAL, whose coefficients eps/3 come back with shape (E,).
+    The other kinds drift by (0,).
+    """
+    times = np.broadcast_to(np.asarray(durations, dtype=float), (bins,))
+    eps = np.asarray(fractions, dtype=float)
+    if kind is ErrorKind.PLE:
+        return (1.0 + eps)[:, None] * times, np.zeros(1)
+    if kind is ErrorKind.ORE:
+        return times[None], eps / 3.0
+    return times[None], np.zeros(1)
+
+
 def bin_generators(controls, durations, kind: ErrorKind, fractions):
     """Generators H_j and durations t_j of every bin under the error, unchecked.
 
     `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
-    scalar or (N,).  PLE stretches every duration, t -> (1 + eps) t; ORE
-    adds the drift (eps/3) Z_TOTAL.  exp(-i t H) broadcasts to (E, N, 3, 3);
-    kind NONE ignores the fractions and gives E = 1.  A bin driven at
-    amplitudes u_m, u_r and phases theta_m, theta_r (`grape.pulses_to_schedule`)
-    under detuning delta = eps thus has the effective Hamiltonian
+    scalar or (N,).  The error enters as in `_error_terms`: exp(-i t H)
+    broadcasts to (E, N, 3, 3), and kind NONE ignores the fractions and
+    gives E = 1.  A bin driven at amplitudes u_m, u_r and phases theta_m,
+    theta_r (`grape.pulses_to_schedule`) under detuning delta = eps thus
+    has the effective Hamiltonian
 
         (delta/3) Z_TOTAL
         - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)
         - (u_r/2)(cos(theta_r) sigma_x^23 + sin(theta_r) sigma_y^23).
     """
     gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
-    times = np.broadcast_to(np.asarray(durations, dtype=float), gen.shape[:1])
-    eps = np.asarray(fractions, dtype=float)
+    times, drift = _error_terms(durations, len(gen), kind, fractions)
     if kind is ErrorKind.ORE:
-        return gen + (eps[:, None, None, None] / 3.0) * Z_TOTAL, times
-    if kind is ErrorKind.PLE:
-        return gen, (1.0 + eps)[:, None] * times
-    return gen, times[None]
+        gen = gen + drift[:, None, None, None] * Z_TOTAL
+    return gen, times
+
+
+def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast 3x3 stacks; twice `np.matmul`'s speed at (N, E)."""
+    out = a[..., :, :1] * b[..., :1, :]
+    out += a[..., :, 1:2] * b[..., 1:2, :]
+    out += a[..., :, 2:3] * b[..., 2:3, :]
+    return out
 
 
 def bin_propagators(controls, durations, kind: ErrorKind, fractions):
     """Every bin's exponential under the error, bin-major, unchecked.
 
     Arguments as for `bin_generators`.  Returns t (N, E), t w (N, E, 3),
-    V (N, E or 1, 3, 3) and U_j = V diag(e^{-i t w}) V^dag (N, E, 3, 3) from
-    one exact eigensystem w, V per generator (under PLE one serves every
-    fraction), so long products stay unitary to machine precision.
+    V (N, E or 1, 3, 3) and U_j = V diag(e^{-i t w}) V^dag (N, E, 3, 3).
+    The eigensystem w, V is closed-form, so long products stay unitary to
+    machine precision.  Every generator is the Lambda system
+
+        [[a, x, 0], [x*, b, y], [0, y*, a]],  x = u1 - i u2,  y = u3 + i u4,
+
+    with a = -eps/3, b = 2 eps/3 under ORE and a = b = 0 otherwise.  With
+    r = |(x, y)|, the dark state (y, 0, -x*)/r has eigenvalue a, and the
+    bright state (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]],
+    whose eigenvalues (a + b)/2 -+ hypot((b - a)/2, r) and eigenvectors
+    -cos(phi) bright + sin(phi) |2>, sin(phi) bright + cos(phi) |2>, with
+    phi = atan2(2 r, b - a) / 2, fill V's columns 0 and 2.  A silent bin
+    (r = 0) takes |0> as its bright state and so -|3> as its dark state.
+    Dark and bright states depend on the controls only, so under PLE and
+    NONE one V serves every fraction.
     """
-    gen, times = bin_generators(controls, durations, kind, fractions)
-    w, v = np.linalg.eigh(gen)
-    del gen
-    tw = times[..., None] * w  # (E, N, 3)
-    t = np.broadcast_to(times, tw.shape[:2]).T
-    tw = np.swapaxes(tw, 0, 1)
-    v = np.ascontiguousarray(np.moveaxis(v.reshape((-1,) + v.shape[-3:]), 1, 0))
-    props = (v * np.exp(-1j * tw)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    u = np.asarray(controls, dtype=float)
+    times, drift = _error_terms(durations, len(u), kind, fractions)
+    x = u[:, 0] - 1j * u[:, 1]
+    y = u[:, 2] + 1j * u[:, 3]
+    r = np.hypot(np.abs(x), np.abs(y))
+    silent = r == 0.0
+    r_safe = np.where(silent, 1.0, r)
+    bx = np.where(silent, 1.0, x / r_safe)[:, None]  # bright state (bx, 0, by)
+    by = (y.conj() / r_safe)[:, None]
+    r = r[:, None]
+    a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
+    phi = 0.5 * np.arctan2(2.0 * r, b - a)
+    c, s = np.cos(phi), np.sin(phi)
+    h = np.hypot(0.5 * (b - a), r)
+    w = np.stack(np.broadcast_arrays(0.5 * (a + b) - h, a, 0.5 * (a + b) + h), -1)
+    v = np.empty(c.shape + (3, 3), dtype=complex)
+    v[..., 0, 0], v[..., 1, 0], v[..., 2, 0] = -c * bx, s, -c * by
+    v[..., 0, 1], v[..., 1, 1], v[..., 2, 1] = by.conj(), 0.0, -bx.conj()
+    v[..., 0, 2], v[..., 1, 2], v[..., 2, 2] = s * bx, c, s * by
+    tw = times.T[..., None] * w  # (N, E, 3)
+    t = np.broadcast_to(times.T, tw.shape[:2])
+    props = _matmul3(v * np.exp(-1j * tw)[..., None, :], np.swapaxes(v.conj(), -1, -2))
     return t, tw, v, props
 
 

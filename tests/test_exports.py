@@ -87,3 +87,23 @@ def test_every_private_module_name_is_used():
         if private - used:
             unused[stem] = sorted(private - used)
     assert unused == {}
+
+
+def test_eigh_only_in_the_checked_exponential():
+    # Bin exponentials take the closed-form Lambda-system eigensystem; a
+    # general eigensolver belongs only to `linalg.expm_unitary`.
+    def uses_eigh(node):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr == "eigh")
+            or (isinstance(n, ast.Name) and n.id == "eigh")
+            or (isinstance(n, ast.alias) and n.name == "eigh")
+            for n in ast.walk(node)
+        )
+
+    users = {
+        f"{stem}.{getattr(node, 'name', '<module>')}"
+        for stem, tree in sources().items()
+        for node in tree.body
+        if uses_eigh(node)
+    }
+    assert users == {"linalg.expm_unitary"}

@@ -12,12 +12,10 @@ from .linalg import (
     SIGMA_Y_20,
     SIGMA_Y_23,
     Z_TOTAL,
-    expm_unitary,
     gate_fidelity,
     sigma,
     sigma_x,
     sigma_y,
-    sigma_z,
 )
 from .sequences import (
     CONTROL_HAMILTONIANS,

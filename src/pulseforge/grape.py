@@ -19,9 +19,11 @@ parameters that map smoothly onto drives below Lambda = 1.
 
 Bin propagators come from `sequences.bin_propagators`, and a schedule's
 gates from `sequences.propagator`, the engine of the composite pulses too,
-so every scheme shares one error convention: a pulse-length fraction eps_f
-stretches every bin to (1 + eps_f) dt, i.e. T' = (1 + eps_f) T, and an
-off-resonance fraction eps_g adds the drift (eps_g/3) Z.
+so every scheme shares one error convention.  The engine takes the error
+as (stretch, detuning) pairs from `sequences.error_pairs`: a pulse-length
+fraction eps_f is the pair (eps_f, 0) and stretches every bin to
+(1 + eps_f) dt, i.e. T' = (1 + eps_f) T; an off-resonance fraction eps_g
+is the pair (0, eps_g) and adds the drift (eps_g/3) Z.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .sequences import (
     _matmul3,
     _write_text,
     bin_propagators,
-    error_fractions,
+    error_pairs,
     propagator,
     sequential_gate,
 )
@@ -149,15 +151,11 @@ class GrapeConfig:
             raise ValueError("total time > 0, penalty >= 0, init scale >= 0 required")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        error_fractions(self.error_kind, self.training)
+        error_pairs(self.error_kind, self.training)
 
     @property
     def dt(self) -> float:
         return self.total_time / self.bins
-
-    def effective_training(self) -> tuple[float, ...]:
-        """The averaging set: {0} when no error model is trained."""
-        return tuple(error_fractions(self.error_kind, self.training).tolist())
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,9 @@ def performance(
     """Mean of |Tr(U_T^dag U(T))|^2 over the training fractions, minus the
     power penalty alpha_p * dt * sum(u^2) with alpha_p = `penalty`.
 
-    With kind NONE the averaging set is {0} (`sequences.error_fractions`).
-    Perfect overlap gives 9 (the squared dimension).
+    The fractions become (stretch, detuning) pairs by `sequences.error_pairs`;
+    with kind NONE the averaging set is the one pair (0, 0).  Perfect overlap
+    gives 9 (the squared dimension).
     """
     target = _check_unitary(target, "target")
     full = propagator(s, kind, fractions)
@@ -190,8 +189,9 @@ def performance(
     return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
 
 
-def _objective(u, dt, kind, fractions, target, penalty) -> tuple[float, np.ndarray]:
-    """Penalized mean performance and its exact gradient (N, 4), one sweep.
+def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
+    """Penalized mean performance over the (E, 2) error pairs and its exact
+    gradient (N, 4), one sweep.
 
     One forward sweep over the bin propagators U_j = V diag(e^{-i t w}) V^dag
     (`sequences.bin_propagators`) gives A_j = U_{j-1} ... U_1 and U = U_N A_N,
@@ -202,7 +202,7 @@ def _objective(u, dt, kind, fractions, target, penalty) -> tuple[float, np.ndarr
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
     divided difference of the bin exponential times e^{i t w_b}.
     """
-    t, tw, v, props = bin_propagators(u, dt, kind, fractions)
+    t, tw, v, props = bin_propagators(u, dt, errors)
     vh = np.swapaxes(v.conj(), -1, -2)
     before = np.empty_like(props)  # A_j
     before[0] = IDENTITY
@@ -240,8 +240,7 @@ def gradient(
     Each bin exponential is differentiated exactly, error included (`_objective`).
     """
     target = _check_unitary(target, "target")
-    fractions = error_fractions(kind, fractions)
-    return _objective(s.u, s.dt, kind, fractions, target, penalty)[1]
+    return _objective(s.u, s.dt, error_pairs(kind, fractions), target, penalty)[1]
 
 
 def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +276,13 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
     The trace (start, then one value per iteration) never decreases.
     """
     dt = cfg.dt
-    fractions = cfg.effective_training()
+    errors = error_pairs(cfg.error_kind, cfg.training)
     rng = np.random.default_rng(cfg.seed)
     p = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.bins, 4))
 
     def evaluate(params: np.ndarray, iteration: int):
         u, scale = _drives(params)
-        value, g = _objective(u, dt, cfg.error_kind, fractions, TARGET, cfg.penalty)
+        value, g = _objective(u, dt, errors, TARGET, cfg.penalty)
         if not math.isfinite(value):
             raise GrapeNumericsError("non-finite objective", iteration)
         pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)
@@ -323,7 +322,7 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
 def trained_min_fidelity(pulse: OptimizedPulse) -> float:
     """Minimum gate fidelity over the trained error range, at PROBES fractions."""
     cfg = pulse.config
-    fractions = cfg.effective_training()
+    fractions = cfg.training or (0.0,)
     lo, hi = min(fractions), max(fractions)
     probes = np.linspace(lo, hi, PROBES) if hi > lo else np.array([lo])
     stack = propagator(pulse.schedule, cfg.error_kind, probes)

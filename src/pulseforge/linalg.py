@@ -9,7 +9,9 @@ represented.
 All quantities are dimensionless: amplitudes in units of the maximum
 Rabi amplitude Lambda, times in units of 1/Lambda.  Only the product
 amplitude*time enters any propagator, so physical units are applied at
-the presentation layer (CLI) and nowhere else.
+the presentation layer (CLI) and nowhere else.  There is no matrix
+exponential here: `sequences.bin_propagators` writes every propagator
+down in closed form.
 """
 
 from __future__ import annotations
@@ -21,25 +23,18 @@ __all__ = [
     "sigma",
     "sigma_x",
     "sigma_y",
-    "sigma_z",
     "SIGMA_X_20",
     "SIGMA_Y_20",
     "SIGMA_X_23",
     "SIGMA_Y_23",
-    "SIGMA_Z_20",
-    "SIGMA_Z_23",
     "Z_TOTAL",
     "IDENTITY",
-    "expm_unitary",
     "gate_fidelity",
 ]
 
 # Physical level labels and their row/column positions.
 LEVELS = (0, 2, 3)
 _ROW = {0: 0, 2: 1, 3: 2}
-
-# Hermiticity tolerance for generators handed to expm_unitary.
-HERMITIAN_ATOL = 1e-10
 
 
 def sigma(p: int, q: int) -> np.ndarray:
@@ -67,33 +62,16 @@ def sigma_y(p: int, q: int) -> np.ndarray:
     return 1j * (sigma(p, q) - sigma(q, p))
 
 
-def sigma_z(p: int, q: int) -> np.ndarray:
-    """sigma_z^pq = |p><p| - |q><q|."""
-    return sigma(p, p) - sigma(q, q)
-
-
 SIGMA_X_20 = sigma_x(2, 0)
 SIGMA_Y_20 = sigma_y(2, 0)
 SIGMA_X_23 = sigma_x(2, 3)
 SIGMA_Y_23 = sigma_y(2, 3)
-SIGMA_Z_20 = sigma_z(2, 0)
-SIGMA_Z_23 = sigma_z(2, 3)
 
-# Z_TOTAL = diag(-1, 2, -1); the detuning drift acts through Z_TOTAL/3.
-Z_TOTAL = SIGMA_Z_20 + SIGMA_Z_23
+# sigma_z^20 + sigma_z^23, with sigma_z^pq = |p><p| - |q><q|; the detuning
+# drift acts through Z_TOTAL/3.
+Z_TOTAL = np.diag([-1.0, 2.0, -1.0]).astype(complex)
 
 IDENTITY = np.eye(3, dtype=complex)
-
-
-def expm_unitary(hamiltonian: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i * t * H) for one Hermitian 3x3 generator H, checked."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 generator, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_ATOL:
-        raise ValueError("generator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def _check_unitary(u: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import gate_fidelity
-from .sequences import ErrorKind, _write_text, error_fractions, propagator, sequential_gate
+from .sequences import ErrorKind, _write_text, error_pairs, propagator, sequential_gate
 
 __all__ = [
     "ErrorGrid",
@@ -45,7 +45,7 @@ class ErrorGrid:
     def __post_init__(self) -> None:
         if self.kind is ErrorKind.NONE:
             raise ValueError("grid kind must be PLE or ORE")
-        error_fractions(self.kind, self.points)
+        error_pairs(self.kind, self.points)
         pts = self.points
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing")

@@ -3,18 +3,18 @@
 A pulse sequence is an ordered list of rectangular segments, each driving
 one transition (MW on |0>-|2>, RF on |2>-|3>) at unit amplitude u = Lambda
 for a dimensionless area tau with a fixed drive phase.  Segment index 0
-acts first.  Systematic errors distort every segment identically:
+acts first.  A segment is one piecewise-constant control bin at unit
+amplitude lasting its area, so a `PulseSequence` gives controls `u` (N, 4)
+and durations `dt` as a `grape.ControlSchedule` does.
 
-* pulse-length error (PLE): every area tau becomes (1 + eps_f) tau,
-  eps_f = (T' - T)/T,
-* off-resonance error (ORE): a common detuning delta = eps_g Lambda acts
-  on the full three-level space during each segment.
-
-A segment is one piecewise-constant control bin at unit amplitude lasting
-its area, so a `PulseSequence` gives controls `u` (N, 4) and durations `dt`
-as a `grape.ControlSchedule` does.  `_error_terms` is the only place that
-applies the distortions and `bin_propagators` the only one that
-exponentiates bins; `gates` multiplies them, the GRAPE objective
+Systematic errors distort every bin identically.  The engine takes them as
+E (stretch s, detuning d) pairs, shape (E, 2): a pair stretches every bin
+to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
+`ErrorKind` and its fractions to pairs: a pulse-length error (PLE)
+eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
+detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  `_error_terms`
+is the only place that applies the pairs and `bin_propagators` the only
+one that exponentiates bins; `gates` multiplies them, the GRAPE objective
 differentiates them, and `propagator` returns the (E, 3, 3) stack of a
 pulse's gates at an `ErrorKind` and an array of E fractions.
 
@@ -40,19 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SIGMA_X_20,
-    SIGMA_X_23,
-    SIGMA_Y_20,
-    SIGMA_Y_23,
-    Z_TOTAL,
-    expm_unitary,
-)
+from .linalg import SIGMA_X_20, SIGMA_X_23, SIGMA_Y_20, SIGMA_Y_23, Z_TOTAL
 
 __all__ = [
     "Channel",
     "ErrorKind",
-    "error_fractions",
+    "error_pairs",
     "PulseSegment",
     "PulseSequence",
     "CONTROL_HAMILTONIANS",
@@ -68,6 +61,7 @@ __all__ = [
 ]
 
 PI = math.pi
+SQRT2 = math.sqrt(2.0)
 
 # H_1..H_4 in control order: bin j evolves under sum_k u_jk H_k.
 CONTROL_HAMILTONIANS = np.stack([SIGMA_X_20, SIGMA_Y_20, SIGMA_X_23, SIGMA_Y_23])
@@ -86,11 +80,12 @@ class ErrorKind(enum.Enum):
     ORE = "ore"
 
 
-def error_fractions(kind: ErrorKind, fractions) -> np.ndarray:
-    """The checked fractions a gate stack is evaluated at, shape (E,).
+def error_pairs(kind: ErrorKind, fractions) -> np.ndarray:
+    """The checked (stretch, detuning) pairs a gate stack is evaluated at, (E, 2).
 
     Fractions must be finite with |eps| <= 1.  PLE and ORE need at least
-    one; kind NONE takes none or zeros and gives (0,).
+    one and put it in column 0 (stretch) or 1 (detuning); kind NONE takes
+    none or zeros and gives the single pair (0, 0).
     """
     eps = np.array(fractions, dtype=float).reshape(-1)
     if not np.all(np.abs(eps) <= 1.0):
@@ -99,10 +94,12 @@ def error_fractions(kind: ErrorKind, fractions) -> np.ndarray:
     if kind is ErrorKind.NONE:
         if np.any(eps != 0.0):
             raise ValueError("ideal error model carries no fraction")
-        return np.zeros(1)
+        return np.zeros((1, 2))
     if eps.size == 0:
         raise ValueError(f"{kind.value} error needs at least one fraction")
-    return eps
+    pairs = np.zeros((eps.size, 2))
+    pairs[:, 0 if kind is ErrorKind.PLE else 1] = eps
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -151,41 +148,36 @@ class PulseSequence:
         return np.array([seg.tau for seg in self.segments])
 
 
-def _error_terms(durations, bins: int, kind: ErrorKind, fractions):
-    """Bin durations (E or 1, N) under the error and the drift coefficients.
+def _error_terms(durations, bins: int, errors):
+    """Bin durations (E, N) under the (E, 2) error pairs, and the drift.
 
-    PLE stretches every duration, t -> (1 + eps) t; ORE adds the drift
-    (eps/3) Z_TOTAL, whose coefficients eps/3 come back with shape (E,).
-    The other kinds drift by (0,).
+    A pair (s, d) stretches every duration, t -> (1 + s) t, and adds the
+    drift (d/3) Z_TOTAL, whose coefficients d/3 come back with shape (E,),
+    or (1,) when no pair detunes, so one eigenbasis serves every pair.
     """
     times = np.broadcast_to(np.asarray(durations, dtype=float), (bins,))
-    eps = np.asarray(fractions, dtype=float)
-    if kind is ErrorKind.PLE:
-        return (1.0 + eps)[:, None] * times, np.zeros(1)
-    if kind is ErrorKind.ORE:
-        return times[None], eps / 3.0
-    return times[None], np.zeros(1)
+    stretch, detuning = np.asarray(errors, dtype=float).T
+    drift = detuning / 3.0 if np.any(detuning) else np.zeros(1)
+    return (1.0 + stretch)[:, None] * times, drift
 
 
-def bin_generators(controls, durations, kind: ErrorKind, fractions):
+def bin_generators(controls, durations, errors):
     """Generators H_j and durations t_j of every bin under the error, unchecked.
 
     `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
-    scalar or (N,).  The error enters as in `_error_terms`: exp(-i t H)
-    broadcasts to (E, N, 3, 3), and kind NONE ignores the fractions and
-    gives E = 1.  A bin driven at amplitudes u_m, u_r and phases theta_m,
-    theta_r (`grape.pulses_to_schedule`) under detuning delta = eps thus
-    has the effective Hamiltonian
+    scalar or (N,); `errors` is (E, 2) as from `error_pairs`.  The pairs
+    enter as in `_error_terms`: H is (E or 1, N, 3, 3), t is (E, N), and
+    exp(-i t H) broadcasts to (E, N, 3, 3).  A bin driven at amplitudes
+    u_m, u_r and phases theta_m, theta_r (`grape.pulses_to_schedule`) under
+    the detuning d thus has the effective Hamiltonian
 
-        (delta/3) Z_TOTAL
+        (d/3) Z_TOTAL
         - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)
         - (u_r/2)(cos(theta_r) sigma_x^23 + sin(theta_r) sigma_y^23).
     """
     gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
-    times, drift = _error_terms(durations, len(gen), kind, fractions)
-    if kind is ErrorKind.ORE:
-        gen = gen + drift[:, None, None, None] * Z_TOTAL
-    return gen, times
+    times, drift = _error_terms(durations, len(gen), errors)
+    return gen + drift[:, None, None, None] * Z_TOTAL, times
 
 
 def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,8 +188,8 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def bin_propagators(controls, durations, kind: ErrorKind, fractions):
-    """Every bin's exponential under the error, bin-major, unchecked.
+def bin_propagators(controls, durations, errors):
+    """Every bin's exponential under the error pairs, bin-major, unchecked.
 
     Arguments as for `bin_generators`.  Returns t (N, E), t w (N, E, 3),
     V (N, E or 1, 3, 3) and U_j = V diag(e^{-i t w}) V^dag (N, E, 3, 3).
@@ -206,18 +198,18 @@ def bin_propagators(controls, durations, kind: ErrorKind, fractions):
 
         [[a, x, 0], [x*, b, y], [0, y*, a]],  x = u1 - i u2,  y = u3 + i u4,
 
-    with a = -eps/3, b = 2 eps/3 under ORE and a = b = 0 otherwise.  With
+    with a = -d/3 and b = 2 d/3 at the detuning d.  With
     r = |(x, y)|, the dark state (y, 0, -x*)/r has eigenvalue a, and the
     bright state (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]],
     whose eigenvalues (a + b)/2 -+ hypot((b - a)/2, r) and eigenvectors
     -cos(phi) bright + sin(phi) |2>, sin(phi) bright + cos(phi) |2>, with
     phi = atan2(2 r, b - a) / 2, fill V's columns 0 and 2.  A silent bin
     (r = 0) takes |0> as its bright state and so -|3> as its dark state.
-    Dark and bright states depend on the controls only, so under PLE and
-    NONE one V serves every fraction.
+    Dark and bright states depend on the controls only, so when no pair
+    detunes one V serves every pair.
     """
     u = np.asarray(controls, dtype=float)
-    times, drift = _error_terms(durations, len(u), kind, fractions)
+    times, drift = _error_terms(durations, len(u), errors)
     x = u[:, 0] - 1j * u[:, 1]
     y = u[:, 2] + 1j * u[:, 3]
     r = np.hypot(np.abs(x), np.abs(y))
@@ -245,19 +237,19 @@ def bin_propagators(controls, durations, kind: ErrorKind, fractions):
 BLOCK_PROPAGATORS = 512
 
 
-def gates(controls, durations, kind: ErrorKind, fractions) -> np.ndarray:
-    """U_N ... U_2 U_1 for every error fraction, shape (E, 3, 3), unchecked.
+def gates(controls, durations, errors) -> np.ndarray:
+    """U_N ... U_2 U_1 for every error pair, shape (E, 3, 3), unchecked.
 
     Arguments as for `bin_generators`.  `bin_propagators` exponentiates the
     bins in blocks of max(1, 512 // E), so memory stays bounded on dense
     grids, and they are multiplied into one running product in bin order.
     """
     times = np.broadcast_to(np.asarray(durations, dtype=float), (len(controls),))
-    step = max(1, BLOCK_PROPAGATORS // len(fractions))
+    step = max(1, BLOCK_PROPAGATORS // len(errors))
     out = None
     for start in range(0, len(controls), step):
         block = slice(start, start + step)
-        for prop in bin_propagators(controls[block], times[block], kind, fractions)[3]:
+        for prop in bin_propagators(controls[block], times[block], errors)[3]:
             out = prop if out is None else prop @ out
     return out
 
@@ -268,7 +260,7 @@ def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:
     The pulse is a `PulseSequence` or a `grape.ControlSchedule`: anything
     with controls `u` (N, 4) and bin durations `dt`, a scalar or (N,).
     """
-    return gates(pulse.u, pulse.dt, kind, error_fractions(kind, fractions))
+    return gates(pulse.u, pulse.dt, error_pairs(kind, fractions))
 
 
 def sequential_gate() -> np.ndarray:
@@ -278,11 +270,12 @@ def sequential_gate() -> np.ndarray:
 
         (1/sqrt2) [[1, 1, 0], [0, 0, -sqrt2], [-1, 1, 0]]
 
-    which maps |0> to the Bell-like state (|0> - |3>)/sqrt2.
+    which maps |0> to the Bell-like state (|0> - |3>)/sqrt2.  The matrix
+    is written out; `sequential_segments` propagates to it.
     """
-    u_m = expm_unitary(-0.5 * SIGMA_Y_20, PI / 2.0)
-    u_r = expm_unitary(-0.5 * SIGMA_Y_23, PI)
-    return u_r @ u_m
+    return np.array(
+        [[1.0, 1.0, 0.0], [0.0, 0.0, -SQRT2], [-1.0, 1.0, 0.0]], dtype=complex
+    ) / SQRT2
 
 
 def sequential_segments() -> PulseSequence:

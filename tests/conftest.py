@@ -5,8 +5,8 @@ import pytest
 
 SQRT2 = np.sqrt(2.0)
 
-# The target entangling gate written out by hand, independent of the
-# library's exponential-based construction.
+# The target entangling gate written out by hand, as `sequential_gate`
+# writes it; tests that propagate the segments tie it to the physics.
 USQ = (
     np.array(
         [[1.0, 1.0, 0.0], [0.0, 0.0, -SQRT2], [-1.0, 1.0, 0.0]],
@@ -28,11 +28,6 @@ Y23 = 1j * (op(1, 2) - op(2, 1))
 X20 = op(1, 0) + op(0, 1)
 X23 = op(1, 2) + op(2, 1)
 ZHAT = np.diag([-1.0, 2.0, -1.0]).astype(complex)
-
-
-def random_hermitian(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return scale * 0.5 * (a + a.conj().T)
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

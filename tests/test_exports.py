@@ -89,21 +89,43 @@ def test_every_private_module_name_is_used():
     assert unused == {}
 
 
-def test_eigh_only_in_the_checked_exponential():
-    # Bin exponentials take the closed-form Lambda-system eigensystem; a
-    # general eigensolver belongs only to `linalg.expm_unitary`.
-    def uses_eigh(node):
-        return any(
-            (isinstance(n, ast.Attribute) and n.attr == "eigh")
-            or (isinstance(n, ast.Name) and n.id == "eigh")
-            or (isinstance(n, ast.alias) and n.name == "eigh")
-            for n in ast.walk(node)
-        )
+def identifiers(tree):
+    """Every name, attribute, import alias and definition name in a tree."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            yield n.name
 
-    users = {
+
+def test_no_eigensolver_or_exponential_in_the_package():
+    # Every propagator comes from the closed-form Lambda-system
+    # eigensystem in `sequences.bin_propagators`, and the target gate is
+    # written out; no general eigensolver or matrix exponential remains.
+    found = {
+        f"{stem}: {name}"
+        for stem, tree in sources().items()
+        for name in identifiers(tree)
+        if name in ("eig", "eigh", "eigvals", "eigvalsh") or name.startswith("expm")
+    }
+    assert found == set()
+
+
+def test_error_kinds_read_only_in_error_pairs():
+    # The engine takes (stretch, detuning) pairs; `sequences.error_pairs`
+    # is the one place a one-axis kind becomes a column.
+    readers = {
         f"{stem}.{getattr(node, 'name', '<module>')}"
         for stem, tree in sources().items()
         for node in tree.body
-        if uses_eigh(node)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and n.attr in ("PLE", "ORE")
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "ErrorKind"
     }
-    assert users == {"linalg.expm_unitary"}
+    assert readers == {"sequences.error_pairs"}

@@ -33,7 +33,7 @@ from pulseforge import (
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
-from pulseforge.sequences import error_fractions
+from pulseforge.sequences import error_pairs
 
 PI = np.pi
 NONE = ErrorKind.NONE
@@ -75,7 +75,6 @@ def test_config_defaults_and_validation():
     assert cfg.dt == pytest.approx(6 * PI / 400)
     assert cfg.penalty == 0.01
     assert cfg.max_iterations == 500
-    assert cfg.effective_training() == (0.0,)
     assert np.max(np.abs(grape_module.TARGET - USQ)) <= 1e-12
     with pytest.raises(ValueError):
         GrapeConfig(bins=0)
@@ -354,8 +353,8 @@ def test_objective_value_is_penalized_performance():
     for bins in (1, 2, 60, 400):
         s = make_schedule(4, bins=bins)
         for kind, fractions in errors:
-            eps = error_fractions(kind, fractions)
-            value, _ = grape_module._objective(s.u, s.dt, kind, eps, USQ, 0.02)
+            pairs = error_pairs(kind, fractions)
+            value, _ = grape_module._objective(s.u, s.dt, pairs, USQ, 0.02)
             assert value == performance(s, USQ, kind, fractions, 0.02)
 
 
@@ -454,7 +453,7 @@ def test_ascend_deterministic(small_run):
 
 
 def test_ascend_flags_numerical_breakdown(monkeypatch):
-    def poisoned(u, dt, kind, fractions, target, penalty):
+    def poisoned(u, dt, errors, target, penalty):
         return float("nan"), np.zeros_like(u)
 
     monkeypatch.setattr(grape_module, "_objective", poisoned)

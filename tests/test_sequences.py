@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, Y20, Y23, ZHAT
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT
 from pulseforge import (
     Channel,
     ControlSchedule,
@@ -21,10 +21,13 @@ from pulseforge import (
     sequential_gate,
     sequential_segments,
 )
-from pulseforge.sequences import bin_generators, bin_propagators, gates
+from pulseforge.sequences import bin_generators, bin_propagators, error_pairs, gates
 
 PI = np.pi
 NONE = ErrorKind.NONE
+
+# Pairs that stretch and detune at once, which no one-axis kind reaches.
+MIXED_PAIRS = [[0.3, -0.2], [-0.5, 0.7], [1.0, -1.0]]
 
 
 def test_sequential_gate_matrix():
@@ -97,6 +100,27 @@ def test_sequential_ore_closed_form(eps):
     assert np.max(np.abs(u - ur @ um)) <= 1e-10
 
 
+def test_error_pairs_put_each_kind_in_its_column():
+    eps = (-0.5, 0.0, 0.25, 1.0)
+    ple = error_pairs(ErrorKind.PLE, eps)
+    ore = error_pairs(ErrorKind.ORE, eps)
+    assert ple.shape == ore.shape == (4, 2)
+    assert np.array_equal(ple[:, 0], eps) and not np.any(ple[:, 1])
+    assert np.array_equal(ore[:, 1], eps) and not np.any(ore[:, 0])
+    for fractions in ((), (0.0,), (0.0, 0.0)):
+        assert np.array_equal(error_pairs(NONE, fractions), [[0.0, 0.0]])
+    bad = [
+        (ErrorKind.PLE, (0.1, -1.01), r"\|eps\| <= 1, got \|eps\| = 1.01"),
+        (ErrorKind.ORE, (float("nan"),), r"\|eps\| <= 1"),
+        (NONE, (0.3,), "ideal error model carries no fraction"),
+        (ErrorKind.PLE, (), "ple error needs at least one fraction"),
+        (ErrorKind.ORE, (), "ore error needs at least one fraction"),
+    ]
+    for kind, fractions, message in bad:
+        with pytest.raises(ValueError, match=message):
+            error_pairs(kind, fractions)
+
+
 def test_propagators_reject_bad_fractions():
     schedule = ControlSchedule(np.zeros((2, 4)), 0.5)
     bad = [
@@ -136,12 +160,12 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
-    eps = np.linspace(-1.0, 1.0, n_fractions)
-    props = bin_propagators(controls, durations, kind, eps)[3]
+    errors = error_pairs(kind, np.linspace(-1.0, 1.0, n_fractions))
+    props = bin_propagators(controls, durations, errors)[3]
     expected = props[0]
     for j in range(1, n_bins):
         expected = props[j] @ expected
-    assert np.array_equal(gates(controls, durations, kind, eps), expected)
+    assert np.array_equal(gates(controls, durations, errors), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -151,10 +175,13 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
         (NONE, [0.0]),
         (ErrorKind.PLE, [0.0, -1.0, 0.4, 1.0]),
         (ErrorKind.ORE, [-1.0, -0.3, 0.0, 1e-9, 0.7, 1.0]),
+        pytest.param(None, MIXED_PAIRS, id="mixed-pairs"),
     ],
 )
 def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
-    # Random drives plus silent, MW-only, RF-only and 1e-170 bins.
+    # Random drives plus silent, MW-only, RF-only and 1e-170 bins.  Kind
+    # None takes eps as (stretch, detuning) pairs.
+    errors = np.array(eps) if kind is None else error_pairs(kind, eps)
     rng = np.random.default_rng(seed)
     controls = rng.uniform(-0.5, 0.5, size=(40, 4))
     controls[0] = 0.0
@@ -163,19 +190,36 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
     controls[3] = 1e-170
     controls[4] = (0.0, 0.0, 0.0, -1e-170)
     durations = rng.uniform(0.01, 0.3, size=40)
-    t, tw, v, _ = bin_propagators(controls, durations, kind, eps)
-    gen, _ = bin_generators(controls, durations, kind, eps)
+    t, tw, v, _ = bin_propagators(controls, durations, errors)
+    gen, _ = bin_generators(controls, durations, errors)
     gen = np.moveaxis(np.broadcast_to(gen, (v.shape[1],) + gen.shape[-3:]), 0, 1)
-    # The first fraction leaves t unstretched; V and w serve all of them
-    # under PLE, while under ORE each fraction has its own.
-    w = tw[:, : v.shape[1]] / durations[:, None, None]
+    # V and w serve every pair when none detunes (w is read off the first,
+    # since PLE's fraction -1 has t = 0); otherwise each pair has its own.
+    e = v.shape[1]
+    w = tw[:, :e] / t[:, :e, None]
     vh = np.swapaxes(v.conj(), -1, -2)
     assert np.max(np.abs((v * w[..., None, :]) @ vh - gen)) <= 1e-14
     assert np.max(np.abs(vh @ v - np.eye(3))) <= 1e-14
     assert np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(gen))) <= 1e-14
     assert t.shape == tw.shape[:2] == (len(controls), len(eps))
-    if kind is not ErrorKind.ORE:
+    if not np.any(errors[:, 1]):
         assert v.shape == (len(controls), 1, 3, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gates_at_mixed_pairs_match_scipy(seed):
+    # A pair (s, d) runs every bin for (1 + s) t under H_j + (d/3) Z.
+    rng = np.random.default_rng(seed)
+    controls = rng.uniform(-0.5, 0.5, size=(30, 4))
+    durations = rng.uniform(0.01, 0.3, size=30)
+    got = gates(controls, durations, np.array(MIXED_PAIRS))
+    assert got.shape == (3, 3, 3)
+    for gate, (s, d) in zip(got, MIXED_PAIRS):
+        expected = np.eye(3)
+        for (u1, u2, u3, u4), t in zip(controls, durations):
+            h = u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23 + d / 3 * ZHAT
+            expected = scipy.linalg.expm(-1j * (1 + s) * t * h) @ expected
+        assert np.max(np.abs(gate - expected)) <= 1e-12
 
 
 def test_segment_validation():

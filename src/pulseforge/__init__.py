@@ -5,20 +5,8 @@ fidelity-versus-error scans, and a robustness-averaged GRAPE optimizer,
 all on the (|0>, |2>, |3>) subspace with dimensionless units.
 """
 
-from .linalg import (
-    IDENTITY,
-    SIGMA_X_20,
-    SIGMA_X_23,
-    SIGMA_Y_20,
-    SIGMA_Y_23,
-    Z_TOTAL,
-    gate_fidelity,
-    sigma,
-    sigma_x,
-    sigma_y,
-)
+from .linalg import CONTROL_HAMILTONIANS, Z_TOTAL, gate_fidelity
 from .sequences import (
-    CONTROL_HAMILTONIANS,
     Channel,
     ErrorKind,
     PulseSegment,

@@ -237,7 +237,7 @@ def cmd_scan(**params):
 @click.option("--time", "total_time", type=float, default=6.0 * PI,
               help="total pulse time in 1/Lambda [default: 6*pi]")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--restarts", type=int, default=5, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--penalty", type=float, default=0.01, show_default=True,
               help="power penalty weight alpha_p")
 @click.option("--init-scale", type=float, default=0.1, show_default=True)

@@ -1,21 +1,19 @@
 """Robustness-averaged GRAPE for the three-level entangling gate.
 
-Controls are N time bins of four piecewise-constant amplitudes
-
-    u1 = -(u_m/2) cos(theta_m),  u2 = -(u_m/2) sin(theta_m),
-    u3 = -(u_r/2) cos(theta_r),  u4 = -(u_r/2) sin(theta_r),
-
-multiplying the control Hamiltonians (sigma_x^20, sigma_y^20,
-sigma_x^23, sigma_y^23).  The performance of a schedule against a
-target U_T is P = |Tr(U_T^dag U(T))|^2, averaged over a training set of
-systematic error fractions.  One forward sweep over the bin propagators
-gives the objective and, by unitarity (C = U_T^dag U stands in for the
-backward products), its exact gradient: each bin exponential's divided
-difference Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the
-bin eigenbasis V, which `sequences.bin_propagators` writes down in closed
+Controls are N time bins of four piecewise-constant amplitudes u1..u4
+multiplying `linalg.CONTROL_HAMILTONIANS`.  A checkpoint stores them as
+drives (u_m, theta_m, u_r, theta_r), which `pulses_to_schedule` maps back
+by `sequences._drive_controls`, the drive map of the composite segments
+too.  The performance of a schedule against a target U_T is
+P = |Tr(U_T^dag U(T))|^2, averaged over a training set of systematic
+error fractions.  One forward sweep over the bin propagators gives the
+objective and, by unitarity (C = U_T^dag U stands in for the backward
+products), its exact gradient: each bin exponential's divided difference
+Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin
+eigenbasis V, which `sequences.bin_propagators` writes down in closed
 form (the Lambda system's dark state, and its bright state mixed with
-|2>).  L-BFGS with Armijo backtracking ascends it over free
-parameters that map smoothly onto drives below Lambda = 1.
+|2>).  L-BFGS with Armijo backtracking ascends it over free parameters
+that map smoothly onto drives below Lambda = 1.
 
 Bin propagators come from `sequences.bin_propagators`, and a schedule's
 gates from `sequences.propagator`, the engine of the composite pulses too,
@@ -34,10 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import IDENTITY, _check_unitary, gate_fidelity
+from .linalg import CONTROL_HAMILTONIANS, IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
-    CONTROL_HAMILTONIANS,
     ErrorKind,
+    _drive_controls,
     _matmul3,
     _write_text,
     bin_propagators,
@@ -151,6 +149,8 @@ class GrapeConfig:
             raise ValueError("total time > 0, penalty >= 0, init scale >= 0 required")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         error_pairs(self.error_kind, self.training)
 
     @property
@@ -374,12 +374,7 @@ def pulses_to_schedule(pulses: np.ndarray, dt: float) -> ControlSchedule:
         raise ValueError(f"pulses must be (N, 4), got {p.shape}")
     if np.any(p[:, (0, 2)] < 0.0) or not np.all(np.isfinite(p)):
         raise ValueError("pulse amplitudes must be finite and >= 0")
-    u = np.empty_like(p)
-    u[:, 0] = -0.5 * p[:, 0] * np.cos(p[:, 1])
-    u[:, 1] = -0.5 * p[:, 0] * np.sin(p[:, 1])
-    u[:, 2] = -0.5 * p[:, 2] * np.cos(p[:, 3])
-    u[:, 3] = -0.5 * p[:, 2] * np.sin(p[:, 3])
-    return ControlSchedule(u=u, dt=dt)
+    return ControlSchedule(u=_drive_controls(p), dt=dt)
 
 
 def _config_block(pulse: OptimizedPulse) -> list[str]:

@@ -9,63 +9,32 @@ represented.
 All quantities are dimensionless: amplitudes in units of the maximum
 Rabi amplitude Lambda, times in units of 1/Lambda.  Only the product
 amplitude*time enters any propagator, so physical units are applied at
-the presentation layer (CLI) and nowhere else.  There is no matrix
-exponential here: `sequences.bin_propagators` writes every propagator
-down in closed form.
+the presentation layer (CLI) and nowhere else.  Every operator is written
+out, and there is no matrix exponential here: `sequences.bin_propagators`
+writes every propagator down in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "LEVELS",
-    "sigma",
-    "sigma_x",
-    "sigma_y",
-    "SIGMA_X_20",
-    "SIGMA_Y_20",
-    "SIGMA_X_23",
-    "SIGMA_Y_23",
-    "Z_TOTAL",
-    "IDENTITY",
-    "gate_fidelity",
-]
+__all__ = ["CONTROL_HAMILTONIANS", "Z_TOTAL", "IDENTITY", "gate_fidelity"]
 
-# Physical level labels and their row/column positions.
-LEVELS = (0, 2, 3)
-_ROW = {0: 0, 2: 1, 3: 2}
-
-
-def sigma(p: int, q: int) -> np.ndarray:
-    """Transition operator |p><q| on the (|0>,|2>,|3>) basis."""
-    if p not in _ROW or q not in _ROW:
-        raise ValueError(f"level indices must be in {LEVELS}, got ({p!r}, {q!r})")
-    m = np.zeros((3, 3), dtype=complex)
-    m[_ROW[p], _ROW[q]] = 1.0
-    return m
-
-
-def sigma_x(p: int, q: int) -> np.ndarray:
-    """sigma_x^pq = |p><q| + |q><p|."""
-    return sigma(p, q) + sigma(q, p)
-
-
-def sigma_y(p: int, q: int) -> np.ndarray:
-    """sigma_y^pq = i(|p><q| - |q><p|).
-
-    With the fixed basis order this equals the standard Pauli y on the
-    (0,2) block but minus the standard Pauli y on the (2,3) block; the
-    sign asymmetry is what puts the printed signs into the sequential
-    gate, so do not "fix" it.
-    """
-    return 1j * (sigma(p, q) - sigma(q, p))
-
-
-SIGMA_X_20 = sigma_x(2, 0)
-SIGMA_Y_20 = sigma_y(2, 0)
-SIGMA_X_23 = sigma_x(2, 3)
-SIGMA_Y_23 = sigma_y(2, 3)
+# H_1..H_4 in control order, sigma_x^20, sigma_y^20, sigma_x^23, sigma_y^23,
+# with sigma_x^pq = |p><q| + |q><p| and sigma_y^pq = i(|p><q| - |q><p|):
+# bin j evolves under sum_k u_jk H_k.  sigma_y^20 is the standard Pauli y
+# on the (|0>, |2>) block but sigma_y^23 is minus the standard Pauli y on
+# the (|2>, |3>) block; the sign asymmetry is what puts the printed signs
+# into the sequential gate, so do not "fix" it.
+CONTROL_HAMILTONIANS = np.array(
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, 1j], [0, -1j, 0]],
+    ],
+    dtype=complex,
+)
 
 # sigma_z^20 + sigma_z^23, with sigma_z^pq = |p><p| - |q><q|; the detuning
 # drift acts through Z_TOTAL/3.
@@ -73,14 +42,17 @@ Z_TOTAL = np.diag([-1.0, 2.0, -1.0]).astype(complex)
 
 IDENTITY = np.eye(3, dtype=complex)
 
+# Largest entry of U^dag U - I that `gate_fidelity` accepts as unitary.
+_UNITARY_ATOL = 1e-8
 
-def _check_unitary(u: np.ndarray, name: str, atol: float = 1e-8) -> np.ndarray:
+
+def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3 or a stack of 3x3, got shape {u.shape}")
     defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - IDENTITY).max(axis=(-2, -1))
-    if np.any(defect > atol):
-        raise ValueError(f"{name} is not unitary within tolerance {atol}")
+    if np.any(defect > _UNITARY_ATOL):
+        raise ValueError(f"{name} is not unitary within tolerance {_UNITARY_ATOL}")
     return u
 
 

@@ -5,7 +5,8 @@ one transition (MW on |0>-|2>, RF on |2>-|3>) at unit amplitude u = Lambda
 for a dimensionless area tau with a fixed drive phase.  Segment index 0
 acts first.  A segment is one piecewise-constant control bin at unit
 amplitude lasting its area, so a `PulseSequence` gives controls `u` (N, 4)
-and durations `dt` as a `grape.ControlSchedule` does.
+and durations `dt` as a `grape.ControlSchedule` does.  `_drive_controls`
+is the one drive map, for segments and pulse checkpoints alike.
 
 Systematic errors distort every bin identically.  The engine takes them as
 E (stretch s, detuning d) pairs, shape (E, 2): a pair stretches every bin
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X_20, SIGMA_X_23, SIGMA_Y_20, SIGMA_Y_23, Z_TOTAL
+from .linalg import CONTROL_HAMILTONIANS, Z_TOTAL
 
 __all__ = [
     "Channel",
@@ -48,7 +49,6 @@ __all__ = [
     "error_pairs",
     "PulseSegment",
     "PulseSequence",
-    "CONTROL_HAMILTONIANS",
     "bin_generators",
     "bin_propagators",
     "gates",
@@ -62,9 +62,6 @@ __all__ = [
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
-
-# H_1..H_4 in control order: bin j evolves under sum_k u_jk H_k.
-CONTROL_HAMILTONIANS = np.stack([SIGMA_X_20, SIGMA_Y_20, SIGMA_X_23, SIGMA_Y_23])
 
 
 class Channel(enum.Enum):
@@ -102,6 +99,15 @@ def error_pairs(kind: ErrorKind, fractions) -> np.ndarray:
     return pairs
 
 
+def _drive_controls(drives: np.ndarray) -> np.ndarray:
+    """Controls (N, 4) from float drives (u_m, theta_m, u_r, theta_r) (N, 4): a
+    channel at amplitude A and phase theta gets -(A/2)(cos theta, sin theta)."""
+    u = np.empty_like(drives)
+    u[:, 0::2] = -0.5 * drives[:, 0::2] * np.cos(drives[:, 1::2])
+    u[:, 1::2] = -0.5 * drives[:, 0::2] * np.sin(drives[:, 1::2])
+    return u
+
+
 @dataclass(frozen=True)
 class PulseSegment:
     """One rectangular pulse: channel, dimensionless area tau, phase theta (rad)."""
@@ -135,12 +141,12 @@ class PulseSequence:
 
     @property
     def u(self) -> np.ndarray:
-        """Controls (N, 4): -(1/2)(cos theta, sin theta) on each segment's pair."""
-        u = np.zeros((len(self.segments), 4))
+        """Controls (N, 4): each segment drives its channel at unit amplitude."""
+        drives = np.zeros((len(self.segments), 4))
         for j, seg in enumerate(self.segments):
             c = 0 if seg.channel is Channel.MW else 2
-            u[j, c : c + 2] = -0.5 * np.cos(seg.theta), -0.5 * np.sin(seg.theta)
-        return u
+            drives[j, c : c + 2] = 1.0, seg.theta
+        return _drive_controls(drives)
 
     @property
     def dt(self) -> np.ndarray:
@@ -168,8 +174,8 @@ def bin_generators(controls, durations, errors):
     scalar or (N,); `errors` is (E, 2) as from `error_pairs`.  The pairs
     enter as in `_error_terms`: H is (E or 1, N, 3, 3), t is (E, N), and
     exp(-i t H) broadcasts to (E, N, 3, 3).  A bin driven at amplitudes
-    u_m, u_r and phases theta_m, theta_r (`grape.pulses_to_schedule`) under
-    the detuning d thus has the effective Hamiltonian
+    u_m, u_r and phases theta_m, theta_r (`_drive_controls`) under the
+    detuning d thus has the effective Hamiltonian
 
         (d/3) Z_TOTAL
         - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)

@@ -185,29 +185,43 @@ def test_grape_rejects_bad_error_kind(runner, tmp_path):
     assert result.exit_code == 2
 
 
+BAD_INPUT = [
+    ("grape", ["--time", "inf"], "must be finite"),
+    ("grape", ["--penalty", "nan"], "must be finite"),
+    ("grape", ["--init-scale", "inf"], "must be finite"),
+    ("grape", ["--lambda-mhz", "0"], "must be finite"),
+    ("grape", ["--lambda-mhz", "-1"], "must be finite"),
+    ("compare", ["--lambda-mhz", "0"], "must be finite"),
+    ("compare", ["--lambda-mhz", "-1"], "must be finite"),
+    ("grape", ["--seed", "-1"], "seed must be >= 0"),
+    ("grape", ["--restarts", "0"], "not in the range x>=1"),
+    ("grape", ["--restarts", "-2"], "not in the range x>=1"),
+    ("grape-config", "seed = -1", "seed must be >= 0"),
+    ("grape-config", "restarts = 0", "not in the range x>=1"),
+]
+
+
 @pytest.mark.parametrize(
-    "command,flags",
-    [
-        ("grape", ["--time", "inf"]),
-        ("grape", ["--penalty", "nan"]),
-        ("grape", ["--init-scale", "inf"]),
-        ("grape", ["--lambda-mhz", "0"]),
-        ("grape", ["--lambda-mhz", "-1"]),
-        ("compare", ["--lambda-mhz", "0"]),
-        ("compare", ["--lambda-mhz", "-1"]),
-    ],
+    "command,flags,message",
+    BAD_INPUT,
+    ids=[f"{command}-flags{i}" for i, (command, _, _) in enumerate(BAD_INPUT)],
 )
 def test_bad_numeric_input_exits_2_before_any_work(
-    runner, tmp_path, tiny_pulse, command, flags
+    runner, tmp_path, tiny_pulse, command, flags, message
 ):
     if command == "grape":
         args = TINY_GRAPE + flags
+    elif command == "grape-config":
+        # TINY_GRAPE's --seed and --restarts flags would win over the file.
+        cfg = tmp_path / "grape.cfg"
+        cfg.write_text(flags + "\n")
+        args = ["grape", "--error", "none", "--bins", "50", "--config", str(cfg)]
     else:
         args = ["compare", "--grape-pulse", str(tiny_pulse)] + flags
     out = tmp_path / "out"
     result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert "must be finite" in result.output
+    assert message in result.output
     assert not out.exists()
 
 

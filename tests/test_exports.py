@@ -129,3 +129,21 @@ def test_error_kinds_read_only_in_error_pairs():
         and n.value.id == "ErrorKind"
     }
     assert readers == {"sequences.error_pairs"}
+
+
+def test_cos_and_sin_only_in_the_drive_map_and_the_eigensystem():
+    # `sequences._drive_controls` is the one map from a drive's amplitude
+    # and phase to controls; the only other trigonometry is the mixing
+    # angle of the closed-form bin eigensystem.
+    callers = {
+        f"{stem}.{getattr(node, 'name', '<module>')}"
+        for stem, tree in sources().items()
+        for node in tree.body
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("cos", "sin")
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "np"
+    }
+    assert callers == {"sequences._drive_controls", "sequences.bin_propagators"}

@@ -1,4 +1,4 @@
-"""Operator construction, bin exponentials, composition, fidelity."""
+"""Written-out operators, bin generators and exponentials, gate fidelity."""
 
 import numpy as np
 import pytest
@@ -30,28 +30,16 @@ def effective_hamiltonian(delta, u_m, theta_m, u_r, theta_r):
     return gen[0, 0]
 
 
-def test_sigma_y_23_matrix():
-    expected = np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex)
-    assert np.array_equal(la.sigma_y(2, 3), expected)
-    assert np.array_equal(la.SIGMA_Y_23, expected)
-
-
-def test_sigma_y_20_matrix():
-    # On the (|0>, |2>) block this is the standard Pauli y; the (2, 3)
-    # block above carries the opposite sign relative to its row order.
-    expected = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-    assert np.array_equal(la.sigma_y(2, 0), expected)
+def test_control_hamiltonians_are_the_sigma_operators():
+    # On the (|0>, |2>) block Y20 is the standard Pauli y; Y23 is minus
+    # the standard Pauli y on the (|2>, |3>) block, the opposite sign
+    # relative to its row order.
+    assert la.CONTROL_HAMILTONIANS.dtype == complex
+    assert np.array_equal(la.CONTROL_HAMILTONIANS, np.stack([X20, Y20, X23, Y23]))
 
 
 def test_sigma_z_total():
     assert np.array_equal(la.Z_TOTAL, np.diag([-1.0, 2.0, -1.0]).astype(complex))
-
-
-def test_sigma_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        la.sigma(1, 0)
-    with pytest.raises(ValueError):
-        la.sigma_x(0, 5)
 
 
 def test_pauli_block_algebra():
@@ -123,7 +111,7 @@ def test_mw_segment_rabi_block():
     assert np.max(np.abs(u - expected)) <= 1e-12
 
 
-def test_expm_hermitian_broadcasts_times_over_a_stack():
+def test_bin_propagators_broadcast_stretches_over_a_stack():
     # Under PLE one eigensystem per bin serves every fraction: entry (j, e)
     # of the bin-major stack is exp(-i (1 + eps_e) t_j H_j).
     rng = np.random.default_rng(9)

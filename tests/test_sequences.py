@@ -67,13 +67,13 @@ def test_segment_order_matters():
     assert np.max(np.abs(u - sequential_gate())) > 0.1
 
 
-def test_segment_propagator_ideal_mw():
+def test_propagator_of_an_ideal_mw_segment():
     seq = PulseSequence((PulseSegment(Channel.MW, PI / 2, PI / 2),), label="mw")
     expected = scipy.linalg.expm(1j * (PI / 4) * Y20)
     assert np.max(np.abs(propagator(seq, NONE)[0] - expected)) <= 1e-12
 
 
-def test_segment_propagator_ideal_rf_phase():
+def test_propagator_of_an_ideal_rf_segment_at_phase_zero():
     # A phase-0 area-pi RF segment is a bare x rotation on the (2, 3) block.
     seq = PulseSequence((PulseSegment(Channel.RF, PI, 0.0),), label="rf")
     x23 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)

@@ -38,6 +38,18 @@ def test_control_hamiltonians_are_the_sigma_operators():
     assert np.array_equal(la.CONTROL_HAMILTONIANS, np.stack([X20, Y20, X23, Y23]))
 
 
+def test_sigma_y_23_matrix():
+    expected = np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex)
+    assert np.array_equal(la.CONTROL_HAMILTONIANS[3], expected)
+
+
+def test_sigma_y_20_matrix():
+    # On the (|0>, |2>) block this is the standard Pauli y; the (2, 3)
+    # block above carries the opposite sign relative to its row order.
+    expected = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
+    assert np.array_equal(la.CONTROL_HAMILTONIANS[1], expected)
+
+
 def test_sigma_z_total():
     assert np.array_equal(la.Z_TOTAL, np.diag([-1.0, 2.0, -1.0]).astype(complex))
 

@@ -6,8 +6,9 @@ drives (u_m, theta_m, u_r, theta_r), which `pulses_to_schedule` maps back
 by `sequences._drive_controls`, the drive map of the composite segments
 too.  The performance of a schedule against a target U_T is
 P = |Tr(U_T^dag U(T))|^2, averaged over a training set of systematic
-error fractions.  One forward sweep over the bin propagators gives the
-objective and, by unitarity (C = U_T^dag U stands in for the backward
+error fractions.  The prefix products of the bin propagators, formed over
+blocks of isqrt(N) bins in the product order of `sequences.gates`, give
+the objective and, by unitarity (C = U_T^dag U stands in for the backward
 products), its exact gradient: each bin exponential's divided difference
 Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin
 eigenbasis V, which `sequences.bin_propagators` writes down in closed
@@ -193,34 +194,51 @@ def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
     """Penalized mean performance over the (E, 2) error pairs and its exact
     gradient (N, 4), one sweep.
 
-    One forward sweep over the bin propagators U_j = V diag(e^{-i t w}) V^dag
-    (`sequences.bin_propagators`) gives A_j = U_{j-1} ... U_1 and U = U_N A_N,
-    from which the value is taken as in `performance`.  With C = U_T^dag U,
+    One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag
+    (`sequences.bin_propagators`) gives A_j = U_{j-1} ... U_1 and U = U_N A_N
+    in the order of `sequences.gates`, so the value is that of `performance`
+    bit for bit: over blocks of isqrt(N) bins, the last one ragged, one bin
+    step at a time for all blocks at once, then the block products chained,
+    then every A_j in one batched multiply.  With C = U_T^dag U,
     unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag,
     so d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
     Y_j = V (K_j o Psi) V^dag, K_j = (V^dag A_j) C (V^dag A_j)^dag and
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
-    divided difference of the bin exponential times e^{i t w_b}.
+    divided difference of the bin exponential times e^{i t w_b}.  Psi / (-i t)
+    is 1 on the diagonal and conjugate across it, so only the three gaps
+    a < b are exponentiated.
     """
     t, tw, v, props = bin_propagators(u, dt, errors)
     vh = np.swapaxes(v.conj(), -1, -2)
-    before = np.empty_like(props)  # A_j
-    before[0] = IDENTITY
-    for j in range(1, len(props)):
-        np.matmul(props[j - 1], before[j - 1], out=before[j])
-    full = props[-1] @ before[-1]
+    n, size = len(props), math.isqrt(len(props))
+    blocks = -(-n // size)  # zeros pad the ragged last one
+    prefix = np.zeros((blocks * size + 1,) + props.shape[1:], dtype=complex)
+    prefix[0] = IDENTITY  # prefix[:n] becomes A_1 .. A_N, and prefix[n] U
+    within = prefix[1:]  # first U_j ... U_f, f the first bin of j's block
+    within[::size] = props[::size]
+    for j in range(1, size):
+        rows = len(props[j::size])
+        within[j::size][:rows] = _matmul3(props[j::size], within[j - 1 :: size][:rows])
     del props
+    chain = within[size - 1 :: size][: blocks - 1].copy()  # block products, chained
+    for i in range(1, blocks - 1):
+        chain[i] = _matmul3(chain[i], chain[i - 1])
+    within = within.reshape((blocks, size) + within.shape[1:])
+    within[1:] = _matmul3(within[1:], chain[:, None])
+    full = prefix[n].copy()
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
-    x = _matmul3(vh, before)  # X_j = V^dag A_j
-    del before
+    x = _matmul3(vh, prefix[:n])  # X_j = V^dag A_j
+    del prefix, within
     xc = _matmul3(x, target.conj().T @ full)
     k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), -1, -2))  # X C X^dag
     del x, xc
-    gap = tw[..., :, None] - tw[..., None, :]
-    k *= np.exp(-0.5j * gap)
-    k *= np.sinc(gap / TWO_PI)
+    gap = tw[..., (0, 0, 1)] - tw[..., (1, 2, 2)]  # t (w_a - w_b), a < b
+    psi = np.exp(-0.5j * gap) * np.sinc(gap / TWO_PI)  # Psi_ab / (-i t), a < b
+    for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        k[..., a, b] *= psi[..., i]
+        k[..., b, a] *= psi[..., i].conj()
     k *= -1j * t[..., None, None]
-    del gap
+    del gap, psi
     y = _matmul3(_matmul3(v, k), vh)
     d_tr = np.einsum("jeab,kba->jek", y, CONTROL_HAMILTONIANS)  # Tr(Y_j H_k)
     grad = 2.0 * np.real(tr.conj()[:, None] * d_tr).mean(axis=1)

@@ -239,24 +239,30 @@ def bin_propagators(controls, durations, errors):
     return t, tw, v, props
 
 
-# Fraction x bin propagators held at once by `gates`.
+# Fraction x bin propagators held at once by `gates`, within one bin block.
 BLOCK_PROPAGATORS = 512
 
 
 def gates(controls, durations, errors) -> np.ndarray:
     """U_N ... U_2 U_1 for every error pair, shape (E, 3, 3), unchecked.
 
-    Arguments as for `bin_generators`.  `bin_propagators` exponentiates the
-    bins in blocks of max(1, 512 // E), so memory stays bounded on dense
-    grids, and they are multiplied into one running product in bin order.
+    Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the
+    last one ragged, each block's bins are multiplied in bin order and the
+    block product into the running gate, the GRAPE objective's order.  A
+    block's bins are exponentiated in chunks of max(1, 512 // E), so memory
+    stays bounded on dense grids.
     """
-    times = np.broadcast_to(np.asarray(durations, dtype=float), (len(controls),))
-    step = max(1, BLOCK_PROPAGATORS // len(errors))
+    n = len(controls)
+    times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
+    size, step = math.isqrt(n), max(1, BLOCK_PROPAGATORS // len(errors))
     out = None
-    for start in range(0, len(controls), step):
-        block = slice(start, start + step)
-        for prop in bin_propagators(controls[block], times[block], errors)[3]:
-            out = prop if out is None else prop @ out
+    for first in range(0, n, size):
+        block = None
+        for start in range(first, min(first + size, n), step):
+            chunk = slice(start, min(start + step, first + size))
+            for prop in bin_propagators(controls[chunk], times[chunk], errors)[3]:
+                block = prop if block is None else _matmul3(prop, block)
+        out = block if out is None else _matmul3(block, out)
     return out
 
 

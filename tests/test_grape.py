@@ -335,22 +335,25 @@ def van_loan_gradient(s, kind, fractions, penalty):
 def test_exact_gradient_matches_van_loan_reference(kind, fractions):
     # Far tighter than central differences: the unitarity shortcut
     # C A_j^dag U_j^dag for the suffix products must hold to rounding.
-    s = make_schedule(31, bins=30, total_time=3 * PI, scale=0.4)
-    g = gradient(s, USQ, kind, fractions, 0.01)
-    ref = van_loan_gradient(s, kind, fractions, 0.01)
-    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # 30 bins make six blocks of isqrt(30) = 5; 31 add a ragged seventh.
+    for bins in (30, 31):
+        s = make_schedule(31, bins=bins, total_time=3 * PI, scale=0.4)
+        g = gradient(s, USQ, kind, fractions, 0.01)
+        ref = van_loan_gradient(s, kind, fractions, 0.01)
+        assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_objective_value_is_penalized_performance():
     # The one sweep takes the objective from the same forward product as
     # the gate stack of `performance`, bit for bit, at every bin count
-    # and on a training set that splits `gates` into bin blocks.
+    # (61 and 401 end in a ragged block shorter than isqrt(N)) and on a
+    # training set that splits `gates`' blocks into chunks.
     errors = (
         (ErrorKind.PLE, (-0.3, 0.1)),
         (ErrorKind.ORE, (0.2,)),
         (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 21))),
     )
-    for bins in (1, 2, 60, 400):
+    for bins in (1, 2, 3, 60, 61, 400, 401):
         s = make_schedule(4, bins=bins)
         for kind, fractions in errors:
             pairs = error_pairs(kind, fractions)

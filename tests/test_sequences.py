@@ -1,5 +1,7 @@
 """Pulse sequences: the bare gate, its error response, and the composites."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,13 @@ from pulseforge import (
     sequential_gate,
     sequential_segments,
 )
-from pulseforge.sequences import bin_generators, bin_propagators, error_pairs, gates
+from pulseforge.sequences import (
+    _matmul3,
+    bin_generators,
+    bin_propagators,
+    error_pairs,
+    gates,
+)
 
 PI = np.pi
 NONE = ErrorKind.NONE
@@ -155,17 +163,39 @@ def test_propagator_stacks_one_gate_per_fraction():
 @pytest.mark.parametrize("n_bins", [1, 10, 400])
 @pytest.mark.parametrize("n_fractions", [1, 5, 21, 403])
 def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
-    # Blocks over bins bound memory but change no arithmetic: the gates
-    # equal the running product over one full stack of bin propagators.
+    # Chunks over bins bound memory but change no arithmetic: the gates
+    # equal the documented blocked product over one full stack of bin
+    # propagators.  Blocks of isqrt(N) bins, the last one ragged, are each
+    # multiplied in bin order and then into the running gate, by the
+    # kernel `gates` uses.
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, n_fractions))
     props = bin_propagators(controls, durations, errors)[3]
-    expected = props[0]
-    for j in range(1, n_bins):
-        expected = props[j] @ expected
+    size = math.isqrt(n_bins)
+    expected = None
+    for first in range(0, n_bins, size):
+        block = props[first]
+        for prop in props[first + 1 : first + size]:
+            block = _matmul3(prop, block)
+        expected = block if expected is None else _matmul3(block, expected)
     assert np.array_equal(gates(controls, durations, errors), expected)
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+def test_gates_match_sequential_running_product(kind):
+    # The blocked order moves only rounding: against the plain running
+    # product U_N (... (U_2 U_1)), on a dense grid of 403 fractions.
+    rng = np.random.default_rng(7)
+    controls = rng.uniform(-0.5, 0.5, size=(400, 4))
+    errors = error_pairs(kind, np.linspace(-1.0, 1.0, 403))
+    props = bin_propagators(controls, 0.05, errors)[3]
+    expected = props[0]
+    for prop in props[1:]:
+        expected = prop @ expected
+    got = gates(controls, 0.05, errors)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

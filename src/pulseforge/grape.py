@@ -13,16 +13,13 @@ products), its exact gradient: each bin exponential's divided difference
 Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin
 eigenbasis V, which `sequences.bin_propagators` writes down in closed
 form (the Lambda system's dark state, and its bright state mixed with
-|2>).  L-BFGS with Armijo backtracking ascends it over free parameters
-that map smoothly onto drives below Lambda = 1.
+|2>).  All of these are matrix-first (3, 3, N, E) stacks, as the engine
+gives them.  L-BFGS with Armijo backtracking ascends the objective over
+free parameters that map smoothly onto drives below Lambda = 1.
 
-Bin propagators come from `sequences.bin_propagators`, and a schedule's
-gates from `sequences.propagator`, the engine of the composite pulses too,
-so every scheme shares one error convention.  The engine takes the error
-as (stretch, detuning) pairs from `sequences.error_pairs`: a pulse-length
-fraction eps_f is the pair (eps_f, 0) and stretches every bin to
-(1 + eps_f) dt, i.e. T' = (1 + eps_f) T; an off-resonance fraction eps_g
-is the pair (0, eps_g) and adds the drift (eps_g/3) Z.
+Bin propagators and a schedule's gates come from `sequences`, the engine
+of the composite pulses too, so every scheme shares one error convention:
+the (stretch, detuning) pairs of `sequences.error_pairs`.
 """
 
 from __future__ import annotations
@@ -195,52 +192,53 @@ def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
     gradient (N, 4), one sweep.
 
     One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag
-    (`sequences.bin_propagators`) gives A_j = U_{j-1} ... U_1 and U = U_N A_N
-    in the order of `sequences.gates`, so the value is that of `performance`
-    bit for bit: over blocks of isqrt(N) bins, the last one ragged, one bin
-    step at a time for all blocks at once, then the block products chained,
-    then every A_j in one batched multiply.  With C = U_T^dag U,
-    unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag,
-    so d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
+    (`sequences.bin_propagators`, (3, 3, N, E)) gives A_j = U_{j-1} ... U_1
+    and U = U_N A_N along axis 2 in the order of `sequences.gates`, so the
+    value is that of `performance` bit for bit: over blocks of isqrt(N)
+    bins, the last one ragged, one bin step at a time for all blocks at
+    once, then the block products chained, then every A_j in one batched
+    multiply.  With C = U_T^dag U, unitarity gives
+    U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
+    d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
     Y_j = V (K_j o Psi) V^dag, K_j = (V^dag A_j) C (V^dag A_j)^dag and
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
     divided difference of the bin exponential times e^{i t w_b}.  Psi / (-i t)
     is 1 on the diagonal and conjugate across it, so only the three gaps
-    a < b are exponentiated.
+    a < b, (3, N, E), are exponentiated.
     """
     t, tw, v, props = bin_propagators(u, dt, errors)
-    vh = np.swapaxes(v.conj(), -1, -2)
-    n, size = len(props), math.isqrt(len(props))
+    vh = np.swapaxes(v.conj(), 0, 1)
+    n, size = props.shape[2], math.isqrt(props.shape[2])
     blocks = -(-n // size)  # zeros pad the ragged last one
-    prefix = np.zeros((blocks * size + 1,) + props.shape[1:], dtype=complex)
-    prefix[0] = IDENTITY  # prefix[:n] becomes A_1 .. A_N, and prefix[n] U
-    within = prefix[1:]  # first U_j ... U_f, f the first bin of j's block
-    within[::size] = props[::size]
-    for j in range(1, size):
-        rows = len(props[j::size])
-        within[j::size][:rows] = _matmul3(props[j::size], within[j - 1 :: size][:rows])
+    prefix = np.zeros((3, 3, blocks * size + 1, props.shape[3]), dtype=complex)
+    prefix[:, :, 0] = IDENTITY[..., None]  # [:n] becomes A_1 .. A_N, and [n] U
+    within = prefix[:, :, 1:]  # first U_j ... U_f, f the first bin of j's block
+    within[:, :, ::size] = props[:, :, ::size]
+    for j in range(1, size):  # prefix[:, :, j] is within[:, :, j - 1]
+        within[:, :, j:n:size] = _matmul3(props[:, :, j::size], prefix[:, :, j:n:size])
     del props
-    chain = within[size - 1 :: size][: blocks - 1].copy()  # block products, chained
+    chain = within[:, :, size - 1 :: size][:, :, : blocks - 1].copy()  # block products
     for i in range(1, blocks - 1):
-        chain[i] = _matmul3(chain[i], chain[i - 1])
-    within = within.reshape((blocks, size) + within.shape[1:])
-    within[1:] = _matmul3(within[1:], chain[:, None])
-    full = prefix[n].copy()
+        chain[:, :, i] = _matmul3(chain[:, :, i], chain[:, :, i - 1])
+    within = within.reshape((3, 3, blocks, size) + within.shape[3:])
+    within[:, :, 1:] = _matmul3(within[:, :, 1:], chain[:, :, :, None])
+    full = np.moveaxis(prefix[:, :, n], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
-    x = _matmul3(vh, prefix[:n])  # X_j = V^dag A_j
+    x = _matmul3(vh, prefix[:, :, :n])  # X_j = V^dag A_j
     del prefix, within
-    xc = _matmul3(x, target.conj().T @ full)
-    k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), -1, -2))  # X C X^dag
+    xc = _matmul3(x, np.moveaxis(target.conj().T @ full, 0, 2)[:, :, None])
+    k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1))  # X C X^dag
     del x, xc
-    gap = tw[..., (0, 0, 1)] - tw[..., (1, 2, 2)]  # t (w_a - w_b), a < b
+    gap = tw[[0, 0, 1]] - tw[[1, 2, 2]]  # t (w_a - w_b), a < b
     psi = np.exp(-0.5j * gap) * np.sinc(gap / TWO_PI)  # Psi_ab / (-i t), a < b
     for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        k[..., a, b] *= psi[..., i]
-        k[..., b, a] *= psi[..., i].conj()
-    k *= -1j * t[..., None, None]
+        k[a, b] *= psi[i]
+        k[b, a] *= psi[i].conj()
+    k *= -1j * t
     del gap, psi
     y = _matmul3(_matmul3(v, k), vh)
-    d_tr = np.einsum("jeab,kba->jek", y, CONTROL_HAMILTONIANS)  # Tr(Y_j H_k)
+    # Tr(Y_j H_k), laid out (N, E, 4) so that the mean adds the pairs in order
+    d_tr = np.einsum("abje,kba->jek", y, CONTROL_HAMILTONIANS, order="C")
     grad = 2.0 * np.real(tr.conj()[:, None] * d_tr).mean(axis=1)
     value = float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
     return value, grad - 2.0 * penalty * dt * u

@@ -13,11 +13,11 @@ E (stretch s, detuning d) pairs, shape (E, 2): a pair stretches every bin
 to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
 `ErrorKind` and its fractions to pairs: a pulse-length error (PLE)
 eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
-detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  `_error_terms`
-is the only place that applies the pairs and `bin_propagators` the only
-one that exponentiates bins; `gates` multiplies them, the GRAPE objective
-differentiates them, and `propagator` returns the (E, 3, 3) stack of a
-pulse's gates at an `ErrorKind` and an array of E fractions.
+detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  Only
+`_error_terms` applies the pairs and only `bin_propagators` exponentiates
+bins, into matrix-first (3, 3, N, E) stacks; `gates` multiplies them by
+`_matmul3`, the GRAPE objective differentiates them, and `propagator`
+returns a pulse's (E, 3, 3) gates at an `ErrorKind` and E fractions.
 
 Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
 (RF), and the detuning drift gives |0> and |3> the same energy.  So the
@@ -187,18 +187,19 @@ def bin_generators(controls, durations, errors):
 
 
 def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast 3x3 stacks; twice `np.matmul`'s speed at (N, E)."""
-    out = a[..., :, :1] * b[..., :1, :]
-    out += a[..., :, 1:2] * b[..., 1:2, :]
-    out += a[..., :, 2:3] * b[..., 2:3, :]
+    """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order;
+    0.29 ms at (3, 3, 400, 5), where (400, 5, 3, 3) stacks took 0.56 ms."""
+    out = a[:, :1] * b[:1]
+    out += a[:, 1:2] * b[1:2]
+    out += a[:, 2:3] * b[2:3]
     return out
 
 
 def bin_propagators(controls, durations, errors):
-    """Every bin's exponential under the error pairs, bin-major, unchecked.
+    """Every bin's exponential under the error pairs, matrix-first, unchecked.
 
-    Arguments as for `bin_generators`.  Returns t (N, E), t w (N, E, 3),
-    V (N, E or 1, 3, 3) and U_j = V diag(e^{-i t w}) V^dag (N, E, 3, 3).
+    Arguments as for `bin_generators`.  Returns t (N, E), t w (3, N, E),
+    V (3, 3, N, E or 1) and U_j = V diag(e^{-i t w}) V^dag (3, 3, N, E).
     The eigensystem w, V is closed-form, so long products stay unitary to
     machine precision.  Every generator is the Lambda system
 
@@ -228,14 +229,14 @@ def bin_propagators(controls, durations, errors):
     phi = 0.5 * np.arctan2(2.0 * r, b - a)
     c, s = np.cos(phi), np.sin(phi)
     h = np.hypot(0.5 * (b - a), r)
-    w = np.stack(np.broadcast_arrays(0.5 * (a + b) - h, a, 0.5 * (a + b) + h), -1)
-    v = np.empty(c.shape + (3, 3), dtype=complex)
-    v[..., 0, 0], v[..., 1, 0], v[..., 2, 0] = -c * bx, s, -c * by
-    v[..., 0, 1], v[..., 1, 1], v[..., 2, 1] = by.conj(), 0.0, -bx.conj()
-    v[..., 0, 2], v[..., 1, 2], v[..., 2, 2] = s * bx, c, s * by
-    tw = times.T[..., None] * w  # (N, E, 3)
-    t = np.broadcast_to(times.T, tw.shape[:2])
-    props = _matmul3(v * np.exp(-1j * tw)[..., None, :], np.swapaxes(v.conj(), -1, -2))
+    w = np.stack(np.broadcast_arrays(0.5 * (a + b) - h, a, 0.5 * (a + b) + h))
+    v = np.empty((3, 3) + c.shape, dtype=complex)
+    v[0, 0], v[1, 0], v[2, 0] = -c * bx, s, -c * by
+    v[0, 1], v[1, 1], v[2, 1] = by.conj(), 0.0, -bx.conj()
+    v[0, 2], v[1, 2], v[2, 2] = s * bx, c, s * by
+    tw = times.T * w  # (3, N, E)
+    t = np.broadcast_to(times.T, tw.shape[1:])
+    props = _matmul3(v * np.exp(-1j * tw), np.swapaxes(v.conj(), 0, 1))
     return t, tw, v, props
 
 
@@ -247,10 +248,10 @@ def gates(controls, durations, errors) -> np.ndarray:
     """U_N ... U_2 U_1 for every error pair, shape (E, 3, 3), unchecked.
 
     Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the
-    last one ragged, each block's bins are multiplied in bin order and the
-    block product into the running gate, the GRAPE objective's order.  A
-    block's bins are exponentiated in chunks of max(1, 512 // E), so memory
-    stays bounded on dense grids.
+    last one ragged, each block's (3, 3, E) bin propagators are multiplied
+    in bin order and the block product into the running gate, the GRAPE
+    objective's order.  A block's bins are exponentiated in chunks of
+    max(1, 512 // E), so memory stays bounded on dense grids.
     """
     n = len(controls)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
@@ -260,10 +261,11 @@ def gates(controls, durations, errors) -> np.ndarray:
         block = None
         for start in range(first, min(first + size, n), step):
             chunk = slice(start, min(start + step, first + size))
-            for prop in bin_propagators(controls[chunk], times[chunk], errors)[3]:
+            props = bin_propagators(controls[chunk], times[chunk], errors)[3]
+            for prop in np.moveaxis(props, 2, 0):
                 block = prop if block is None else _matmul3(prop, block)
         out = block if out is None else _matmul3(block, out)
-    return out
+    return np.moveaxis(out, 2, 0).copy()
 
 
 def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:

@@ -147,3 +147,22 @@ def test_cos_and_sin_only_in_the_drive_map_and_the_eigensystem():
         and n.func.value.id == "np"
     }
     assert callers == {"sequences._drive_controls", "sequences.bin_propagators"}
+
+
+def test_sequences_multiplies_stacks_only_by_matmul3():
+    # The engine keeps its 3x3 stacks matrix-first, (3, 3, ...), and every
+    # product goes through `sequences._matmul3`: no `@`, no `np.matmul` and
+    # no matrix-last transpose.
+    found = set()
+    for n in ast.walk(sources()["sequences"]):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.add(f"@ on line {n.lineno}")
+        elif isinstance(n, ast.Attribute) and n.attr == "matmul":
+            found.add(f"matmul on line {n.lineno}")
+        elif (
+            isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) == "swapaxes"
+            and {ast.unparse(a) for a in n.args[-2:]} == {"-1", "-2"}
+        ):
+            found.add(f"swapaxes(..., -1, -2) on line {n.lineno}")
+    assert found == set()

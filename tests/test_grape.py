@@ -436,6 +436,25 @@ def test_ascend_stops_when_no_step_raises_objective(small_run):
     assert small_run.trace[-1] == small_run.trace[-2]
 
 
+def test_ascend_stops_at_the_first_iteration_without_an_armijo_step(monkeypatch):
+    # A stub objective rises by one per evaluation up to evaluation 7 and
+    # is flat after it.  Iterations 1..7 each take their first full step;
+    # iteration 8 tries MAX_BACKTRACKS step lengths, gains nothing, stops.
+    calls = []
+
+    def rising_then_flat(u, dt, errors, target, penalty):
+        calls.append(None)
+        return float(min(len(calls) - 1, 7)), np.ones_like(u)
+
+    monkeypatch.setattr(grape_module, "_objective", rising_then_flat)
+    run = ascend(GrapeConfig(bins=5, max_iterations=50))
+    assert run.iterations == 8 < 50
+    assert run.trace == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.0)
+    assert len(run.trace) == run.iterations + 1
+    assert run.trace[-1] == run.trace[-2]
+    assert len(calls) == 8 + grape_module.MAX_BACKTRACKS
+
+
 def test_ascend_trace_monotone(small_run):
     trace = np.asarray(small_run.trace)
     assert np.all(np.diff(trace) >= 0.0)

@@ -125,19 +125,19 @@ def test_mw_segment_rabi_block():
 
 def test_bin_propagators_broadcast_stretches_over_a_stack():
     # Under PLE one eigensystem per bin serves every fraction: entry (j, e)
-    # of the bin-major stack is exp(-i (1 + eps_e) t_j H_j).
+    # of the matrix-first stack is exp(-i (1 + eps_e) t_j H_j).
     rng = np.random.default_rng(9)
     controls = rng.uniform(-0.5, 0.5, size=(4, 4))
     t = rng.uniform(0.1, 3.0, size=4)
     eps = np.array([-0.6, 0.0, 0.35])
     _, _, v, props = bin_propagators(controls, t, error_pairs(ErrorKind.PLE, eps))
-    assert v.shape == (4, 1, 3, 3)
-    assert props.shape == (4, 3, 3, 3)
+    assert v.shape == (3, 3, 4, 1)
+    assert props.shape == (3, 3, 4, 3)
     for j, (u1, u2, u3, u4) in enumerate(controls):
         h = u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23
         for e in range(3):
             expected = scipy.linalg.expm(-1j * (1 + eps[e]) * t[j] * h)
-            assert np.max(np.abs(props[j, e] - expected)) <= 1e-12
+            assert np.max(np.abs(props[:, :, j, e] - expected)) <= 1e-12
 
 
 def test_gate_fidelity_self_is_one():

@@ -172,7 +172,7 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, n_fractions))
-    props = bin_propagators(controls, durations, errors)[3]
+    props = np.moveaxis(bin_propagators(controls, durations, errors)[3], 2, 0)
     size = math.isqrt(n_bins)
     expected = None
     for first in range(0, n_bins, size):
@@ -180,7 +180,7 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
         for prop in props[first + 1 : first + size]:
             block = _matmul3(prop, block)
         expected = block if expected is None else _matmul3(block, expected)
-    assert np.array_equal(gates(controls, durations, errors), expected)
+    assert np.array_equal(gates(controls, durations, errors), np.moveaxis(expected, 2, 0))
 
 
 @pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
@@ -190,12 +190,45 @@ def test_gates_match_sequential_running_product(kind):
     rng = np.random.default_rng(7)
     controls = rng.uniform(-0.5, 0.5, size=(400, 4))
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, 403))
-    props = bin_propagators(controls, 0.05, errors)[3]
+    props = np.moveaxis(bin_propagators(controls, 0.05, errors)[3], (0, 1), (2, 3))
     expected = props[0]
     for prop in props[1:]:
         expected = prop @ expected
     got = gates(controls, 0.05, errors)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def matrix_first_stacks():
+    # Full (3, 3, 400, 5) stacks, a V shared by every pair (3, 3, N, 1), a
+    # small (3, 3, E) stack as in `gates`' bin loop, and the every-20th-bin
+    # views (isqrt(401) = 20, ragged last block) the objective steps through.
+    rng = np.random.default_rng(3)
+
+    def stack(*shape):
+        return rng.normal(size=(3, 3) + shape) + 1j * rng.normal(size=(3, 3) + shape)
+
+    props, prefix = stack(401, 5), stack(421, 5)
+    return {
+        "full": (stack(400, 5), stack(400, 5)),
+        "broadcast-v": (stack(400, 1), stack(400, 5)),
+        "small": (stack(5), stack(5)),
+        "strided": (props[:, :, 7::20], prefix[:, :, 7:401:20]),
+    }
+
+
+@pytest.mark.parametrize("case", ["full", "broadcast-v", "small", "strided"])
+def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
+    # Entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, summed in that
+    # order, so every product in the engine rounds the same at any size.
+    a, b = matrix_first_stacks()[case]
+    got = _matmul3(a, b)
+    expected = np.empty(got.shape, dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            expected[i, j] = a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + a[i, 2] * b[2, j]
+    assert np.array_equal(got, expected)
+    reference = np.einsum("ik...,kj...->ij...", a, b)
+    assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -220,7 +253,8 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
     controls[3] = 1e-170
     controls[4] = (0.0, 0.0, 0.0, -1e-170)
     durations = rng.uniform(0.01, 0.3, size=40)
-    t, tw, v, _ = bin_propagators(controls, durations, errors)
+    t, tw, v_first, _ = bin_propagators(controls, durations, errors)
+    tw, v = np.moveaxis(tw, 0, 2), np.moveaxis(v_first, (0, 1), (2, 3))
     gen, _ = bin_generators(controls, durations, errors)
     gen = np.moveaxis(np.broadcast_to(gen, (v.shape[1],) + gen.shape[-3:]), 0, 1)
     # V and w serve every pair when none detunes (w is read off the first,
@@ -233,7 +267,7 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
     assert np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(gen))) <= 1e-14
     assert t.shape == tw.shape[:2] == (len(controls), len(eps))
     if not np.any(errors[:, 1]):
-        assert v.shape == (len(controls), 1, 3, 3)
+        assert v_first.shape == (3, 3, len(controls), 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -11,10 +11,10 @@ blocks of isqrt(N) bins in the product order of `sequences.gates`, give
 the objective and, by unitarity (C = U_T^dag U stands in for the backward
 products), its exact gradient: each bin exponential's divided difference
 Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin
-eigenbasis V, which `sequences.bin_propagators` writes down in closed
-form (the Lambda system's dark state, and its bright state mixed with
-|2>).  All of these are matrix-first (3, 3, N, E) stacks, as the engine
-gives them.  L-BFGS with Armijo backtracking ascends the objective over
+eigenbasis V.  `sequences.bin_propagators` writes V down in closed form
+(the Lambda system's dark state, and its bright state mixed with |2>) and
+the propagators out entry by entry; all stacks are matrix-first
+(3, 3, N, E).  L-BFGS with Armijo backtracking ascends the objective over
 free parameters that map smoothly onto drives below Lambda = 1.
 
 Bin propagators and a schedule's gates come from `sequences`, the engine
@@ -191,13 +191,13 @@ def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
     """Penalized mean performance over the (E, 2) error pairs and its exact
     gradient (N, 4), one sweep.
 
-    One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag
-    (`sequences.bin_propagators`, (3, 3, N, E)) gives A_j = U_{j-1} ... U_1
-    and U = U_N A_N along axis 2 in the order of `sequences.gates`, so the
-    value is that of `performance` bit for bit: over blocks of isqrt(N)
-    bins, the last one ragged, one bin step at a time for all blocks at
-    once, then the block products chained, then every A_j in one batched
-    multiply.  With C = U_T^dag U, unitarity gives
+    One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag,
+    written out entry by entry (`sequences.bin_propagators`, (3, 3, N, E)),
+    gives A_j = U_{j-1} ... U_1 and U = U_N A_N along axis 2 in the order of
+    `sequences.gates`, so the value is that of `performance` bit for bit:
+    over blocks of isqrt(N) bins, the last one ragged, one bin step at a time
+    for all blocks at once, then the block products chained, then every A_j
+    in one batched multiply.  With C = U_T^dag U, unitarity gives
     U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
     d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
     Y_j = V (K_j o Psi) V^dag, K_j = (V^dag A_j) C (V^dag A_j)^dag and

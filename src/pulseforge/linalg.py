@@ -10,7 +10,7 @@ All quantities are dimensionless: amplitudes in units of the maximum
 Rabi amplitude Lambda, times in units of 1/Lambda.  Only the product
 amplitude*time enters any propagator, so physical units are applied at
 the presentation layer (CLI) and nowhere else.  Every operator is written
-out, and there is no matrix exponential here: `sequences.bin_propagators`
+out, and there is no matrix exponential here: `sequences._bin_exponentials`
 writes every propagator down in closed form.
 """
 

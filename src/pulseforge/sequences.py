@@ -14,7 +14,7 @@ to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
 `ErrorKind` and its fractions to pairs: a pulse-length error (PLE)
 eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
 detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  Only
-`_error_terms` applies the pairs and only `bin_propagators` exponentiates
+`_error_terms` applies the pairs and only `_bin_exponentials` exponentiates
 bins, into matrix-first (3, 3, N, E) stacks; `gates` multiplies them by
 `_matmul3`, the GRAPE objective differentiates them, and `propagator`
 returns a pulse's (E, 3, 3) gates at an `ErrorKind` and E fractions.
@@ -23,8 +23,8 @@ Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
 (RF), and the detuning drift gives |0> and |3> the same energy.  So the
 dark state, the superposition of |0> and |3> that the drives cancel on,
 is an exact eigenvector, and what remains is a 2x2 block of the bright
-state and |2>.  `bin_propagators` writes the eigensystem down in closed
-form from the controls; no general eigensolver runs per bin.
+state and |2>.  So each bin's exponential is written out entry by entry
+from its bright state and one mixing angle; no eigensolver runs per bin.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -163,7 +163,7 @@ def _error_terms(durations, bins: int, errors):
     """
     times = np.broadcast_to(np.asarray(durations, dtype=float), (bins,))
     stretch, detuning = np.asarray(errors, dtype=float).T
-    drift = detuning / 3.0 if np.any(detuning) else np.zeros(1)
+    drift = detuning / 3.0 if detuning.any() else np.zeros(1)
     return (1.0 + stretch)[:, None] * times, drift
 
 
@@ -195,6 +195,44 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bright_states(controls):
+    """Per-bin control-only terms, each (N, 1): r, bx, by, |bx|^2, |by|^2, bx by*."""
+    u = np.asarray(controls, dtype=float)
+    x = u[:, 0] - 1j * u[:, 1]
+    y = u[:, 2] + 1j * u[:, 3]
+    r = np.hypot(np.abs(x), np.abs(y))
+    silent = r == 0.0
+    r_safe = np.where(silent, 1.0, r)
+    bx = np.where(silent, 1.0, x / r_safe)
+    by = y.conj() / r_safe
+    terms = r, bx, by, bx.real**2 + bx.imag**2, by.real**2 + by.imag**2, bx * by.conj()
+    return tuple(term[:, None] for term in terms)
+
+
+def _bin_exponentials(bright, durations, errors):
+    """Durations (E, N), the mixing angle's cos and sin, t w (3, N, E) and the
+    bin propagators (3, 3, N, E), written entry by entry (`bin_propagators`)."""
+    r, bx, by, bx2, by2, bxy = bright
+    times, drift = _error_terms(durations, len(r), errors)
+    a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
+    phi = 0.5 * np.arctan2(2.0 * r, b - a)
+    c, s = np.cos(phi), np.sin(phi)
+    m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), r)
+    tw = np.empty((3,) + times.T.shape)  # t w, w = (m - h, a, m + h)
+    tw[0], tw[1], tw[2] = times.T * (m - h), times.T * a, times.T * (m + h)
+    e0, e1, e2 = np.exp(-1j * tw)
+    cc, ss = c * c, s * s
+    p, q = cc * e0 + ss * e2, c * s * (e2 - e0)
+    props = np.empty((3, 3) + tw.shape[1:], dtype=complex)
+    props[0, 0], props[2, 2] = bx2 * p + by2 * e1, by2 * p + bx2 * e1
+    props[1, 1] = ss * e0 + cc * e2
+    p -= e1
+    props[0, 2], props[2, 0] = bxy * p, bxy.conj() * p
+    props[0, 1], props[2, 1] = bx * q, by * q
+    props[1, 0], props[1, 2] = bx.conj() * q, by.conj() * q
+    return times, c, s, tw, props
+
+
 def bin_propagators(controls, durations, errors):
     """Every bin's exponential under the error pairs, matrix-first, unchecked.
 
@@ -205,42 +243,32 @@ def bin_propagators(controls, durations, errors):
 
         [[a, x, 0], [x*, b, y], [0, y*, a]],  x = u1 - i u2,  y = u3 + i u4,
 
-    with a = -d/3 and b = 2 d/3 at the detuning d.  With
-    r = |(x, y)|, the dark state (y, 0, -x*)/r has eigenvalue a, and the
-    bright state (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]],
+    with a = -d/3 and b = 2 d/3 at the detuning d.  With r = |(x, y)|, the
+    dark state (y, 0, -x*)/r has eigenvalue a, and the bright state
+    (bx, 0, by) = (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]],
     whose eigenvalues (a + b)/2 -+ hypot((b - a)/2, r) and eigenvectors
-    -cos(phi) bright + sin(phi) |2>, sin(phi) bright + cos(phi) |2>, with
+    -c bright + s |2>, s bright + c |2>, (c, s) = (cos, sin) of
     phi = atan2(2 r, b - a) / 2, fill V's columns 0 and 2.  A silent bin
     (r = 0) takes |0> as its bright state and so -|3> as its dark state.
     Dark and bright states depend on the controls only, so when no pair
-    detunes one V serves every pair.
+    detunes one V serves every pair.  U is written out: with
+    e_k = e^{-i t w_k}, p = c^2 e_0 + s^2 e_2 and q = c s (e_2 - e_0),
+    U_00 = |bx|^2 p + |by|^2 e_1, U_22 = |by|^2 p + |bx|^2 e_1,
+    U_11 = s^2 e_0 + c^2 e_2, (U_02, U_20) = (bx by*, by bx*) (p - e_1),
+    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q.
     """
-    u = np.asarray(controls, dtype=float)
-    times, drift = _error_terms(durations, len(u), errors)
-    x = u[:, 0] - 1j * u[:, 1]
-    y = u[:, 2] + 1j * u[:, 3]
-    r = np.hypot(np.abs(x), np.abs(y))
-    silent = r == 0.0
-    r_safe = np.where(silent, 1.0, r)
-    bx = np.where(silent, 1.0, x / r_safe)[:, None]  # bright state (bx, 0, by)
-    by = (y.conj() / r_safe)[:, None]
-    r = r[:, None]
-    a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
-    phi = 0.5 * np.arctan2(2.0 * r, b - a)
-    c, s = np.cos(phi), np.sin(phi)
-    h = np.hypot(0.5 * (b - a), r)
-    w = np.stack(np.broadcast_arrays(0.5 * (a + b) - h, a, 0.5 * (a + b) + h))
+    bright = _bright_states(controls)
+    times, c, s, tw, props = _bin_exponentials(bright, durations, errors)
+    bx, by = bright[1:3]
     v = np.empty((3, 3) + c.shape, dtype=complex)
     v[0, 0], v[1, 0], v[2, 0] = -c * bx, s, -c * by
     v[0, 1], v[1, 1], v[2, 1] = by.conj(), 0.0, -bx.conj()
     v[0, 2], v[1, 2], v[2, 2] = s * bx, c, s * by
-    tw = times.T * w  # (3, N, E)
     t = np.broadcast_to(times.T, tw.shape[1:])
-    props = _matmul3(v * np.exp(-1j * tw), np.swapaxes(v.conj(), 0, 1))
     return t, tw, v, props
 
 
-# Fraction x bin propagators held at once by `gates`, within one bin block.
+# Fraction x bin propagators `gates` writes out at once, within one bin block.
 BLOCK_PROPAGATORS = 512
 
 
@@ -250,18 +278,20 @@ def gates(controls, durations, errors) -> np.ndarray:
     Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the
     last one ragged, each block's (3, 3, E) bin propagators are multiplied
     in bin order and the block product into the running gate, the GRAPE
-    objective's order.  A block's bins are exponentiated in chunks of
-    max(1, 512 // E), so memory stays bounded on dense grids.
+    objective's order.  The bright states are found once per pulse; a
+    block's bins are written out entry by entry, with no V, in chunks of
+    max(1, BLOCK_PROPAGATORS // E), so memory stays bounded on dense grids.
     """
     n = len(controls)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
+    bright = _bright_states(controls)
     size, step = math.isqrt(n), max(1, BLOCK_PROPAGATORS // len(errors))
     out = None
     for first in range(0, n, size):
         block = None
         for start in range(first, min(first + size, n), step):
             chunk = slice(start, min(start + step, first + size))
-            props = bin_propagators(controls[chunk], times[chunk], errors)[3]
+            props = _bin_exponentials([t[chunk] for t in bright], times[chunk], errors)[4]
             for prop in np.moveaxis(props, 2, 0):
                 block = prop if block is None else _matmul3(prop, block)
         out = block if out is None else _matmul3(block, out)

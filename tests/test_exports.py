@@ -103,8 +103,8 @@ def identifiers(tree):
 
 
 def test_no_eigensolver_or_exponential_in_the_package():
-    # Every propagator comes from the closed-form Lambda-system
-    # eigensystem in `sequences.bin_propagators`, and the target gate is
+    # Every propagator is written out from the closed-form Lambda system
+    # in `sequences._bin_exponentials`, and the target gate is
     # written out; no general eigensolver or matrix exponential remains.
     found = {
         f"{stem}: {name}"
@@ -134,7 +134,7 @@ def test_error_kinds_read_only_in_error_pairs():
 def test_cos_and_sin_only_in_the_drive_map_and_the_eigensystem():
     # `sequences._drive_controls` is the one map from a drive's amplitude
     # and phase to controls; the only other trigonometry is the mixing
-    # angle of the closed-form bin eigensystem.
+    # angle of the closed-form bin eigensystem, in `_bin_exponentials`.
     callers = {
         f"{stem}.{getattr(node, 'name', '<module>')}"
         for stem, tree in sources().items()
@@ -146,7 +146,7 @@ def test_cos_and_sin_only_in_the_drive_map_and_the_eigensystem():
         and isinstance(n.func.value, ast.Name)
         and n.func.value.id == "np"
     }
-    assert callers == {"sequences._drive_controls", "sequences.bin_propagators"}
+    assert callers == {"sequences._drive_controls", "sequences._bin_exponentials"}
 
 
 def test_sequences_multiplies_stacks_only_by_matmul3():

@@ -427,13 +427,16 @@ def test_ascend_converges_small(small_run):
     assert small_run.iterations <= 800
 
 
-def test_ascend_stops_when_no_step_raises_objective(small_run):
+def test_ascend_stops_when_no_step_raises_objective():
     # Converged before the cap: the last iteration found no Armijo step,
     # so the trace ends on two equal values, one row per iteration plus
-    # the start.
-    assert small_run.iterations < 800
-    assert len(small_run.trace) == small_run.iterations + 1
-    assert small_run.trace[-1] == small_run.trace[-2]
+    # the start.  The stop iteration moves with last-bit rounding (720 and
+    # 758 for two rounding-equivalent forms of the bin propagators), so
+    # this run's cap is more than twice either.
+    run = ascend(GrapeConfig(bins=50, seed=3, max_iterations=2000))
+    assert run.iterations < 2000
+    assert len(run.trace) == run.iterations + 1
+    assert run.trace[-1] == run.trace[-2]
 
 
 def test_ascend_stops_at_the_first_iteration_without_an_armijo_step(monkeypatch):

@@ -7,16 +7,13 @@ all on the (|0>, |2>, |3>) subspace with dimensionless units.
 
 from .linalg import CONTROL_HAMILTONIANS, Z_TOTAL, gate_fidelity
 from .sequences import (
-    Channel,
+    COMPOSITES,
+    ControlSchedule,
     ErrorKind,
-    PulseSegment,
-    PulseSequence,
-    bb1_sequence,
-    corpse_sequence,
+    composite,
     propagator,
     sequence_table,
     sequential_gate,
-    sequential_segments,
 )
 from .scanning import (
     GOOD_FIDELITY_THRESHOLD,
@@ -33,7 +30,6 @@ from .scanning import (
 from .grape import (
     CONTROL_BOUND,
     PULSE_CSV_HEADER,
-    ControlSchedule,
     GrapeConfig,
     GrapeNumericsError,
     OptimizedPulse,

@@ -30,13 +30,12 @@ from .scanning import (
     write_plot_script,
 )
 from .sequences import (
+    COMPOSITES,
     ErrorKind,
     _write_text,
-    bb1_sequence,
-    corpse_sequence,
+    composite,
     sequence_table,
     sequential_gate,
-    sequential_segments,
 )
 
 PI = math.pi
@@ -105,14 +104,6 @@ def _ensure_out_dir(out: str) -> Path:
     return p
 
 
-# Built-in schemes: name -> pulse-sequence builder.
-SEQUENCES = {
-    "sequential": sequential_segments,
-    "bb1": bb1_sequence,
-    "corpse": corpse_sequence,
-}
-
-
 def _load_pulse(path: str):
     try:
         return import_pulse_csv(path)[0]
@@ -128,8 +119,8 @@ def _scheme_factories(schemes: str):
         token = token.strip()
         if not token:
             continue
-        if token in SEQUENCES:
-            label, pulse = token, SEQUENCES[token]()
+        if token in COMPOSITES:
+            label, pulse = token, composite(token)
         elif token.startswith("grape:"):
             label, pulse = "grape", _load_pulse(token[len("grape:") :])
         else:
@@ -321,7 +312,7 @@ def cmd_compare(**params):
     """Run all schemes on one grid; report mean fidelities and durations."""
     lam = _lambda_mhz(params)
     grape_sched = _load_pulse(params["grape_pulse"])
-    pulses = _scheme_factories(",".join(SEQUENCES)) + [("grape", grape_sched)]
+    pulses = _scheme_factories(",".join(COMPOSITES)) + [("grape", grape_sched)]
     result, csv_path = _sweep(params, pulses, "compare")
 
     durations = {label: pulse.duration for label, pulse in pulses}
@@ -356,10 +347,11 @@ def cmd_info():
         cleaned = [0.0 if abs(v) < 5e-13 else v for v in row]
         click.echo("  [ " + "  ".join(f"{v:+9.6f}" for v in cleaned) + " ]")
     click.echo("U_sq |0> = (|0> - |3>)/sqrt(2), the entangled target state")
-    for seq in (bb1_sequence(), corpse_sequence()):
+    for name in ("bb1", "corpse"):
+        duration = composite(name).duration
         click.echo("")
-        click.echo(f"{seq.label} segments ({seq.duration / PI:.6g} pi), index 0 first:")
-        click.echo(sequence_table(seq), nl=False)
+        click.echo(f"{name} segments ({duration / PI:.6g} pi), index 0 first:")
+        click.echo(sequence_table(name), nl=False)
     click.echo("")
     click.echo("transition frequencies (documentation only; model is frequency-free):")
     click.echo("  |0>-|2> (MW)        2.88 GHz")

@@ -1,10 +1,11 @@
 """Robustness-averaged GRAPE for the three-level entangling gate.
 
 Controls are N time bins of four piecewise-constant amplitudes u1..u4
-multiplying `linalg.CONTROL_HAMILTONIANS`.  A checkpoint stores them as
-drives (u_m, theta_m, u_r, theta_r), which `pulses_to_schedule` maps back
-by `sequences._drive_controls`, the drive map of the composite segments
-too.  The performance of a schedule against a target U_T is
+multiplying `linalg.CONTROL_HAMILTONIANS`, a `sequences.ControlSchedule`
+with one bin duration dt.  A checkpoint stores them as drives (u_m,
+theta_m, u_r, theta_r), which `pulses_to_schedule` maps back by
+`sequences._drive_controls`, the drive map of the composites too.  The
+performance of a schedule against a target U_T is
 P = |Tr(U_T^dag U(T))|^2, averaged over a training set of systematic
 error fractions.  The prefix products of the bin propagators, formed over
 blocks of isqrt(N) bins in the product order of `sequences.gates`, give
@@ -32,6 +33,7 @@ import numpy as np
 
 from .linalg import CONTROL_HAMILTONIANS, IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
+    ControlSchedule,
     ErrorKind,
     _drive_controls,
     _matmul3,
@@ -44,7 +46,6 @@ from .sequences import (
 
 __all__ = [
     "CONTROL_BOUND",
-    "ControlSchedule",
     "GrapeConfig",
     "OptimizedPulse",
     "GrapeNumericsError",
@@ -92,39 +93,6 @@ class GrapeNumericsError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ControlSchedule:
-    """N x 4 piecewise-constant control amplitudes with bin duration dt.
-
-    Bin 0 acts first.  The optimizer keeps every channel pair inside the
-    radial bound |(u1,u2)|, |(u3,u4)| < 1/2; the constructor only checks
-    shape and finiteness so that probe schedules for gradient tests are
-    unrestricted.
-    """
-
-    u: np.ndarray
-    dt: float
-
-    def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != 4 or u.shape[0] < 1:
-            raise ValueError(f"controls must be (N, 4) with N >= 1, got {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("controls must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"bin duration must be finite and positive, got {self.dt}")
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-
-    @property
-    def bins(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.bins * self.dt
-
-
-@dataclass(frozen=True)
 class GrapeConfig:
     """Training problem for TARGET plus every knob that affects the result."""
 
@@ -167,6 +135,13 @@ class OptimizedPulse:
     config: GrapeConfig
 
 
+def _require_one_dt(s: ControlSchedule) -> None:
+    """GRAPE's power penalty and checkpoint rows take one bin duration;
+    a schedule with per-bin durations raises ValueError."""
+    if np.ndim(s.dt):
+        raise ValueError(f"GRAPE needs one bin duration, got {s.bins} per-bin durations")
+
+
 def performance(
     s: ControlSchedule,
     target: np.ndarray,
@@ -179,8 +154,9 @@ def performance(
 
     The fractions become (stretch, detuning) pairs by `sequences.error_pairs`;
     with kind NONE the averaging set is the one pair (0, 0).  Perfect overlap
-    gives 9 (the squared dimension).
+    gives 9 (the squared dimension).  Per-bin durations raise ValueError.
     """
+    _require_one_dt(s)
     target = _check_unitary(target, "target")
     full = propagator(s, kind, fractions)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
@@ -254,7 +230,9 @@ def gradient(
     """Exact gradient of `performance` in the controls, shape (N, 4).
 
     Each bin exponential is differentiated exactly, error included (`_objective`).
+    Per-bin durations raise ValueError.
     """
+    _require_one_dt(s)
     target = _check_unitary(target, "target")
     return _objective(s.u, s.dt, error_pairs(kind, fractions), target, penalty)[1]
 
@@ -417,9 +395,11 @@ def export_pulse_csv(pulse: OptimizedPulse, destination) -> str:
     The text is the pulse rows plus a `# key=value` config block.  Values
     carry 12 significant digits; 9 would leave phase quantization of
     order 5e-9 in the reconstructed controls, breaking the 1e-9 import
-    round-trip, so the checkpoint format is the wider one.
+    round-trip, so the checkpoint format is the wider one.  A schedule with
+    per-bin durations raises ValueError.
     """
     s = pulse.schedule
+    _require_one_dt(s)
     rows = schedule_to_pulses(s)
     lines = [PULSE_CSV_HEADER]
     for j in range(s.bins):

@@ -1,9 +1,9 @@
 """Fidelity-versus-error sweeps, analytic series checks, and CSV export.
 
-A scheme is a labelled pulse: a `sequences.PulseSequence` or a
-`grape.ControlSchedule`.  A scan evaluates each pulse once over the whole
-grid through `sequences.propagator` and scores every gate against the
-sequential target with the overlap fidelity.  Grids are built with exact
+A scheme is a labelled pulse, a `sequences.ControlSchedule`.  A scan
+evaluates each pulse once over the whole grid through
+`sequences.propagator` and scores every gate against the sequential
+target with the overlap fidelity.  Grids are built with exact
 +/- mirroring so evenness checks see true sign pairs instead of linspace
 rounding dust.
 """

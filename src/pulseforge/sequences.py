@@ -1,12 +1,13 @@
 """Sequential, BB1 and CORPSE pulse constructions with exact propagators.
 
-A pulse sequence is an ordered list of rectangular segments, each driving
-one transition (MW on |0>-|2>, RF on |2>-|3>) at unit amplitude u = Lambda
-for a dimensionless area tau with a fixed drive phase.  Segment index 0
-acts first.  A segment is one piecewise-constant control bin at unit
-amplitude lasting its area, so a `PulseSequence` gives controls `u` (N, 4)
-and durations `dt` as a `grape.ControlSchedule` does.  `_drive_controls`
-is the one drive map, for segments and pulse checkpoints alike.
+Every pulse is a `ControlSchedule`: N piecewise-constant control bins,
+controls `u` (N, 4) and durations `dt`, one for every bin or one per bin.
+Bin index 0 acts first.  The built-in schemes are `COMPOSITES` rows of
+rectangular segments, each driving one transition (MW on |0>-|2>, RF on
+|2>-|3>) at unit amplitude u = Lambda for a dimensionless area tau with a
+fixed drive phase; `composite` makes each row one bin lasting its area.
+`_drive_controls` is the one drive map, for segments and pulse
+checkpoints alike.
 
 Systematic errors distort every bin identically.  The engine takes them as
 E (stretch s, detuning d) pairs, shape (E, 2): a pair stretches every bin
@@ -44,31 +45,21 @@ import numpy as np
 from .linalg import CONTROL_HAMILTONIANS, Z_TOTAL
 
 __all__ = [
-    "Channel",
     "ErrorKind",
     "error_pairs",
-    "PulseSegment",
-    "PulseSequence",
+    "ControlSchedule",
     "bin_generators",
     "bin_propagators",
     "gates",
     "propagator",
     "sequential_gate",
-    "sequential_segments",
-    "bb1_sequence",
-    "corpse_sequence",
+    "COMPOSITES",
+    "composite",
     "sequence_table",
 ]
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
-
-
-class Channel(enum.Enum):
-    """Which transition a segment drives."""
-
-    MW = "MW"
-    RF = "RF"
 
 
 class ErrorKind(enum.Enum):
@@ -109,49 +100,42 @@ def _drive_controls(drives: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PulseSegment:
-    """One rectangular pulse: channel, dimensionless area tau, phase theta (rad)."""
+class ControlSchedule:
+    """N x 4 piecewise-constant control amplitudes with bin durations dt.
 
-    channel: Channel
-    tau: float
-    theta: float
+    Bin 0 acts first.  `dt` is one duration for every bin or a read-only
+    (N,) array of them, each finite and positive.  The optimizer keeps
+    every channel pair inside the radial bound |(u1,u2)|, |(u3,u4)| < 1/2;
+    the constructor only checks shapes, finiteness and positive durations
+    so that probe schedules for gradient tests are unrestricted.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"pulse area must be finite and >= 0, got {self.tau}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"pulse phase must be finite, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered segments (index 0 acts first) plus a scheme label."""
-
-    segments: tuple[PulseSegment, ...]
-    label: str
+    u: np.ndarray
+    dt: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError(f"sequence {self.label!r} has no segments")
+        u = np.array(self.u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != 4 or u.shape[0] < 1:
+            raise ValueError(f"controls must be (N, 4) with N >= 1, got {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("controls must be finite")
+        dt = np.array(self.dt, dtype=float)
+        if dt.shape not in ((), u.shape[:1]):
+            raise ValueError(f"bin durations must be one or ({len(u)},), got {dt.shape}")
+        if not np.all(np.isfinite(dt) & (dt > 0)):
+            raise ValueError(f"bin duration must be finite and positive, got {self.dt}")
+        u.flags.writeable = dt.flags.writeable = False
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "dt", dt if dt.ndim else float(dt))
+
+    @property
+    def bins(self) -> int:
+        return self.u.shape[0]
 
     @property
     def duration(self) -> float:
-        """Total dimensionless duration at unit amplitude, sum of areas."""
-        return sum(seg.tau for seg in self.segments)
-
-    @property
-    def u(self) -> np.ndarray:
-        """Controls (N, 4): each segment drives its channel at unit amplitude."""
-        drives = np.zeros((len(self.segments), 4))
-        for j, seg in enumerate(self.segments):
-            c = 0 if seg.channel is Channel.MW else 2
-            drives[j, c : c + 2] = 1.0, seg.theta
-        return _drive_controls(drives)
-
-    @property
-    def dt(self) -> np.ndarray:
-        """Bin durations (N,): each segment lasts its area."""
-        return np.array([seg.tau for seg in self.segments])
+        """bins * dt, or the left-to-right sum of per-bin durations."""
+        return sum(self.dt.tolist()) if np.ndim(self.dt) else self.bins * self.dt
 
 
 def _error_terms(durations, bins: int, errors):
@@ -301,8 +285,8 @@ def gates(controls, durations, errors) -> np.ndarray:
 def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:
     """Gates of a pulse, one per error fraction, shape (E, 3, 3).
 
-    The pulse is a `PulseSequence` or a `grape.ControlSchedule`: anything
-    with controls `u` (N, 4) and bin durations `dt`, a scalar or (N,).
+    The pulse is a `ControlSchedule`, or anything with controls `u` (N, 4)
+    and bin durations `dt`, a scalar or (N,).
     """
     return gates(pulse.u, pulse.dt, error_pairs(kind, fractions))
 
@@ -315,83 +299,70 @@ def sequential_gate() -> np.ndarray:
         (1/sqrt2) [[1, 1, 0], [0, 0, -sqrt2], [-1, 1, 0]]
 
     which maps |0> to the Bell-like state (|0> - |3>)/sqrt2.  The matrix
-    is written out; `sequential_segments` propagates to it.
+    is written out; `composite("sequential")` propagates to it.
     """
     return np.array(
         [[1.0, 1.0, 0.0], [0.0, 0.0, -SQRT2], [-1.0, 1.0, 0.0]], dtype=complex
     ) / SQRT2
 
 
-def sequential_segments() -> PulseSequence:
-    """Bare sequential construction: MW pi/2 area then RF pi area, both y-phase."""
-    return PulseSequence(
-        segments=(
-            PulseSegment(Channel.MW, PI / 2.0, PI / 2.0),
-            PulseSegment(Channel.RF, PI, PI / 2.0),
-        ),
-        label="sequential",
-    )
-
-
-def _bb1_block(channel: Channel, tau: float, base: float) -> tuple[PulseSegment, ...]:
+def _bb1_block(channel: str, tau: float, base: float) -> tuple:
     # Wimperis correction, inserted at the target rotation's midpoint:
     # phi = base + arccos(-tau/(4 pi)), companion 2pi pulse at base + 3(phi - base).
     phi = base + math.acos(-tau / (4.0 * PI))
     psi = base + 3.0 * (phi - base)
     return (
-        PulseSegment(channel, tau / 2.0, base),
-        PulseSegment(channel, PI, phi),
-        PulseSegment(channel, 2.0 * PI, psi),
-        PulseSegment(channel, PI, phi),
-        PulseSegment(channel, tau / 2.0, base),
+        (channel, tau / 2.0, base),
+        (channel, PI, phi),
+        (channel, 2.0 * PI, psi),
+        (channel, PI, phi),
+        (channel, tau / 2.0, base),
     )
 
 
-def bb1_sequence() -> PulseSequence:
-    """BB1 composite version of the sequential gate, ten segments.
-
-    MW block corrects the pi/2 rotation (phases 1.0399 pi and 2.1197 pi,
-    printed as 1.04 pi / 2.12 pi), RF block corrects the pi rotation
-    (1.0804 pi and 2.2413 pi, printed as 1.08 pi / 2.24 pi).  Total
-    duration 9.5 pi: 4.5 pi MW plus 5 pi RF.
-    """
-    segs = _bb1_block(Channel.MW, PI / 2.0, PI / 2.0) + _bb1_block(
-        Channel.RF, PI, PI / 2.0
-    )
-    return PulseSequence(segments=segs, label="bb1")
-
-
-def _corpse_block(channel: Channel, theta: float, base: float) -> tuple[PulseSegment, ...]:
+def _corpse_block(channel: str, theta: float, base: float) -> tuple:
     # kappa = arcsin(sin(theta/2)/2); areas (theta/2 - kappa, 2pi - 2 kappa,
     # 2pi + theta/2 - kappa) about (+, -, +) the base axis, smallest first.
     kappa = math.asin(math.sin(theta / 2.0) / 2.0)
     return (
-        PulseSegment(channel, theta / 2.0 - kappa, base),
-        PulseSegment(channel, 2.0 * PI - 2.0 * kappa, base - PI),
-        PulseSegment(channel, 2.0 * PI + theta / 2.0 - kappa, base),
+        (channel, theta / 2.0 - kappa, base),
+        (channel, 2.0 * PI - 2.0 * kappa, base - PI),
+        (channel, 2.0 * PI + theta / 2.0 - kappa, base),
     )
 
 
-def corpse_sequence() -> PulseSequence:
-    """CORPSE composite version of the sequential gate, six segments.
+# The built-in schemes as (channel, area tau, phase theta) rows, index 0
+# first, each at unit amplitude on channel "MW" or "RF".  Sequential: MW
+# pi/2 area then RF pi area, both y-phase, 1.5 pi in all.  BB1, ten rows:
+# the MW block corrects the pi/2 rotation (phases 1.0399 pi and 2.1197 pi,
+# printed as 1.04 pi / 2.12 pi), the RF block the pi rotation (1.0804 pi
+# and 2.2413 pi, printed as 1.08 pi / 2.24 pi); 9.5 pi in all, 4.5 pi MW
+# plus 5 pi RF.  CORPSE, six rows: MW areas 0.13497 pi / 1.76995 pi /
+# 2.13497 pi (printed 0.14 / 1.77 / 2.14), RF areas exactly pi/3, 5 pi/3,
+# 7 pi/3; 8.3732 pi in all, 5.582 times the sequential gate.
+COMPOSITES = {
+    "sequential": (("MW", PI / 2.0, PI / 2.0), ("RF", PI, PI / 2.0)),
+    "bb1": _bb1_block("MW", PI / 2.0, PI / 2.0) + _bb1_block("RF", PI, PI / 2.0),
+    "corpse": _corpse_block("MW", PI / 2.0, PI / 2.0) + _corpse_block("RF", PI, PI / 2.0),
+}
 
-    MW areas 0.13497 pi / 1.76995 pi / 2.13497 pi (printed 0.14 / 1.77 /
-    2.14), RF areas exactly pi/3, 5 pi/3, 7 pi/3.  Total duration
-    8.3732 pi, 5.582 times the sequential gate.
-    """
-    segs = _corpse_block(Channel.MW, PI / 2.0, PI / 2.0) + _corpse_block(
-        Channel.RF, PI, PI / 2.0
-    )
-    return PulseSequence(segments=segs, label="corpse")
+
+def composite(name: str) -> ControlSchedule:
+    """A `COMPOSITES` scheme as a schedule: one bin per row, driving the row's
+    channel at unit amplitude and its phase for a duration of its area."""
+    rows = COMPOSITES[name]
+    drives = np.zeros((len(rows), 4))
+    for j, (channel, _, theta) in enumerate(rows):
+        c = 0 if channel == "MW" else 2
+        drives[j, c : c + 2] = 1.0, theta
+    return ControlSchedule(_drive_controls(drives), np.array([tau for _, tau, _ in rows]))
 
 
-def sequence_table(seq: PulseSequence) -> str:
-    """Segment table as CSV text: idx,channel,tau_over_pi,theta_over_pi."""
+def sequence_table(name: str) -> str:
+    """A scheme's stored rows as CSV text: idx,channel,tau_over_pi,theta_over_pi."""
     lines = ["idx,channel,tau_over_pi,theta_over_pi"]
-    for i, seg in enumerate(seq.segments):
-        lines.append(
-            f"{i},{seg.channel.value},{seg.tau / PI:.9g},{seg.theta / PI:.9g}"
-        )
+    for i, (channel, tau, theta) in enumerate(COMPOSITES[name]):
+        lines.append(f"{i},{channel},{tau / PI:.9g},{theta / PI:.9g}")
     return "\n".join(lines) + "\n"
 
 

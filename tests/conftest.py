@@ -37,6 +37,19 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def segment_schedule(rows):
+    """A schedule of (channel, area, phase) rows, one bin per row driving
+    "MW" or "RF" at unit amplitude for its area, through `_drive_controls`."""
+    from pulseforge import ControlSchedule
+    from pulseforge.sequences import _drive_controls
+
+    drives = np.zeros((len(rows), 4))
+    for j, (channel, _, theta) in enumerate(rows):
+        c = 0 if channel == "MW" else 2
+        drives[j, c : c + 2] = 1.0, theta
+    return ControlSchedule(_drive_controls(drives), [tau for _, tau, _ in rows])
+
+
 @pytest.fixture
 def usq() -> np.ndarray:
     return USQ.copy()

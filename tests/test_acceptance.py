@@ -17,18 +17,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import USQ, probe_gradient_fd
+from conftest import USQ, probe_gradient_fd, segment_schedule
 from pulseforge import (
-    Channel,
     ControlSchedule,
     ErrorGrid,
     ErrorKind,
     GrapeConfig,
-    PulseSegment,
-    PulseSequence,
     ascend_with_restarts,
-    bb1_sequence,
-    corpse_sequence,
+    composite,
     gate_fidelity,
     good_fidelity_window,
     ple_series_fidelity,
@@ -36,7 +32,6 @@ from pulseforge import (
     quadratic_loss_coefficient,
     scan,
     sequential_gate,
-    sequential_segments,
 )
 from pulseforge.cli import main as cli_main
 
@@ -97,7 +92,7 @@ def test_criterion_01_sequential_gate_exact(capsys):
 
 def test_criterion_02_stretch_series(capsys):
     target = sequential_gate()
-    seq = sequential_segments()
+    seq = composite("sequential")
     eps = np.linspace(-0.3, 0.3, 61)
     f_num = gate_fidelity(propagator(seq, ErrorKind.PLE, eps), target)
     worst = max(abs(f - ple_series_fidelity(float(e))) for e, f in zip(eps, f_num))
@@ -120,8 +115,8 @@ def test_criterion_02_stretch_series(capsys):
 def test_criterion_03_composites_collapse_at_zero_error(capsys):
     target = sequential_gate()
     ideal = ErrorKind.NONE
-    err_bb1 = float(np.max(np.abs(propagator(bb1_sequence(), ideal)[0] - target)))
-    err_cor = float(np.max(np.abs(propagator(corpse_sequence(), ideal)[0] - target)))
+    err_bb1 = float(np.max(np.abs(propagator(composite("bb1"), ideal)[0] - target)))
+    err_cor = float(np.max(np.abs(propagator(composite("corpse"), ideal)[0] - target)))
     ok = err_bb1 <= 1e-10 and err_cor <= 1e-10
     report(
         capsys,
@@ -134,9 +129,9 @@ def test_criterion_03_composites_collapse_at_zero_error(capsys):
 
 
 def test_criterion_04_durations(capsys):
-    t_seq = sequential_segments().duration
-    t_bb1 = bb1_sequence().duration
-    t_cor = corpse_sequence().duration
+    t_seq = composite("sequential").duration
+    t_bb1 = composite("bb1").duration
+    t_cor = composite("corpse").duration
     ratio = t_cor / t_seq
     ok_ratio = abs(ratio - 5.59) <= 0.01
     ok_bb1 = abs(t_bb1 - 9.5 * PI) <= 1e-12
@@ -155,8 +150,8 @@ def test_criterion_04_durations(capsys):
 
 def test_criterion_05_robustness_windows(capsys):
     grid = ErrorGrid.uniform(ErrorKind.PLE, -1.0, 1.0, 81)
-    sequential = ("sequential", sequential_segments())
-    res = scan([sequential, ("bb1", bb1_sequence())], grid)
+    sequential = ("sequential", composite("sequential"))
+    res = scan([sequential, ("bb1", composite("bb1"))], grid)
     pts = np.asarray(grid.points)
     seq = np.asarray(res.series["sequential"])
     bb1 = np.asarray(res.series["bb1"])
@@ -166,7 +161,7 @@ def test_criterion_05_robustness_windows(capsys):
     w_bb1 = good_fidelity_window(res, "bb1")
 
     ore_grid = ErrorGrid.uniform(ErrorKind.ORE, -1.0, 1.0, 81)
-    ore = scan([sequential, ("corpse", corpse_sequence())], ore_grid)
+    ore = scan([sequential, ("corpse", composite("corpse"))], ore_grid)
     opts = np.asarray(ore_grid.points)
     sel = (opts > 0) & (opts <= 0.5)
     clause_cor = bool(
@@ -225,17 +220,17 @@ def test_criterion_07_robust_training(capsys, ple_training, ore_training):
     wide_ore = ErrorGrid.uniform(ErrorKind.ORE, -0.5, 0.5, 41)
     grape_ple_mean = _mean_fidelity(ple_pulse.schedule, wide_ple)
     grape_ore_mean = _mean_fidelity(ore_pulse.schedule, wide_ore)
-    bb1_mean = _mean_fidelity(bb1_sequence(), wide_ple)
-    seq_mean = _mean_fidelity(sequential_segments(), wide_ore)
-    cor_mean = _mean_fidelity(corpse_sequence(), wide_ore)
+    bb1_mean = _mean_fidelity(composite("bb1"), wide_ple)
+    seq_mean = _mean_fidelity(composite("sequential"), wide_ore)
+    cor_mean = _mean_fidelity(composite("corpse"), wide_ore)
 
     clause_a_min = ple_score >= 0.99
     clause_a_mean = grape_ple_mean > bb1_mean
     clause_b_min = ore_score >= 0.99
     clause_b_mean = grape_ore_mean > seq_mean and grape_ore_mean > cor_mean
     dur_ok = (
-        ple_pulse.schedule.duration <= bb1_sequence().duration + 1e-12
-        and ore_pulse.schedule.duration <= corpse_sequence().duration + 1e-12
+        ple_pulse.schedule.duration <= composite("bb1").duration + 1e-12
+        and ore_pulse.schedule.duration <= composite("corpse").duration + 1e-12
     )
     time_ok = ple_secs <= 600 and ore_secs <= 600
 
@@ -318,15 +313,15 @@ def test_criterion_09_propagator_property_sweep(capsys):
         err = (kind, (frac,))
         if i % 2 == 0:
             n = int(rng.integers(1, 7))
-            segments = tuple(
-                PulseSegment(
-                    Channel.MW if rng.integers(2) else Channel.RF,
+            segments = [
+                (
+                    "MW" if rng.integers(2) else "RF",
                     float(rng.uniform(0, 3 * PI)),
                     float(rng.uniform(-2 * PI, 2 * PI)),
                 )
                 for _ in range(n)
-            )
-            u = propagator(PulseSequence(segments, label="random"), *err)[0]
+            ]
+            u = propagator(segment_schedule(segments), *err)[0]
         else:
             bins = int(rng.integers(1, 21))
             controls = rng.uniform(-1, 1, size=(bins, 4))

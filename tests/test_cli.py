@@ -55,9 +55,35 @@ def test_info(runner):
 def test_info_prints_composite_tables(runner):
     result = runner.invoke(main, ["info"])
     assert result.exit_code == 0
-    # BB1's first MW correction pulse: area pi at phase 1.0399 pi.
-    assert "\n1,MW,1,1.03989309\n" in result.output
-    assert "\n4,RF,1.66666667,-0.5\n" in result.output
+    # The stored rows, phases unwrapped: BB1's psi 2.12 pi stays above 2 pi
+    # and CORPSE's minus-axis rows stay at -0.5 pi.
+    bb1 = (
+        "\nbb1 segments (9.5 pi), index 0 first:\n"
+        "idx,channel,tau_over_pi,theta_over_pi\n"
+        "0,MW,0.25,0.5\n"
+        "1,MW,1,1.03989309\n"
+        "2,MW,2,2.11967926\n"
+        "3,MW,1,1.03989309\n"
+        "4,MW,0.25,0.5\n"
+        "5,RF,0.5,0.5\n"
+        "6,RF,1,1.08043062\n"
+        "7,RF,2,2.24129187\n"
+        "8,RF,1,1.08043062\n"
+        "9,RF,0.5,0.5\n"
+        "\n"
+    )
+    corpse = (
+        "corpse segments (8.37323 pi), index 0 first:\n"
+        "idx,channel,tau_over_pi,theta_over_pi\n"
+        "0,MW,0.134973272,0.5\n"
+        "1,MW,1.76994654,-0.5\n"
+        "2,MW,2.13497327,0.5\n"
+        "3,RF,0.333333333,0.5\n"
+        "4,RF,1.66666667,-0.5\n"
+        "5,RF,2.33333333,0.5\n"
+        "\n"
+    )
+    assert bb1 + corpse in result.output
 
 
 def test_scan_writes_csv_and_plot(runner, tmp_path):

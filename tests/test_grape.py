@@ -28,8 +28,8 @@ from pulseforge import (
     propagator,
     pulses_to_schedule,
     schedule_to_pulses,
+    composite,
     sequential_gate,
-    sequential_segments,
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
@@ -143,7 +143,7 @@ def test_schedule_and_sequence_share_error_convention(kind, eps):
     u[0, 1] = -0.5
     u[1:, 3] = -0.5
     got = propagator(ControlSchedule(u, PI / 2), kind, (eps,))
-    expected = propagator(sequential_segments(), kind, (eps,))
+    expected = propagator(composite("sequential"), kind, (eps,))
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -200,6 +200,12 @@ def test_performance_requires_training_set():
     s = make_schedule(1)
     with pytest.raises(ValueError):
         performance(s, USQ, ErrorKind.ORE, ())
+
+
+def test_performance_rejects_per_bin_durations():
+    # The power penalty alpha_p dt sum(u^2) takes one bin duration.
+    with pytest.raises(ValueError, match="one bin duration, got 10 per-bin"):
+        performance(composite("bb1"), sequential_gate(), penalty=0.01)
 
 
 def test_power_penalty_formula():
@@ -368,6 +374,11 @@ def test_gradient_penalty_term_exact():
     g1 = gradient(s, USQ, penalty=0.037)
     g0 = gradient(s, USQ, penalty=0.0)
     assert np.max(np.abs((g1 - g0) + 2 * 0.037 * s.dt * s.u)) <= 1e-14
+
+
+def test_gradient_rejects_per_bin_durations():
+    with pytest.raises(ValueError, match="one bin duration, got 10 per-bin"):
+        gradient(composite("bb1"), sequential_gate(), penalty=0.01)
 
 
 def test_gradient_linear_in_training_mean():
@@ -564,6 +575,15 @@ def test_pulse_csv_round_trip(small_run, tmp_path):
 def test_pulse_csv_deterministic(small_run):
     first = export_pulse_csv(small_run, io.StringIO())
     assert export_pulse_csv(small_run, io.StringIO()) == first
+
+
+def test_export_pulse_csv_rejects_per_bin_durations(tmp_path):
+    # Checkpoint rows start at j dt, so a schedule needs one bin duration.
+    pulse = OptimizedPulse(composite("corpse"), 0.0, 0, (), GrapeConfig())
+    path = tmp_path / "pulse.csv"
+    with pytest.raises(ValueError, match="one bin duration, got 6 per-bin"):
+        export_pulse_csv(pulse, path)
+    assert not path.exists()
 
 
 def test_import_pulse_csv_rejects_garbage(tmp_path):

@@ -6,15 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, random_unitary
-from pulseforge import (
-    Channel,
-    ErrorKind,
-    PulseSegment,
-    PulseSequence,
-    propagator,
-    pulses_to_schedule,
-)
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, random_unitary, segment_schedule
+from pulseforge import ErrorKind, propagator, pulses_to_schedule
 from pulseforge import linalg as la
 from pulseforge.sequences import bin_generators, bin_propagators, error_pairs
 
@@ -116,7 +109,7 @@ def test_mw_segment_rabi_block():
     # An MW pi/2 segment at phase pi/2 is exp(+i (pi/4) sigma_y) on the
     # (0, 2) block, |3> untouched.  The closed 2x2 form is
     # cos(pi/4) I + i sin(pi/4) sigma_y.
-    seq = PulseSequence((PulseSegment(Channel.MW, PI / 2, PI / 2),), label="mw")
+    seq = segment_schedule([("MW", PI / 2, PI / 2)])
     u = propagator(seq, ErrorKind.NONE)[0]
     s = 1 / np.sqrt(2)
     expected = np.array([[s, s, 0], [-s, s, 0], [0, 0, 1]], dtype=complex)

@@ -10,8 +10,7 @@ from pulseforge import (
     ErrorKind,
     ScanError,
     ScanResult,
-    bb1_sequence,
-    corpse_sequence,
+    composite,
     export_csv,
     gate_fidelity,
     good_fidelity_window,
@@ -20,16 +19,15 @@ from pulseforge import (
     quadratic_loss_coefficient,
     scan,
     sequential_gate,
-    sequential_segments,
     write_plot_script,
 )
 
 PI = np.pi
 
 
-SEQ = ("sequential", sequential_segments())
-BB1 = ("bb1", bb1_sequence())
-CORPSE = ("corpse", corpse_sequence())
+SEQ = ("sequential", composite("sequential"))
+BB1 = ("bb1", composite("bb1"))
+CORPSE = ("corpse", composite("corpse"))
 
 
 def grid81(kind):
@@ -172,7 +170,7 @@ def test_series_matches_numerics_in_validity_range():
     target = sequential_gate()
     worst = 0.0
     for eps in np.linspace(-0.3, 0.3, 61):
-        u = propagator(sequential_segments(), ErrorKind.PLE, (eps,))[0]
+        u = propagator(composite("sequential"), ErrorKind.PLE, (eps,))[0]
         worst = max(worst, abs(gate_fidelity(u, target) - ple_series_fidelity(eps)))
     assert worst <= 2e-3
     # The truncation error is far below the advertised envelope.

@@ -1,4 +1,4 @@
-"""Pulse sequences: the bare gate, its error response, and the composites."""
+"""Pulse schedules: the bare gate, its error response, and the composites."""
 
 import math
 import tracemalloc
@@ -9,20 +9,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, segment_schedule
 from pulseforge import (
-    Channel,
+    COMPOSITES,
     ControlSchedule,
     ErrorKind,
-    PulseSegment,
-    PulseSequence,
-    bb1_sequence,
-    corpse_sequence,
+    composite,
     gate_fidelity,
     propagator,
     sequence_table,
     sequential_gate,
-    sequential_segments,
 )
 from pulseforge.sequences import (
     _matmul3,
@@ -52,39 +48,38 @@ def test_sequential_gate_maps_zero_to_superposition():
 
 
 def test_sequential_segments_layout():
-    seq = sequential_segments()
-    assert len(seq.segments) == 2
-    first, second = seq.segments
-    assert first.channel is Channel.MW
-    assert first.tau == pytest.approx(PI / 2)
-    assert first.theta == pytest.approx(PI / 2)
-    assert second.channel is Channel.RF
-    assert second.tau == pytest.approx(PI)
-    assert second.theta == pytest.approx(PI / 2)
-    assert seq.duration == pytest.approx(1.5 * PI, abs=1e-15)
+    rows = COMPOSITES["sequential"]
+    assert len(rows) == 2
+    (mw, mw_tau, mw_theta), (rf, rf_tau, rf_theta) = rows
+    assert mw == "MW"
+    assert mw_tau == pytest.approx(PI / 2)
+    assert mw_theta == pytest.approx(PI / 2)
+    assert rf == "RF"
+    assert rf_tau == pytest.approx(PI)
+    assert rf_theta == pytest.approx(PI / 2)
+    assert composite("sequential").duration == pytest.approx(1.5 * PI, abs=1e-15)
 
 
 def test_sequential_segments_reproduce_gate():
-    u = propagator(sequential_segments(), NONE)[0]
+    u = propagator(composite("sequential"), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
 def test_segment_order_matters():
-    seq = sequential_segments()
-    flipped = PulseSequence(tuple(reversed(seq.segments)), label="flipped")
+    flipped = segment_schedule(COMPOSITES["sequential"][::-1])
     u = propagator(flipped, NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) > 0.1
 
 
 def test_propagator_of_an_ideal_mw_segment():
-    seq = PulseSequence((PulseSegment(Channel.MW, PI / 2, PI / 2),), label="mw")
+    seq = segment_schedule([("MW", PI / 2, PI / 2)])
     expected = scipy.linalg.expm(1j * (PI / 4) * Y20)
     assert np.max(np.abs(propagator(seq, NONE)[0] - expected)) <= 1e-12
 
 
 def test_propagator_of_an_ideal_rf_segment_at_phase_zero():
     # A phase-0 area-pi RF segment is a bare x rotation on the (2, 3) block.
-    seq = PulseSequence((PulseSegment(Channel.RF, PI, 0.0),), label="rf")
+    seq = segment_schedule([("RF", PI, 0.0)])
     x23 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     expected = scipy.linalg.expm(1j * (PI / 2) * x23)
     assert np.max(np.abs(propagator(seq, NONE)[0] - expected)) <= 1e-12
@@ -93,7 +88,7 @@ def test_propagator_of_an_ideal_rf_segment_at_phase_zero():
 @pytest.mark.parametrize("eps", [-0.5, -0.2, 0.1, 0.3])
 def test_sequential_ple_closed_form(eps):
     # Amplitude miscalibration stretches both areas by the same factor.
-    u = propagator(sequential_segments(), ErrorKind.PLE, (eps,))[0]
+    u = propagator(composite("sequential"), ErrorKind.PLE, (eps,))[0]
     expected = scipy.linalg.expm(1j * (PI / 2) * (1 + eps) * Y23) @ scipy.linalg.expm(
         1j * (PI / 4) * (1 + eps) * Y20
     )
@@ -103,7 +98,7 @@ def test_sequential_ple_closed_form(eps):
 @pytest.mark.parametrize("eps", [-0.4, 0.25])
 def test_sequential_ore_closed_form(eps):
     # Detuning adds the diagonal generator inside each segment exponent.
-    u = propagator(sequential_segments(), ErrorKind.ORE, (eps,))[0]
+    u = propagator(composite("sequential"), ErrorKind.ORE, (eps,))[0]
     um = scipy.linalg.expm(-1j * (PI / 6) * eps * ZHAT + 1j * (PI / 4) * Y20)
     ur = scipy.linalg.expm(-1j * (PI / 3) * eps * ZHAT + 1j * (PI / 2) * Y23)
     assert np.max(np.abs(u - ur @ um)) <= 1e-10
@@ -143,13 +138,13 @@ def test_propagators_reject_bad_fractions():
     ]
     for kind, fractions in bad:
         with pytest.raises(ValueError):
-            propagator(sequential_segments(), kind, fractions)
+            propagator(composite("sequential"), kind, fractions)
         with pytest.raises(ValueError):
             propagator(schedule, kind, fractions)
 
 
 def test_propagator_stacks_one_gate_per_fraction():
-    seq = bb1_sequence()
+    seq = composite("bb1")
     fractions = (-0.4, 0.0, 0.25)
     stack = propagator(seq, ErrorKind.ORE, fractions)
     assert stack.shape == (3, 3, 3)
@@ -321,40 +316,62 @@ def test_gates_at_mixed_pairs_match_scipy(seed):
 
 
 def test_segment_validation():
-    with pytest.raises(ValueError):
-        PulseSegment(Channel.MW, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        PulseSegment(Channel.MW, float("inf"), 0.0)
+    # Per-bin durations: one finite positive entry per bin.
+    u = np.zeros((3, 4))
+    bad = [
+        ([0.5, 0.5], r"bin durations must be one or \(3,\), got \(2,\)"),
+        ([0.5, 0.5, 0.5, 0.5], r"\(3,\), got \(4,\)"),
+        ([[0.5, 0.5, 0.5]], r"got \(1, 3\)"),
+        ([0.5, 0.0, 0.5], "finite and positive"),
+        ([0.5, -0.1, 0.5], "finite and positive"),
+        ([0.5, float("inf"), 0.5], "finite and positive"),
+        ([float("nan"), 0.5, 0.5], "finite and positive"),
+    ]
+    for dt, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule(u, dt)
 
 
 def test_propagator_empty_sequence_rejected():
-    with pytest.raises(ValueError, match="no segments"):
-        PulseSequence((), label="empty")
+    with pytest.raises(ValueError, match="N >= 1"):
+        ControlSchedule(np.zeros((0, 4)), np.zeros(0))
+
+
+def test_per_bin_durations_are_read_only_and_sum_to_the_duration():
+    dt = [0.1, 0.2, 0.3]
+    s = ControlSchedule(np.zeros((3, 4)), dt)
+    assert s.dt.shape == (3,) and np.array_equal(s.dt, dt)
+    with pytest.raises(ValueError):
+        s.dt[0] = 1.0
+    assert s.duration == 0.1 + 0.2 + 0.3  # left to right, as sum(dt)
+    assert ControlSchedule(np.zeros((7, 4)), 0.1).duration == 7 * 0.1
 
 
 def test_bb1_structure():
-    seq = bb1_sequence()
-    assert seq.label == "bb1"
-    assert len(seq.segments) == 10
-    channels = [s.channel for s in seq.segments]
-    assert channels == [Channel.MW] * 5 + [Channel.RF] * 5
-    areas = np.array([s.tau for s in seq.segments]) / PI
+    rows = COMPOSITES["bb1"]
+    assert len(rows) == 10
+    channels = [channel for channel, _, _ in rows]
+    assert channels == ["MW"] * 5 + ["RF"] * 5
+    areas = np.array([tau for _, tau, _ in rows]) / PI
     assert np.allclose(areas, [0.25, 1, 2, 1, 0.25, 0.5, 1, 2, 1, 0.5], atol=1e-12)
     # Palindromic phase pattern per channel: base, phi, psi, phi, base.
-    for block in (seq.segments[:5], seq.segments[5:]):
-        assert block[0].theta == pytest.approx(PI / 2)
-        assert block[4].theta == pytest.approx(PI / 2)
-        assert block[1].theta == pytest.approx(block[3].theta)
+    for block in (rows[:5], rows[5:]):
+        thetas = [theta for _, _, theta in block]
+        assert thetas[0] == pytest.approx(PI / 2)
+        assert thetas[4] == pytest.approx(PI / 2)
+        assert thetas[1] == pytest.approx(thetas[3])
+    # One bin per row, lasting its area.
+    assert np.array_equal(composite("bb1").dt, [tau for _, tau, _ in rows])
 
 
 def test_bb1_phase_values():
     # phi = base + arccos(-tau / 4pi), psi = base + 3 (phi - base); the
     # exact values round to the conventional two-decimal multiples of pi.
-    seq = bb1_sequence()
-    mw_phi = seq.segments[1].theta / PI
-    mw_psi = seq.segments[2].theta / PI
-    rf_phi = seq.segments[6].theta / PI
-    rf_psi = seq.segments[7].theta / PI
+    thetas = [theta for _, _, theta in COMPOSITES["bb1"]]
+    mw_phi = thetas[1] / PI
+    mw_psi = thetas[2] / PI
+    rf_phi = thetas[6] / PI
+    rf_psi = thetas[7] / PI
     assert mw_phi == pytest.approx(0.5 + np.arccos(-1 / 8) / PI, abs=1e-12)
     assert mw_psi == pytest.approx(0.5 + 3 * np.arccos(-1 / 8) / PI, abs=1e-12)
     assert rf_phi == pytest.approx(0.5 + np.arccos(-1 / 4) / PI, abs=1e-12)
@@ -364,48 +381,46 @@ def test_bb1_phase_values():
 
 
 def test_bb1_duration():
-    assert bb1_sequence().duration == pytest.approx(9.5 * PI, abs=1e-12)
+    assert composite("bb1").duration == pytest.approx(9.5 * PI, abs=1e-12)
 
 
 def test_bb1_ideal_collapses_to_gate():
-    u = propagator(bb1_sequence(), NONE)[0]
+    u = propagator(composite("bb1"), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
 def test_bb1_beats_sequential_under_stretch():
     err = (ErrorKind.PLE, (0.3,))
-    f_seq = gate_fidelity(propagator(sequential_segments(), *err)[0], sequential_gate())
-    f_bb1 = gate_fidelity(propagator(bb1_sequence(), *err)[0], sequential_gate())
+    f_seq = gate_fidelity(propagator(composite("sequential"), *err)[0], sequential_gate())
+    f_bb1 = gate_fidelity(propagator(composite("bb1"), *err)[0], sequential_gate())
     assert f_bb1 > f_seq
     assert f_bb1 > 0.99
 
 
 def test_bb1_tolerates_half_scale_error():
-    u = propagator(bb1_sequence(), ErrorKind.PLE, (-0.5,))[0]
+    u = propagator(composite("bb1"), ErrorKind.PLE, (-0.5,))[0]
     f = gate_fidelity(u, sequential_gate())
     assert f >= 0.9
 
 
 def test_corpse_structure():
-    seq = corpse_sequence()
-    assert seq.label == "corpse"
-    assert len(seq.segments) == 6
-    channels = [s.channel for s in seq.segments]
-    assert channels == [Channel.MW] * 3 + [Channel.RF] * 3
+    rows = COMPOSITES["corpse"]
+    assert len(rows) == 6
+    channels = [channel for channel, _, _ in rows]
+    assert channels == ["MW"] * 3 + ["RF"] * 3
     # kappa = arcsin(sin(theta/2) / 2); areas theta/2 - kappa,
     # 2pi - 2 kappa, 2pi + theta/2 - kappa.
-    for block, theta in ((seq.segments[:3], PI / 2), (seq.segments[3:], PI)):
+    for block, theta in ((rows[:3], PI / 2), (rows[3:], PI)):
         kappa = np.arcsin(np.sin(theta / 2) / 2)
         expected = (theta / 2 - kappa, 2 * PI - 2 * kappa, 2 * PI + theta / 2 - kappa)
-        got = tuple(s.tau for s in block)
+        got = tuple(tau for _, tau, _ in block)
         assert np.allclose(got, expected, atol=1e-12)
-        assert [s.theta for s in block] == pytest.approx([PI / 2, -PI / 2, PI / 2])
+        assert [th for _, _, th in block] == pytest.approx([PI / 2, -PI / 2, PI / 2])
 
 
 def test_corpse_area_values():
-    seq = corpse_sequence()
-    mw = np.array([s.tau for s in seq.segments[:3]]) / PI
-    rf = np.array([s.tau for s in seq.segments[3:]]) / PI
+    areas = np.array([tau for _, tau, _ in COMPOSITES["corpse"]]) / PI
+    mw, rf = areas[:3], areas[3:]
     # The RF block closes in exact thirds; the MW block does not.
     assert np.allclose(rf, [1 / 3, 5 / 3, 7 / 3], atol=1e-12)
     assert np.allclose(
@@ -420,12 +435,12 @@ def test_corpse_area_values():
 
 
 def test_corpse_ideal_collapses_to_gate():
-    u = propagator(corpse_sequence(), NONE)[0]
+    u = propagator(composite("corpse"), NONE)[0]
     assert np.max(np.abs(u - sequential_gate())) <= 1e-10
 
 
 def test_corpse_duration_ratio():
-    ratio = corpse_sequence().duration / sequential_segments().duration
+    ratio = composite("corpse").duration / composite("sequential").duration
     assert ratio == pytest.approx(5.582150947338734, abs=1e-12)
     assert 5.58 <= ratio <= 5.60
 
@@ -433,8 +448,8 @@ def test_corpse_duration_ratio():
 def test_corpse_detuning_tradeoff():
     # The composite trades detuning robustness away near eps = 0.3.
     err = (ErrorKind.ORE, (0.3,))
-    f_seq = gate_fidelity(propagator(sequential_segments(), *err)[0], sequential_gate())
-    f_cor = gate_fidelity(propagator(corpse_sequence(), *err)[0], sequential_gate())
+    f_seq = gate_fidelity(propagator(composite("sequential"), *err)[0], sequential_gate())
+    f_cor = gate_fidelity(propagator(composite("corpse"), *err)[0], sequential_gate())
     assert f_cor < f_seq
 
 
@@ -448,7 +463,7 @@ def test_bb1_quadratic_suppression_slope():
         [
             1.0
             - gate_fidelity(
-                propagator(bb1_sequence(), ErrorKind.PLE, (e,))[0], target
+                propagator(composite("bb1"), ErrorKind.PLE, (e,))[0], target
             )
             for e in eps
         ]
@@ -473,41 +488,55 @@ def test_bb1_quadratic_suppression_slope():
 def test_propagator_unitarity(seed, kind):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
-    segments = tuple(
-        PulseSegment(
-            Channel.MW if rng.integers(2) else Channel.RF,
+    segments = [
+        (
+            "MW" if rng.integers(2) else "RF",
             float(rng.uniform(0, 3 * PI)),
             float(rng.uniform(-2 * PI, 2 * PI)),
         )
         for _ in range(n)
-    )
+    ]
     frac = 0.0 if kind is ErrorKind.NONE else float(rng.uniform(-1, 1))
-    u = propagator(PulseSequence(segments, label="random"), kind, (frac,))[0]
+    u = propagator(segment_schedule(segments), kind, (frac,))[0]
     assert np.max(np.abs(u @ u.conj().T - np.eye(3))) <= 1e-10
 
 
-@pytest.mark.parametrize("builder", [sequential_segments, bb1_sequence, corpse_sequence])
-def test_stretch_response_is_even(builder):
+@pytest.mark.parametrize("name", list(COMPOSITES))
+def test_stretch_response_is_even(name):
     target = sequential_gate()
     for eps in (0.1, 0.35, 0.6):
         fp = gate_fidelity(
-            propagator(builder(), ErrorKind.PLE, (eps,))[0], target
+            propagator(composite(name), ErrorKind.PLE, (eps,))[0], target
         )
         fm = gate_fidelity(
-            propagator(builder(), ErrorKind.PLE, (-eps,))[0], target
+            propagator(composite(name), ErrorKind.PLE, (-eps,))[0], target
         )
         assert fp == pytest.approx(fm, abs=1e-9)
 
 
 def test_sequence_table_round_trip():
-    seq = bb1_sequence()
-    text = sequence_table(seq)
+    rows = COMPOSITES["bb1"]
+    text = sequence_table("bb1")
     lines = text.strip().splitlines()
     assert lines[0] == "idx,channel,tau_over_pi,theta_over_pi"
-    assert len(lines) == 1 + len(seq.segments)
+    assert len(lines) == 1 + len(rows)
     row = lines[3].split(",")
     assert row[0] == "2"
     assert row[1] == "MW"
     assert float(row[2]) == pytest.approx(2.0, abs=1e-9)
-    assert float(row[3]) == pytest.approx(seq.segments[2].theta / PI, rel=1e-8)
+    assert float(row[3]) == pytest.approx(rows[2][2] / PI, rel=1e-8)
+
+
+def test_bb1_as_quarter_turn_bins_matches_its_segments():
+    # BB1's areas are whole quarter turns, so 38 bins of dt = pi/4, each
+    # repeating its segment's controls, give the per-bin-dt schedule's gates.
+    quarters = [1, 4, 8, 4, 1, 2, 4, 8, 4, 2]
+    bb1 = composite("bb1")
+    assert np.allclose(bb1.dt, np.multiply(quarters, PI / 4), rtol=0, atol=1e-15)
+    binned = ControlSchedule(np.repeat(bb1.u, quarters, axis=0), PI / 4)
+    assert binned.bins == 38 and binned.duration == pytest.approx(bb1.duration)
+    eps = np.linspace(-1, 1, 41)
+    for kind in (ErrorKind.PLE, ErrorKind.ORE):
+        diff = propagator(binned, kind, eps) - propagator(bb1, kind, eps)
+        assert np.max(np.abs(diff)) <= 1e-13
 

@@ -16,7 +16,9 @@ eigenbasis V.  `sequences.bin_propagators` writes V down in closed form
 (the Lambda system's dark state, and its bright state mixed with |2>) and
 the propagators out entry by entry; all stacks are matrix-first
 (3, 3, N, E).  L-BFGS with Armijo backtracking ascends the objective over
-free parameters that map smoothly onto drives below Lambda = 1.
+free parameters that map smoothly onto drives below Lambda = 1.  Each
+ascent owns one workspace of six such stacks, which every evaluation writes
+into in place of allocating its own; values and gradients are unchanged.
 
 Bin propagators and a schedule's gates come from `sequences`, the engine
 of the composite pulses too, so every scheme shares one error convention:
@@ -35,10 +37,11 @@ from .linalg import CONTROL_HAMILTONIANS, IDENTITY, _check_unitary, gate_fidelit
 from .sequences import (
     ControlSchedule,
     ErrorKind,
+    _bin_propagators,
     _drive_controls,
+    _error_terms,
     _matmul3,
     _write_text,
-    bin_propagators,
     error_pairs,
     propagator,
     sequential_gate,
@@ -163,7 +166,27 @@ def performance(
     return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
 
 
-def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
+def _stacks(bins: int, errors) -> list[tuple[int, ...]]:
+    """Shapes of `_objective`'s props, V, V^dag, prefix, product and scratch stacks;
+    V's last axis is E or 1, and prefix holds whole isqrt(N)-bin blocks plus one."""
+    e, ev = len(errors), len(_error_terms(1.0, 1, errors)[1])
+    size = math.isqrt(bins)
+    padded = -(-bins // size) * size + 1
+    widths = ((bins, e), (bins, ev), (bins, ev), (padded, e), (bins, e), (bins, e))
+    return [(3, 3) + w for w in widths]
+
+
+def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
+    """Flat buffers for `_stacks`, fit for any `_objective` call at no more N, E."""
+    return tuple(np.empty(math.prod(s), dtype=complex) for s in _stacks(bins, errors))
+
+
+def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of a workspace stack, as that shape."""
+    return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.ndarray]:
     """Penalized mean performance over the (E, 2) error pairs and its exact
     gradient (N, 4), one sweep.
 
@@ -181,30 +204,40 @@ def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
     divided difference of the bin exponential times e^{i t w_b}.  Psi / (-i t)
     is 1 on the diagonal and conjugate across it, so only the three gaps
     a < b, (3, N, E), are exponentiated.
+
+    Every (3, 3, N, E) stack is a view of `work` (`_workspace`), built once
+    per ascent by `ascend` and fresh for any other caller: props is reused for
+    X and then V K, prefix for K, and the product stack for the chained blocks,
+    X C and then Y.  Each entry is written before it is read in a call.
     """
-    t, tw, v, props = bin_propagators(u, dt, errors)
-    vh = np.swapaxes(v.conj(), 0, 1)
-    n, size = props.shape[2], math.isqrt(props.shape[2])
-    blocks = -(-n // size)  # zeros pad the ragged last one
-    prefix = np.zeros((3, 3, blocks * size + 1, props.shape[3]), dtype=complex)
+    n, e = len(u), len(errors)
+    work = work or _workspace(n, errors)
+    props, v, vh, prefix, prod, tmp = map(_view, work, _stacks(n, errors))
+    t, tw, v, props = _bin_propagators(u, dt, errors, props, v)
+    vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
+    size = math.isqrt(n)
+    blocks = -(-n // size)
     prefix[:, :, 0] = IDENTITY[..., None]  # [:n] becomes A_1 .. A_N, and [n] U
+    prefix[:, :, n + 1 :] = 0.0  # zeros pad the ragged last block
     within = prefix[:, :, 1:]  # first U_j ... U_f, f the first bin of j's block
     within[:, :, ::size] = props[:, :, ::size]
     for j in range(1, size):  # prefix[:, :, j] is within[:, :, j - 1]
-        within[:, :, j:n:size] = _matmul3(props[:, :, j::size], prefix[:, :, j:n:size])
-    del props
+        rows = within[:, :, j:n:size]
+        _matmul3(props[:, :, j::size], prefix[:, :, j:n:size], rows, _view(tmp, rows.shape))
     chain = within[:, :, size - 1 :: size][:, :, : blocks - 1].copy()  # block products
     for i in range(1, blocks - 1):
         chain[:, :, i] = _matmul3(chain[:, :, i], chain[:, :, i - 1])
-    within = within.reshape((3, 3, blocks, size) + within.shape[3:])
-    within[:, :, 1:] = _matmul3(within[:, :, 1:], chain[:, :, :, None])
+    within = within.reshape((3, 3, blocks, size, e))
+    rest = (3, 3, blocks - 1, size, e)
+    within[:, :, 1:] = _matmul3(
+        within[:, :, 1:], chain[:, :, :, None], _view(prod, rest), _view(tmp, rest)
+    )
     full = np.moveaxis(prefix[:, :, n], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
-    x = _matmul3(vh, prefix[:, :, :n])  # X_j = V^dag A_j
-    del prefix, within
-    xc = _matmul3(x, np.moveaxis(target.conj().T @ full, 0, 2)[:, :, None])
-    k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1))  # X C X^dag
-    del x, xc
+    x = _matmul3(vh, prefix[:, :, :n], props, tmp)  # X_j = V^dag A_j
+    xc = _matmul3(x, np.moveaxis(target.conj().T @ full, 0, 2)[:, :, None], prod, tmp)
+    k = _view(prefix, x.shape)
+    _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), k, tmp)  # X C X^dag
     gap = tw[[0, 0, 1]] - tw[[1, 2, 2]]  # t (w_a - w_b), a < b
     psi = np.exp(-0.5j * gap) * np.sinc(gap / TWO_PI)  # Psi_ab / (-i t), a < b
     for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
@@ -212,7 +245,7 @@ def _objective(u, dt, errors, target, penalty) -> tuple[float, np.ndarray]:
         k[b, a] *= psi[i].conj()
     k *= -1j * t
     del gap, psi
-    y = _matmul3(_matmul3(v, k), vh)
+    y = _matmul3(_matmul3(v, k, props, tmp), vh, prod, tmp)
     # Tr(Y_j H_k), laid out (N, E, 4) so that the mean adds the pairs in order
     d_tr = np.einsum("abje,kba->jek", y, CONTROL_HAMILTONIANS, order="C")
     grad = 2.0 * np.real(tr.conj()[:, None] * d_tr).mean(axis=1)
@@ -273,10 +306,11 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
     errors = error_pairs(cfg.error_kind, cfg.training)
     rng = np.random.default_rng(cfg.seed)
     p = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.bins, 4))
+    work = _workspace(cfg.bins, errors)  # every evaluation's stacks
 
     def evaluate(params: np.ndarray, iteration: int):
         u, scale = _drives(params)
-        value, g = _objective(u, dt, errors, TARGET, cfg.penalty)
+        value, g = _objective(u, dt, errors, TARGET, cfg.penalty, work)
         if not math.isfinite(value):
             raise GrapeNumericsError("non-finite objective", iteration)
         pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)

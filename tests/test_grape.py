@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +369,64 @@ def test_objective_value_is_penalized_performance():
             assert value == performance(s, USQ, kind, fractions, 0.02)
 
 
+def test_reused_workspace_leaks_no_stale_entry():
+    # One NaN-filled workspace serves calls of other shapes in turn: PLE
+    # (V of one column), ORE, 37 bins under NONE (a ragged last block of
+    # isqrt(37) = 6), then ORE again.  An entry read before the call writes
+    # it would raise here or differ from a fresh workspace's result.
+    ore = tuple(np.linspace(-0.2, 0.2, 5))
+    work = grape_module._workspace(400, error_pairs(ErrorKind.ORE, ore))
+    for stack in work:
+        stack.fill(np.nan)
+    calls = (
+        (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 5)), 400),
+        (ErrorKind.ORE, ore, 400),
+        (NONE, (), 37),
+        (ErrorKind.ORE, ore, 400),
+    )
+    for seed, (kind, fractions, bins) in enumerate(calls):
+        s = make_schedule(seed, bins=bins)
+        pairs = error_pairs(kind, fractions)
+        with np.errstate(all="raise"):
+            value, grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
+        fresh_value, fresh_grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+        assert value == fresh_value == performance(s, USQ, kind, fractions, 0.01)
+        assert np.array_equal(grad, fresh_grad)
+
+
+def test_warm_objective_allocates_no_stack():
+    # Through a workspace, a warm call at 400 bins and 5 ORE pairs allocates
+    # only temporaries of (N, E) size and numpy's iterator buffers: its traced
+    # peak is near 0.5 MB, where allocating each (3, 3, N, E) stack per call
+    # peaked at 2.0 MB.
+    s = make_schedule(5, bins=400)
+    pairs = error_pairs(ErrorKind.ORE, np.linspace(-0.2, 0.2, 5))
+    work = grape_module._workspace(400, pairs)
+    grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
+    tracemalloc.start()
+    try:
+        grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6
+
+
+def test_ascend_builds_one_workspace_and_releases_it(monkeypatch):
+    built = []
+    real = grape_module._workspace
+
+    def recorded(bins, errors):
+        work = real(bins, errors)
+        built.append([weakref.ref(stack) for stack in work])
+        return work
+
+    monkeypatch.setattr(grape_module, "_workspace", recorded)
+    ascend(GrapeConfig(ErrorKind.ORE, (-0.1, 0.1), bins=20, max_iterations=5))
+    assert len(built) == 1 and len(built[0]) <= 6
+    assert all(ref() is None for ref in built[0])
+
+
 def test_gradient_penalty_term_exact():
     # Difference of gradients isolates the penalty contribution, which
     # is linear and must match -2 alpha dt u to machine precision.
@@ -456,7 +516,7 @@ def test_ascend_stops_at_the_first_iteration_without_an_armijo_step(monkeypatch)
     # iteration 8 tries MAX_BACKTRACKS step lengths, gains nothing, stops.
     calls = []
 
-    def rising_then_flat(u, dt, errors, target, penalty):
+    def rising_then_flat(u, dt, errors, target, penalty, work):
         calls.append(None)
         return float(min(len(calls) - 1, 7)), np.ones_like(u)
 
@@ -489,7 +549,7 @@ def test_ascend_deterministic(small_run):
 
 
 def test_ascend_flags_numerical_breakdown(monkeypatch):
-    def poisoned(u, dt, errors, target, penalty):
+    def poisoned(u, dt, errors, target, penalty, work):
         return float("nan"), np.zeros_like(u)
 
     monkeypatch.setattr(grape_module, "_objective", poisoned)

@@ -11,14 +11,15 @@ error fractions.  The prefix products of the bin propagators, formed over
 blocks of isqrt(N) bins in the product order of `sequences.gates`, give
 the objective and, by unitarity (C = U_T^dag U stands in for the backward
 products), its exact gradient: each bin exponential's divided difference
-Psi contracted with K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin
-eigenbasis V.  `sequences.bin_propagators` writes V down in closed form
-(the Lambda system's dark state, and its bright state mixed with |2>) and
-the propagators out entry by entry; all stacks are matrix-first
-(3, 3, N, E).  L-BFGS with Armijo backtracking ascends the objective over
-free parameters that map smoothly onto drives below Lambda = 1.  Each
-ascent owns one workspace of six such stacks, which every evaluation writes
-into in place of allocating its own; values and gradients are unchanged.
+Psi times K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin eigenbasis V,
+which `sequences.bin_propagators` writes down in closed form as V = B R:
+the controls' bright and dark states B and a real mixing R.  Four entries
+of sum_e R (K o Psi) R^T, the pairs summed before B, give the gradient.
+All stacks are matrix-first (3, 3, N, E).  L-BFGS with Armijo backtracking
+(de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) ascends the
+objective over free parameters that map smoothly onto drives below
+Lambda = 1.  Each ascent owns one workspace of six such stacks, which every
+evaluation writes into in place of allocating its own.
 
 Bin propagators and a schedule's gates come from `sequences`, the engine
 of the composite pulses too, so every scheme shares one error convention:
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import CONTROL_HAMILTONIANS, IDENTITY, _check_unitary, gate_fidelity
+from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     ControlSchedule,
     ErrorKind,
@@ -198,17 +199,26 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     for all blocks at once, then the block products chained, then every A_j
     in one batched multiply.  With C = U_T^dag U, unitarity gives
     U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
-    d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where
-    Y_j = V (K_j o Psi) V^dag, K_j = (V^dag A_j) C (V^dag A_j)^dag and
+    d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where Y_j = V M_j V^dag,
+    M_j = K_j o Psi, K_j = (V^dag A_j) C (V^dag A_j)^dag and
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
     divided difference of the bin exponential times e^{i t w_b}.  Psi / (-i t)
     is 1 on the diagonal and conjugate across it, so only the three gaps
-    a < b, (3, N, E), are exponentiated.
+    a < b, (3, N, E), are exponentiated.  C carries each pair's weight
+    (2/E) conj(Tr(U_T^dag U)), so the gradient is Re Tr(sum_e Y_je H_k).
+
+    Y is never formed: V = B R with B = [(bx, 0, by) | (by*, 0, -bx*) | |2>]
+    and the real R = [[-c, 0, s], [0, 1, 0], [s, 0, c]].  B's middle row is
+    (0, 0, 1) and the H_k couple |2> to |0> and |3> only, so four entries of
+    S = sum_e R M_e R^T serve (M is summed over the pairs first when no pair
+    detunes): Y_01 = bx S_02 + by* S_12, Y_10 = bx* S_20 + by S_21,
+    Y_12 = by* S_20 - bx S_21, Y_21 = by S_02 - bx* S_12, and the gradient is
+    (Re(Y_01 + Y_10), Im(Y_10 - Y_01), Re(Y_12 + Y_21), Im(Y_12 - Y_21)).
 
     Every (3, 3, N, E) stack is a view of `work` (`_workspace`), built once
     per ascent by `ascend` and fresh for any other caller: props is reused for
-    X and then V K, prefix for K, and the product stack for the chained blocks,
-    X C and then Y.  Each entry is written before it is read in a call.
+    X and then M, prefix for K, and the product stack for the chained blocks,
+    X C and then Psi.  Each entry is written before it is read in a call.
     """
     n, e = len(u), len(errors)
     work = work or _workspace(n, errors)
@@ -235,20 +245,29 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     full = np.moveaxis(prefix[:, :, n], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
     x = _matmul3(vh, prefix[:, :, :n], props, tmp)  # X_j = V^dag A_j
-    xc = _matmul3(x, np.moveaxis(target.conj().T @ full, 0, 2)[:, :, None], prod, tmp)
+    weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
+    xc = _matmul3(x, np.moveaxis(weighted, 0, 2)[:, :, None], prod, tmp)
     k = _view(prefix, x.shape)
     _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), k, tmp)  # X C X^dag
-    gap = tw[[0, 0, 1]] - tw[[1, 2, 2]]  # t (w_a - w_b), a < b
-    psi = np.exp(-0.5j * gap) * np.sinc(gap / TWO_PI)  # Psi_ab / (-i t), a < b
-    for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        k[a, b] *= psi[i]
-        k[b, a] *= psi[i].conj()
-    k *= -1j * t
-    del gap, psi
-    y = _matmul3(_matmul3(v, k, props, tmp), vh, prod, tmp)
-    # Tr(Y_j H_k), laid out (N, E, 4) so that the mean adds the pairs in order
-    d_tr = np.einsum("abje,kba->jek", y, CONTROL_HAMILTONIANS, order="C")
-    grad = 2.0 * np.real(tr.conj()[:, None] * d_tr).mean(axis=1)
+    gap = tw[[0, 0, 1]] - tw[[2, 1, 2]]  # t (w_a - w_b), ab = 02, 01, 12
+    psi = _view(prod, (6, n, e))  # Psi_ab / (-i t) at ab = 20, 02, 10, 01, 21, 12
+    np.exp(np.multiply(gap, -0.5j, out=psi[1::2]), out=psi[1::2])
+    psi[1::2] *= np.sinc(gap / TWO_PI)
+    np.conjugate(psi[1::2], out=psi[::2])
+    m = _view(props, (7, n, e))  # M = K o Psi at the same ab, then M_00 - M_22
+    for i, ab in enumerate(((2, 0), (0, 2), (1, 0), (0, 1), (2, 1), (1, 2))):
+        np.multiply(k[ab], psi[i], out=m[i])
+    np.subtract(k[0, 0], k[2, 2], out=m[6])
+    m *= -1j * t
+    c, s = v[1, 2].real, v[1, 0].real  # R's mixing angle, V_12 and V_10, (N, E or 1)
+    if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
+        m = np.einsum("ine->in", m)[..., None]
+    s02, s20 = np.einsum("ine->in", s * s * m[:2] - c * c * m[1::-1] - c * s * m[6])
+    s12, s21 = np.einsum("ine->in", s * m[2:4] + c * m[5:3:-1])  # S = sum_e R M R^T
+    bx, by = -np.conj(v[2, 1, :, 0]), np.conj(v[0, 1, :, 0])  # from V's dark column
+    y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
+    y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
+    grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1).real
     value = float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
     return value, grad - 2.0 * penalty * dt * u
 
@@ -279,17 +298,17 @@ def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lbfgs_direction(grad: np.ndarray, history: list) -> np.ndarray:
-    """H g by the two-loop recursion over the stored (s, y) pairs, oldest first."""
-    q, coefs = grad.copy(), []
-    for s, y in reversed(history):
-        coefs.append(np.sum(s * q) / np.sum(s * y))
+    """H g by the two-loop recursion over stored flat (s, y, 1 / s^T y), oldest first."""
+    q, coefs = grad.ravel().copy(), []
+    for s, y, rho in reversed(history):
+        coefs.append(rho * (s @ q))
         q -= coefs[-1] * y
     if history:
-        s, y = history[-1]
-        q *= np.sum(s * y) / np.sum(y * y)
-    for (s, y), a in zip(history, reversed(coefs)):
-        q += (a - np.sum(y * q) / np.sum(s * y)) * s
-    return q
+        s, y, rho = history[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), a in zip(history, reversed(coefs)):
+        q += (a - rho * (y @ q)) * s
+    return q.reshape(grad.shape)
 
 
 def ascend(cfg: GrapeConfig) -> OptimizedPulse:
@@ -319,10 +338,10 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
 
     u, best, grad = evaluate(p, 0)
     trace = [best]
-    history: list = []  # (p_{i+1} - p_i, g_i - g_{i+1}), at most LBFGS_MEMORY
+    history: list = []  # (s, y, 1 / s^T y), s = p_{i+1} - p_i and y = g_i - g_{i+1}
     for it in range(1, cfg.max_iterations + 1):
         direction = _lbfgs_direction(grad, history)
-        slope = float(np.sum(grad * direction))
+        slope = float(grad.ravel() @ direction.ravel())
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = p + alpha * direction
@@ -333,9 +352,9 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
         else:
             trace.append(best)
             break
-        step, change = trial - p, grad - grad_trial
-        if np.sum(step * change) > 0.0:
-            history = (history + [(step, change)])[-LBFGS_MEMORY:]
+        step, change = (trial - p).ravel(), (grad - grad_trial).ravel()
+        if (curvature := step @ change) > 0.0:
+            history = (history + [(step, change, 1.0 / curvature)])[-LBFGS_MEMORY:]
         p, u, best, grad = trial, u_trial, value, grad_trial
         trace.append(best)
     return OptimizedPulse(

@@ -171,9 +171,10 @@ def bin_generators(controls, durations, errors):
 
 
 def _matmul3(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order;
-    0.29 ms at (3, 3, 400, 5), where (400, 5, 3, 3) stacks took 0.56 ms.  Into
-    `out` (no input), terms 2 and 3 via `tmp`; both are allocated if not given."""
+    """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order,
+    into `out` (no input), terms 2 and 3 via `tmp`, each allocated if not given.
+    Given both, 0.09 ms at (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@`
+    on (400, 5, 3, 3) takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
     out = np.multiply(a[:, :1], b[:1], out=out)
     tmp = np.empty_like(out) if tmp is None else tmp
     for k in (1, 2):

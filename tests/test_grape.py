@@ -304,20 +304,21 @@ def test_exact_gradient_at_sweep_edges(kind, fractions, shape):
     assert np.max(np.abs(g - fd)) / np.sqrt(np.mean(fd**2)) <= 1e-6
 
 
-def van_loan_gradient(s, kind, fractions, penalty):
+def van_loan_gradient(s, pairs, penalty):
     """Gradient from Frechet derivatives and explicit prefix/suffix products.
 
     Independent of the unitarity shortcut: expm([[X, D], [0, X]]) is
     [[exp(X), L], [0, exp(X)]] with L the derivative of exp at X along D,
     here X = -i t H_j and D = -i t H_k; the overlap's derivative is then
-    Tr(U_T^dag U_N ... U_{j+1} dU_j U_{j-1} ... U_1).
+    Tr(U_T^dag U_N ... U_{j+1} dU_j U_{j-1} ... U_1).  `pairs` are the
+    (E, 2) (stretch, detuning) pairs: a pair runs each bin for (1 + s) dt
+    under its Hamiltonian plus (d/3) ZHAT.
     """
     controls = (X20, Y20, X23, Y23)
-    eps_list = (0.0,) if kind is NONE else fractions
     grad = np.zeros_like(s.u)
-    for eps in eps_list:
-        t = s.dt * (1 + eps) if kind is ErrorKind.PLE else s.dt
-        drift = eps / 3 * ZHAT if kind is ErrorKind.ORE else 0 * ZHAT
+    for stretch, detuning in pairs:
+        t = s.dt * (1 + stretch)
+        drift = detuning / 3 * ZHAT
         gens = [drift + sum(c * h for c, h in zip(row, controls)) for row in s.u]
         props = [scipy.linalg.expm(-1j * t * h) for h in gens]
         prefix = [np.eye(3, dtype=complex)]
@@ -335,7 +336,7 @@ def van_loan_gradient(s, kind, fractions, penalty):
                 block[:3, 3:] = -1j * t * hk
                 d_prop = scipy.linalg.expm(block)[:3, 3:]
                 d_tr = np.trace(suffix[j] @ d_prop @ prefix[j])
-                grad[j, k] += 2 * np.real(np.conj(overlap) * d_tr) / len(eps_list)
+                grad[j, k] += 2 * np.real(np.conj(overlap) * d_tr) / len(pairs)
     return grad - 2 * penalty * s.dt * s.u
 
 
@@ -347,7 +348,22 @@ def test_exact_gradient_matches_van_loan_reference(kind, fractions):
     for bins in (30, 31):
         s = make_schedule(31, bins=bins, total_time=3 * PI, scale=0.4)
         g = gradient(s, USQ, kind, fractions, 0.01)
-        ref = van_loan_gradient(s, kind, fractions, 0.01)
+        ref = van_loan_gradient(s, error_pairs(kind, fractions), 0.01)
+        assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_objective_gradient_on_mixed_pairs_matches_van_loan_reference():
+    # Pairs that stretch and detune at once, which no ErrorKind makes: the
+    # mixing angle of each bin's eigenbasis then varies by pair while the
+    # times stretch, so the pairs cannot be summed before the basis change.
+    # Bin 7 is silent.
+    pairs = np.array([(-0.3, 0.1), (0.2, -0.15), (0.0, 0.2)])
+    for bins in (30, 31):
+        u = make_schedule(31, bins=bins, total_time=3 * PI, scale=0.4).u.copy()
+        u[7] = 0.0
+        s = ControlSchedule(u, 3 * PI / bins)
+        _, g = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+        ref = van_loan_gradient(s, pairs, 0.01)
         assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -508,6 +524,32 @@ def test_ascend_stops_when_no_step_raises_objective():
     assert run.iterations < 2000
     assert len(run.trace) == run.iterations + 1
     assert run.trace[-1] == run.trace[-2]
+
+
+@pytest.mark.parametrize("stored", [1, 3, grape_module.LBFGS_MEMORY])
+def test_lbfgs_direction_matches_dense_inverse_hessian(stored):
+    # The two-loop recursion against its dense form on 3 bins (12
+    # parameters): H_0 = (s^T y / y^T y) I from the newest pair, then
+    # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest first.
+    # The pairs are steps on a quadratic, y = B s, so s^T y > 0 as ascend keeps.
+    rng = np.random.default_rng(stored)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    hessian = q @ np.diag(np.linspace(1.0, 10.0, 12)) @ q.T
+    history = []
+    for _ in range(stored):
+        s = rng.normal(size=12)
+        y = hessian @ s
+        history.append((s, y, 1.0 / (s @ y)))
+    s, y, _ = history[-1]
+    dense = (s @ y) / (y @ y) * np.eye(12)
+    for s, y, rho in history:
+        left = np.eye(12) - rho * np.outer(s, y)
+        dense = left @ dense @ left.T + rho * np.outer(s, s)
+    grad = rng.normal(size=(3, 4))
+    expected = (dense @ grad.ravel()).reshape(3, 4)
+    got = grape_module._lbfgs_direction(grad, history)
+    assert got.shape == grad.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_ascend_stops_at_the_first_iteration_without_an_armijo_step(monkeypatch):

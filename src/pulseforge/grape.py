@@ -15,9 +15,10 @@ Psi times K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin eigenbasis V,
 which `sequences.bin_propagators` writes down in closed form as V = B R:
 the controls' bright and dark states B and a real mixing R.  Four entries
 of sum_e R (K o Psi) R^T, the pairs summed before B, give the gradient.
-All stacks are matrix-first (3, 3, N, E).  L-BFGS with Armijo backtracking
-(de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) ascends the
-objective over free parameters that map smoothly onto drives below
+All stacks are matrix-first (3, 3, slots, E): bin b isqrt(N) + j sits in
+slot j blocks + b, and identity bins pad the last block.  L-BFGS with
+Armijo backtracking (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011))
+ascends the objective over free parameters that map smoothly onto drives below
 Lambda = 1.  Each ascent owns one workspace of six such stacks, which every
 evaluation writes into in place of allocating its own.
 
@@ -168,17 +169,20 @@ def performance(
 
 
 def _stacks(bins: int, errors) -> list[tuple[int, ...]]:
-    """Shapes of `_objective`'s props, V, V^dag, prefix, product and scratch stacks;
-    V's last axis is E or 1, and prefix holds whole isqrt(N)-bin blocks plus one."""
+    """Shapes of `_objective`'s props, V, V^dag, prefix, product and scratch stacks
+    over size * blocks bin slots, size = isqrt(N); V's last axis is E or 1, and
+    prefix holds size + 1 rows of blocks."""
     e, ev = len(errors), len(_error_terms(1.0, 1, errors)[1])
     size = math.isqrt(bins)
-    padded = -(-bins // size) * size + 1
-    widths = ((bins, e), (bins, ev), (bins, ev), (padded, e), (bins, e), (bins, e))
+    blocks = -(-bins // size)
+    widths = [(size * blocks, w) for w in (e, ev, e, e, e, e)]
+    widths[3] = ((size + 1) * blocks, e)
     return [(3, 3) + w for w in widths]
 
 
 def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
-    """Flat buffers for `_stacks`, fit for any `_objective` call at no more N, E."""
+    """Flat buffers for `_stacks`, fit for any `_objective` call at no more N, E
+    (and, unless `errors` detune, none that detunes: V then has one column)."""
     return tuple(np.empty(math.prod(s), dtype=complex) for s in _stacks(bins, errors))
 
 
@@ -193,11 +197,14 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
 
     One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag,
     written out entry by entry (`sequences.bin_propagators`, (3, 3, N, E)),
-    gives A_j = U_{j-1} ... U_1 and U = U_N A_N along axis 2 in the order of
-    `sequences.gates`, so the value is that of `performance` bit for bit:
-    over blocks of isqrt(N) bins, the last one ragged, one bin step at a time
-    for all blocks at once, then the block products chained, then every A_j
-    in one batched multiply.  With C = U_T^dag U, unitarity gives
+    gives A_j = U_{j-1} ... U_1 and U = U_N A_N in the order of `sequences.gates`,
+    so the value is that of `performance` bit for bit: over blocks of
+    size = isqrt(N) bins, one bin step at a time for all blocks at once, then
+    the block products chained into each block's start, then every A_j in one
+    batched multiply.  Slot j blocks + b holds bin b size + j, so each step is
+    one contiguous (3, 3, blocks, E) slab; slots past N pad the last block with
+    u = 0 and t = 0, whose propagator is exactly the identity, and the gradient
+    is taken per slot and mapped back to the bins.  With C = U_T^dag U, unitarity gives
     U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
     d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where Y_j = V M_j V^dag,
     M_j = K_j o Psi, K_j = (V^dag A_j) C (V^dag A_j)^dag and
@@ -215,46 +222,56 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     Y_12 = by* S_20 - bx S_21, Y_21 = by S_02 - bx* S_12, and the gradient is
     (Re(Y_01 + Y_10), Im(Y_10 - Y_01), Re(Y_12 + Y_21), Im(Y_12 - Y_21)).
 
-    Every (3, 3, N, E) stack is a view of `work` (`_workspace`), built once
-    per ascent by `ascend` and fresh for any other caller: props is reused for
-    X and then M, prefix for K, and the product stack for the chained blocks,
-    X C and then Psi.  Each entry is written before it is read in a call.
+    Every stack is a view of `work` (`_workspace`), built once per ascent by
+    `ascend` and fresh for any other caller, and no product operand is strided
+    or broadcast along the slots or pairs.  The product stack holds the
+    within-block prefixes row by row, then X C, then Psi; props the block
+    products (then copied into prefix), X, then M; prefix the block starts and
+    A_j, then K; V^dag, once X is formed, C tiled over the slots.  Each entry is
+    written before it is read in a call.
     """
     n, e = len(u), len(errors)
-    work = work or _workspace(n, errors)
-    props, v, vh, prefix, prod, tmp = map(_view, work, _stacks(n, errors))
-    t, tw, v, props = _bin_propagators(u, dt, errors, props, v)
-    vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
     size = math.isqrt(n)
     blocks = -(-n // size)
-    prefix[:, :, 0] = IDENTITY[..., None]  # [:n] becomes A_1 .. A_N, and [n] U
-    prefix[:, :, n + 1 :] = 0.0  # zeros pad the ragged last block
-    within = prefix[:, :, 1:]  # first U_j ... U_f, f the first bin of j's block
-    within[:, :, ::size] = props[:, :, ::size]
-    for j in range(1, size):  # prefix[:, :, j] is within[:, :, j - 1]
-        rows = within[:, :, j:n:size]
-        _matmul3(props[:, :, j::size], prefix[:, :, j:n:size], rows, _view(tmp, rows.shape))
-    chain = within[:, :, size - 1 :: size][:, :, : blocks - 1].copy()  # block products
-    for i in range(1, blocks - 1):
-        chain[:, :, i] = _matmul3(chain[:, :, i], chain[:, :, i - 1])
-    within = within.reshape((3, 3, blocks, size, e))
-    rest = (3, 3, blocks - 1, size, e)
-    within[:, :, 1:] = _matmul3(
-        within[:, :, 1:], chain[:, :, :, None], _view(prod, rest), _view(tmp, rest)
+    slots = size * blocks
+    slot = np.arange(slots).reshape(size, blocks).T.ravel()[:n]  # each bin's slot
+    work = work or _workspace(n, errors)
+    props, v, vh, prefix, prod, tmp = map(_view, work, _stacks(n, errors))
+    us, ts = np.zeros((slots, 4)), np.zeros(slots)  # pads: u = t = 0, so U = 1
+    us[slot], ts[slot] = u, dt
+    t, tw, v, props = _bin_propagators(us, ts, errors, props, v)
+    vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
+    bins = props.reshape((3, 3, size, blocks, e))
+    within = prod.reshape((size, 3, 3, blocks, e))  # U_j ... U_f, f a block's first bin
+    within[0] = bins[:, :, 0]
+    scratch = _view(tmp, (3, 3, blocks, e))
+    for j in range(1, size):
+        _matmul3(bins[:, :, j], within[j - 1], within[j], scratch)
+    pre = prefix.reshape((3, 3, size + 1, blocks, e))  # row 0 holds each block's start
+    ends, starts = within[-1], pre[:, :, 0]
+    starts[:, :, 0], starts[:, :, 1:2] = IDENTITY[..., None], ends[:, :, :1]
+    for b in range(2, blocks):  # block b's start: block b - 1's product times its start
+        starts[:, :, b : b + 1] = _matmul3(ends[:, :, b - 1 : b], starts[:, :, b - 1 : b])
+    within = np.moveaxis(within, 0, 2)
+    pre[:, :, 1:, 0] = within[:, :, :, 0]
+    rest = (3, 3, size, blocks - 1, e)  # whole in props, then copied: gapped adds are slow
+    pre[:, :, 1:, 1:] = _matmul3(
+        within[:, :, :, 1:], pre[:, :, :1, 1:], _view(props, rest), _view(tmp, rest)
     )
-    full = np.moveaxis(prefix[:, :, n], 2, 0).copy()  # U, (E, 3, 3)
+    full = np.moveaxis(pre[:, :, n - size * (blocks - 1), -1], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
-    x = _matmul3(vh, prefix[:, :, :n], props, tmp)  # X_j = V^dag A_j
+    x = _matmul3(vh, pre[:, :, :size].reshape(props.shape), props, tmp)  # X_j = V^dag A_j
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
-    xc = _matmul3(x, np.moveaxis(weighted, 0, 2)[:, :, None], prod, tmp)
+    vh[...] = np.moveaxis(weighted, 0, 2)[:, :, None]  # C, tiled over the slots
+    xc = _matmul3(x, vh, prod, tmp)
     k = _view(prefix, x.shape)
     _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), k, tmp)  # X C X^dag
     gap = tw[[0, 0, 1]] - tw[[2, 1, 2]]  # t (w_a - w_b), ab = 02, 01, 12
-    psi = _view(prod, (6, n, e))  # Psi_ab / (-i t) at ab = 20, 02, 10, 01, 21, 12
+    psi = _view(prod, (6, slots, e))  # Psi_ab / (-i t) at ab = 20, 02, 10, 01, 21, 12
     np.exp(np.multiply(gap, -0.5j, out=psi[1::2]), out=psi[1::2])
     psi[1::2] *= np.sinc(gap / TWO_PI)
     np.conjugate(psi[1::2], out=psi[::2])
-    m = _view(props, (7, n, e))  # M = K o Psi at the same ab, then M_00 - M_22
+    m = _view(props, (7, slots, e))  # M = K o Psi at the same ab, then M_00 - M_22
     for i, ab in enumerate(((2, 0), (0, 2), (1, 0), (0, 1), (2, 1), (1, 2))):
         np.multiply(k[ab], psi[i], out=m[i])
     np.subtract(k[0, 0], k[2, 2], out=m[6])
@@ -267,9 +284,9 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     bx, by = -np.conj(v[2, 1, :, 0]), np.conj(v[0, 1, :, 0])  # from V's dark column
     y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
     y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
-    grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1).real
+    grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1)
     value = float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
-    return value, grad - 2.0 * penalty * dt * u
+    return value, grad.real[slot] - 2.0 * penalty * dt * u
 
 
 def gradient(
@@ -292,7 +309,8 @@ def gradient(
 def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = p / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel pair, and the factors."""
     pairs = p.reshape(-1, 2, 2)
-    radial = np.sum(pairs * pairs, axis=-1, keepdims=True) / CONTROL_BOUND**2
+    sq = pairs * pairs
+    radial = (sq[..., :1] + sq[..., 1:]) / CONTROL_BOUND**2
     scale = 1.0 / np.sqrt(1.0 + radial)
     return (pairs * scale).reshape(p.shape), scale
 
@@ -333,7 +351,8 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
         if not math.isfinite(value):
             raise GrapeNumericsError("non-finite objective", iteration)
         pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)
-        inward = np.sum(pairs * g, axis=-1, keepdims=True) / CONTROL_BOUND**2
+        dot = pairs * g
+        inward = (dot[..., :1] + dot[..., 1:]) / CONTROL_BOUND**2
         return u, value, (scale * g - scale**3 * inward * pairs).reshape(params.shape)
 
     u, best, grad = evaluate(p, 0)

@@ -399,6 +399,7 @@ def test_reused_workspace_leaks_no_stale_entry():
         (ErrorKind.ORE, ore, 400),
         (NONE, (), 37),
         (ErrorKind.ORE, ore, 400),
+        (ErrorKind.ORE, ore, 61),  # 9 blocks of 7 slots: 2 pads, detuned
     )
     for seed, (kind, fractions, bins) in enumerate(calls):
         s = make_schedule(seed, bins=bins)
@@ -408,6 +409,39 @@ def test_reused_workspace_leaks_no_stale_entry():
         fresh_value, fresh_grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
         assert value == fresh_value == performance(s, USQ, kind, fractions, 0.01)
         assert np.array_equal(grad, fresh_grad)
+
+
+def _slab(x: np.ndarray) -> bool:
+    """The last two axes are C-contiguous, with no stride 0 on an axis longer than 1."""
+    (rows, cols), (down, across) = x.shape[-2:], x.strides[-2:]
+    if any(st == 0 for st, n in ((down, rows), (across, cols)) if n > 1):
+        return False
+    return (cols == 1 or across == x.itemsize) and (rows == 1 or down == cols * x.itemsize)
+
+
+@pytest.mark.parametrize(
+    "kind,fractions",
+    [(ErrorKind.PLE, np.linspace(-0.5, 0.5, 5)), (ErrorKind.ORE, np.linspace(-0.2, 0.2, 5))],
+)
+def test_objective_multiplies_contiguous_unbroadcast_slabs(monkeypatch, kind, fractions):
+    # Every product of the objective runs numpy's inner loops over whole
+    # (bin, pair) slabs: no operand is strided along the bins or broadcast
+    # along the bins or pairs, so no loop is only E entries long.
+    calls = []
+    real = grape_module._matmul3
+
+    def recorded(a, b, out=None, tmp=None):
+        out = real(a, b, out, tmp)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(grape_module, "_matmul3", recorded)
+    s = make_schedule(6, bins=400)
+    grape_module._objective(s.u, s.dt, error_pairs(kind, fractions), USQ, 0.01)
+    assert calls
+    for a, b, out in calls:
+        assert _slab(a) and _slab(b) and _slab(out)
+        assert a.shape[-2:] == b.shape[-2:] == out.shape[-2:]
 
 
 def test_warm_objective_allocates_no_stack():

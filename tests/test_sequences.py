@@ -227,6 +227,15 @@ def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
     assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
+def test_silent_bin_of_zero_duration_is_exactly_the_identity():
+    # The GRAPE objective pads its last block of bins with u = 0, t = 0 and
+    # relies on each pad multiplying as the exact identity under any pair:
+    # stretched or not, detuned either way (mixing angle 0 or pi/2).
+    pairs = np.array([(s, d) for s in (-0.5, 0.5) for d in (-0.2, 0.0, 0.2)])
+    props = bin_propagators(np.zeros((3, 4)), np.zeros(3), pairs)[3]
+    assert np.array_equal(props, np.broadcast_to(np.eye(3)[:, :, None, None], props.shape))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
     "kind, eps",

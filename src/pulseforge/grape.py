@@ -7,20 +7,11 @@ theta_m, u_r, theta_r), which `pulses_to_schedule` maps back by
 `sequences._drive_controls`, the drive map of the composites too.  The
 performance of a schedule against a target U_T is
 P = |Tr(U_T^dag U(T))|^2, averaged over a training set of systematic
-error fractions.  The prefix products of the bin propagators, formed over
-blocks of isqrt(N) bins in the product order of `sequences.gates`, give
-the objective and, by unitarity (C = U_T^dag U stands in for the backward
-products), its exact gradient: each bin exponential's divided difference
-Psi times K_j = (V^dag A_j) C (V^dag A_j)^dag in the bin eigenbasis V,
-which `sequences.bin_propagators` writes down in closed form as V = B R:
-the controls' bright and dark states B and a real mixing R.  Four entries
-of sum_e R (K o Psi) R^T, the pairs summed before B, give the gradient.
-All stacks are matrix-first (3, 3, slots, E): bin b isqrt(N) + j sits in
-slot j blocks + b, and identity bins pad the last block.  L-BFGS with
-Armijo backtracking (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011))
-ascends the objective over free parameters that map smoothly onto drives below
-Lambda = 1.  Each ascent owns one workspace of six such stacks, which every
-evaluation writes into in place of allocating its own.
+error fractions.  `_objective` gives it and its exact gradient in one
+sweep over the bin propagators, in the product order of `sequences.gates`.
+L-BFGS with Armijo backtracking (de Fouquieres et al., J. Magn. Reson. 212,
+412 (2011)) ascends it over free parameters that map smoothly onto drives
+below Lambda = 1, each ascent through one `_workspace`.
 
 Bin propagators and a schedule's gates come from `sequences`, the engine
 of the composite pulses too, so every scheme shares one error convention:
@@ -39,11 +30,11 @@ from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     ControlSchedule,
     ErrorKind,
-    _bin_propagators,
     _drive_controls,
     _error_terms,
     _matmul3,
     _write_text,
+    bin_propagators,
     error_pairs,
     propagator,
     sequential_gate,
@@ -168,22 +159,21 @@ def performance(
     return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
 
 
-def _stacks(bins: int, errors) -> list[tuple[int, ...]]:
-    """Shapes of `_objective`'s props, V, V^dag, prefix, product and scratch stacks
-    over size * blocks bin slots, size = isqrt(N); V's last axis is E or 1, and
-    prefix holds size + 1 rows of blocks."""
+def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
+    """One training problem's layout for `_objective`: each bin's slot, the padded
+    controls and durations, and its props, V (E or 1 columns), V^dag, prefix,
+    product and scratch stacks.  With size = isqrt(N) and N padded to size
+    blocks slots, bin b size + j sits in slot j blocks + b, and the pads stay
+    at u = t = 0.  The stacks are (3, 3, slots, E) but for V and the prefix,
+    which holds size + 1 rows of blocks."""
     e, ev = len(errors), len(_error_terms(1.0, 1, errors)[1])
     size = math.isqrt(bins)
     blocks = -(-bins // size)
-    widths = [(size * blocks, w) for w in (e, ev, e, e, e, e)]
-    widths[3] = ((size + 1) * blocks, e)
-    return [(3, 3) + w for w in widths]
-
-
-def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
-    """Flat buffers for `_stacks`, fit for any `_objective` call at no more N, E
-    (and, unless `errors` detune, none that detunes: V then has one column)."""
-    return tuple(np.empty(math.prod(s), dtype=complex) for s in _stacks(bins, errors))
+    slots = size * blocks
+    slot = np.arange(slots).reshape(size, blocks).T.ravel()[:bins]
+    stacks = [np.empty((3, 3, slots, w), dtype=complex) for w in (e, ev, e, e, e)]
+    stacks.insert(3, np.empty((3, 3, size + 1, blocks, e), dtype=complex))
+    return (slot, np.zeros((slots, 4)), np.zeros(slots), *stacks)
 
 
 def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
@@ -201,11 +191,10 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     so the value is that of `performance` bit for bit: over blocks of
     size = isqrt(N) bins, one bin step at a time for all blocks at once, then
     the block products chained into each block's start, then every A_j in one
-    batched multiply.  Slot j blocks + b holds bin b size + j, so each step is
-    one contiguous (3, 3, blocks, E) slab; slots past N pad the last block with
-    u = 0 and t = 0, whose propagator is exactly the identity, and the gradient
-    is taken per slot and mapped back to the bins.  With C = U_T^dag U, unitarity gives
-    U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
+    batched multiply.  In `_workspace`'s slots each step is one contiguous
+    (3, 3, blocks, E) slab, a pad's propagator is exactly the identity, and the
+    gradient is taken per slot and mapped back to the bins.  With
+    C = U_T^dag U, unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
     d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where Y_j = V M_j V^dag,
     M_j = K_j o Psi, K_j = (V^dag A_j) C (V^dag A_j)^dag and
     Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
@@ -222,24 +211,21 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     Y_12 = by* S_20 - bx S_21, Y_21 = by S_02 - bx* S_12, and the gradient is
     (Re(Y_01 + Y_10), Im(Y_10 - Y_01), Re(Y_12 + Y_21), Im(Y_12 - Y_21)).
 
-    Every stack is a view of `work` (`_workspace`), built once per ascent by
-    `ascend` and fresh for any other caller, and no product operand is strided
-    or broadcast along the slots or pairs.  The product stack holds the
-    within-block prefixes row by row, then X C, then Psi; props the block
-    products (then copied into prefix), X, then M; prefix the block starts and
-    A_j, then K; V^dag, once X is formed, C tiled over the slots.  Each entry is
-    written before it is read in a call.
+    `work` is `_workspace(N, errors)`, built once per ascent by `ascend` and
+    fresh for any other caller; one built for another N or E raises ValueError.
+    No product operand is strided or broadcast along the slots or pairs.  The
+    product stack holds the within-block prefixes row by row, then X C, then
+    Psi; props the block products (then copied into prefix), X, then M; prefix
+    the block starts and A_j, then K; V^dag, once X is formed, C tiled over the
+    slots.  Each entry is written before it is read in a call.
     """
     n, e = len(u), len(errors)
-    size = math.isqrt(n)
-    blocks = -(-n // size)
-    slots = size * blocks
-    slot = np.arange(slots).reshape(size, blocks).T.ravel()[:n]  # each bin's slot
-    work = work or _workspace(n, errors)
-    props, v, vh, prefix, prod, tmp = map(_view, work, _stacks(n, errors))
-    us, ts = np.zeros((slots, 4)), np.zeros(slots)  # pads: u = t = 0, so U = 1
-    us[slot], ts[slot] = u, dt
-    t, tw, v, props = _bin_propagators(us, ts, errors, props, v)
+    slot, us, ts, props, v, vh, pre, prod, tmp = work or _workspace(n, errors)
+    if (built := (len(slot), pre.shape[-1])) != (n, e):
+        raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
+    size, blocks = pre.shape[2] - 1, pre.shape[3]
+    us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U = 1
+    t, tw, v, props = bin_propagators(us, ts, errors, props, v)
     vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
     bins = props.reshape((3, 3, size, blocks, e))
     within = prod.reshape((size, 3, 3, blocks, e))  # U_j ... U_f, f a block's first bin
@@ -247,8 +233,7 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     scratch = _view(tmp, (3, 3, blocks, e))
     for j in range(1, size):
         _matmul3(bins[:, :, j], within[j - 1], within[j], scratch)
-    pre = prefix.reshape((3, 3, size + 1, blocks, e))  # row 0 holds each block's start
-    ends, starts = within[-1], pre[:, :, 0]
+    ends, starts = within[-1], pre[:, :, 0]  # pre's row 0 holds each block's start
     starts[:, :, 0], starts[:, :, 1:2] = IDENTITY[..., None], ends[:, :, :1]
     for b in range(2, blocks):  # block b's start: block b - 1's product times its start
         starts[:, :, b : b + 1] = _matmul3(ends[:, :, b - 1 : b], starts[:, :, b - 1 : b])
@@ -264,23 +249,23 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
     vh[...] = np.moveaxis(weighted, 0, 2)[:, :, None]  # C, tiled over the slots
     xc = _matmul3(x, vh, prod, tmp)
-    k = _view(prefix, x.shape)
+    k = _view(pre, x.shape)
     _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), k, tmp)  # X C X^dag
     gap = tw[[0, 0, 1]] - tw[[2, 1, 2]]  # t (w_a - w_b), ab = 02, 01, 12
-    psi = _view(prod, (6, slots, e))  # Psi_ab / (-i t) at ab = 20, 02, 10, 01, 21, 12
-    np.exp(np.multiply(gap, -0.5j, out=psi[1::2]), out=psi[1::2])
-    psi[1::2] *= np.sinc(gap / TWO_PI)
-    np.conjugate(psi[1::2], out=psi[::2])
-    m = _view(props, (7, slots, e))  # M = K o Psi at the same ab, then M_00 - M_22
-    for i, ab in enumerate(((2, 0), (0, 2), (1, 0), (0, 1), (2, 1), (1, 2))):
+    psi = prod.reshape(9, -1, e)[:6]  # Psi_ab / (-i t) at ab = 20, 10, 21, 02, 01, 12
+    np.exp(np.multiply(gap, -0.5j, out=psi[3:]), out=psi[3:])
+    psi[3:] *= np.sinc(gap / TWO_PI)
+    np.conjugate(psi[3:], out=psi[:3])
+    m = props.reshape(9, -1, e)[:7]  # M = K o Psi at the same ab, then M_00 - M_22
+    for i, ab in enumerate(((2, 0), (1, 0), (2, 1), (0, 2), (0, 1), (1, 2))):
         np.multiply(k[ab], psi[i], out=m[i])
     np.subtract(k[0, 0], k[2, 2], out=m[6])
     m *= -1j * t
     c, s = v[1, 2].real, v[1, 0].real  # R's mixing angle, V_12 and V_10, (N, E or 1)
     if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
         m = np.einsum("ine->in", m)[..., None]
-    s02, s20 = np.einsum("ine->in", s * s * m[:2] - c * c * m[1::-1] - c * s * m[6])
-    s12, s21 = np.einsum("ine->in", s * m[2:4] + c * m[5:3:-1])  # S = sum_e R M R^T
+    s02, s20 = np.einsum("ine->in", s * s * m[0:4:3] - c * c * m[3::-3] - c * s * m[6])
+    s12, s21 = np.einsum("ine->in", s * m[1:5:3] + c * m[5:1:-3])  # S = sum_e R M R^T
     bx, by = -np.conj(v[2, 1, :, 0]), np.conj(v[0, 1, :, 0])  # from V's dark column
     y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
     y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
@@ -307,12 +292,17 @@ def gradient(
 
 
 def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = p / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel pair, and the factors."""
+    """u = p / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel pair, and the factors.
+
+    Past |p| ~ 1e7 that factor rounds |u| up to the bound, so u is scaled by
+    at most (1 - 1e-12) CONTROL_BOUND / |p| instead; the returned factors,
+    which the chain rule takes, stay the smooth ones."""
     pairs = p.reshape(-1, 2, 2)
     sq = pairs * pairs
     radial = (sq[..., :1] + sq[..., 1:]) / CONTROL_BOUND**2
     scale = 1.0 / np.sqrt(1.0 + radial)
-    return (pairs * scale).reshape(p.shape), scale
+    limit = (1.0 - 1e-12) / np.sqrt(np.maximum(radial, 1e-300))  # floored: p = 0 is no 1/0
+    return (pairs * np.minimum(scale, limit)).reshape(p.shape), scale
 
 
 def _lbfgs_direction(grad: np.ndarray, history: list) -> np.ndarray:
@@ -492,8 +482,9 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
     Accepts a path or a text stream.  Rows must be bins 0..N-1 in order,
     N = bins when the config block gives it.  The bin duration comes from
     total_time/bins when the config block is present, otherwise from the
-    t_start column; bin j must start at j dt and drive u_m, u_r <= 1, both
-    to a relative 1e-9.  Any malformed input raises ValueError.
+    t_start column; (N - 1) dt and every drive value must be finite, and bin j
+    must start at j dt and drive u_m, u_r <= 1, both to a relative 1e-9.  Any
+    malformed input raises ValueError.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -529,11 +520,15 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         dt = rows[1][1] - rows[0][1]
     else:
         raise ValueError("cannot infer bin duration: no config block, single row")
+    if not math.isfinite(last := (len(rows) - 1) * dt):
+        raise ValueError(f"pulse checkpoint: last bin start (N - 1) dt = {last:g}")
     j = np.arange(len(rows))
     t_start = np.array([r[1] for r in rows])
     if not np.all(np.abs(t_start - j * dt) <= 1e-9 * np.maximum(j, 1) * dt):
         raise ValueError("pulse checkpoint: t_start is not bin * dt")
     pulses = np.array([(r[2], r[3] * PI, r[4], r[5] * PI) for r in rows])
+    if not np.all(np.isfinite(pulses)):
+        raise ValueError("pulse checkpoint: non-finite drive amplitude or phase")
     if not np.all(pulses[:, (0, 2)] <= 1.0 + 1e-9):
         raise ValueError("pulse checkpoint: drive amplitude above 1")
     return pulses_to_schedule(pulses, dt), meta

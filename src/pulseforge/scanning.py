@@ -65,9 +65,7 @@ class ErrorGrid:
         if n == 1:
             return cls(kind, (float(lo),))
         if lo == -hi and hi > 0:
-            m = n - 1
-            half = hi * ((2 * np.arange(n // 2, n) - m) / m)
-            pts = np.concatenate([-half[::-1][: n - half.size], half])
+            pts = hi * ((2 * np.arange(n) - (n - 1)) / (n - 1))
         else:
             pts = np.linspace(lo, hi, n)
         return cls(kind, tuple(float(p) for p in pts))

@@ -220,7 +220,7 @@ def _bin_exponentials(bright, times, drift, props=None):
     return c, s, tw, props
 
 
-def bin_propagators(controls, durations, errors):
+def bin_propagators(controls, durations, errors, props=None, v=None):
     """Every bin's exponential under the error pairs, matrix-first, unchecked.
 
     Arguments as for `bin_generators`.  Returns t (N, E), t w (3, N, E),
@@ -242,13 +242,9 @@ def bin_propagators(controls, durations, errors):
     e_k = e^{-i t w_k}, p = c^2 e_0 + s^2 e_2 and q = c s (e_2 - e_0),
     U_00 = |bx|^2 p + |by|^2 e_1, U_22 = |by|^2 p + |bx|^2 e_1,
     U_11 = s^2 e_0 + c^2 e_2, (U_02, U_20) = (bx by*, by bx*) (p - e_1),
-    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q.
+    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q.  U and V are written
+    into `props` and `v` when given, and returned.
     """
-    return _bin_propagators(controls, durations, errors)
-
-
-def _bin_propagators(controls, durations, errors, props=None, v=None):
-    """`bin_propagators`, with U and V written into `props` and `v` when given."""
     bright = _bright_states(controls)
     times, drift = _error_terms(durations, len(bright[0]), errors)
     c, s, tw, props = _bin_exponentials(bright, times, drift, props)

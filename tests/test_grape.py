@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import USQ, X20, X23, Y20, Y23, ZHAT, probe_gradient_fd
@@ -386,29 +386,42 @@ def test_objective_value_is_penalized_performance():
 
 
 def test_reused_workspace_leaks_no_stale_entry():
-    # One NaN-filled workspace serves calls of other shapes in turn: PLE
-    # (V of one column), ORE, 37 bins under NONE (a ragged last block of
-    # isqrt(37) = 6), then ORE again.  An entry read before the call writes
+    # Each problem's workspace, its complex stacks NaN-filled, serves two
+    # calls with different controls: PLE (V of one column), ORE, 37 bins under
+    # NONE (a ragged last block of isqrt(37) = 6), and 61 ORE bins (9 blocks of
+    # 7 slots, 2 of them detuned pads).  An entry read before the call writes
     # it would raise here or differ from a fresh workspace's result.
     ore = tuple(np.linspace(-0.2, 0.2, 5))
-    work = grape_module._workspace(400, error_pairs(ErrorKind.ORE, ore))
-    for stack in work:
-        stack.fill(np.nan)
-    calls = (
+    problems = (
         (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 5)), 400),
         (ErrorKind.ORE, ore, 400),
         (NONE, (), 37),
-        (ErrorKind.ORE, ore, 400),
-        (ErrorKind.ORE, ore, 61),  # 9 blocks of 7 slots: 2 pads, detuned
+        (ErrorKind.ORE, ore, 61),
     )
-    for seed, (kind, fractions, bins) in enumerate(calls):
-        s = make_schedule(seed, bins=bins)
+    for kind, fractions, bins in problems:
         pairs = error_pairs(kind, fractions)
-        with np.errstate(all="raise"):
-            value, grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
-        fresh_value, fresh_grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
-        assert value == fresh_value == performance(s, USQ, kind, fractions, 0.01)
-        assert np.array_equal(grad, fresh_grad)
+        work = grape_module._workspace(bins, pairs)
+        for stack in work:
+            if stack.dtype == complex:
+                stack.fill(np.nan)
+        for seed in (bins, bins + 1):
+            s = make_schedule(seed, bins=bins)
+            with np.errstate(all="raise"):
+                value, grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
+            fresh_value, fresh_grad = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+            assert value == fresh_value == performance(s, USQ, kind, fractions, 0.01)
+            assert np.array_equal(grad, fresh_grad)
+
+
+@pytest.mark.parametrize(
+    "bins,kind,fractions", [(61, ErrorKind.ORE, (0.1, 0.2)), (60, NONE, ())]
+)
+def test_workspace_of_another_problem_raises(bins, kind, fractions):
+    # Built for 60 bins and 2 ORE pairs: another N (61) or E (1) is refused.
+    work = grape_module._workspace(60, error_pairs(ErrorKind.ORE, (-0.1, 0.1)))
+    s = make_schedule(0, bins=bins)
+    with pytest.raises(ValueError, match=r"workspace built for \(N, E\) = \(60, 2\)"):
+        grape_module._objective(s.u, s.dt, error_pairs(kind, fractions), USQ, 0.01, work)
 
 
 def _slab(x: np.ndarray) -> bool:
@@ -463,17 +476,18 @@ def test_warm_objective_allocates_no_stack():
 
 
 def test_ascend_builds_one_workspace_and_releases_it(monkeypatch):
-    built = []
+    built, stacks = [], []
     real = grape_module._workspace
 
     def recorded(bins, errors):
-        work = real(bins, errors)
-        built.append([weakref.ref(stack) for stack in work])
+        work = real(bins, errors)  # slots, padded controls and durations, stacks
+        stacks.append(sum(a.ndim > 2 and a.shape[:2] == (3, 3) for a in work))
+        built.append([weakref.ref(a) for a in work])
         return work
 
     monkeypatch.setattr(grape_module, "_workspace", recorded)
     ascend(GrapeConfig(ErrorKind.ORE, (-0.1, 0.1), bins=20, max_iterations=5))
-    assert len(built) == 1 and len(built[0]) <= 6
+    assert len(built) == 1 and stacks[0] <= 6
     assert all(ref() is None for ref in built[0])
 
 
@@ -516,15 +530,19 @@ def test_gradient_points_uphill():
         assert j1 > j0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4), min_size=1, max_size=8
+        st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4), min_size=1, max_size=8
     )
 )
+@example([[7345674.4273256315, 30842141.053606045, -6386884.125355514, 9834651.525886493]])
+@example([[0.0, 0.0, 0.0, 0.0]])
 def test_drive_map_keeps_amplitudes_below_lambda(rows):
     # The ascent's parameters map onto drives strictly inside the bound,
-    # keeping each channel pair's direction.
+    # keeping each channel pair's direction.  The smooth map alone rounds
+    # the first example's MW amplitude up to exactly 1.
     p = np.array(rows)
     u, _ = grape_module._drives(p)
     pulses = schedule_to_pulses(ControlSchedule(u, 0.1))
@@ -611,10 +629,18 @@ def test_ascend_trace_monotone(small_run):
     assert small_run.performance == pytest.approx(trace[-1])
 
 
-def test_ascend_respects_bound(small_run):
-    u = small_run.schedule.u
-    assert np.all(np.hypot(u[:, 0], u[:, 1]) < 0.5)
-    assert np.all(np.hypot(u[:, 2], u[:, 3]) < 0.5)
+@pytest.fixture(scope="module")
+def full_power_run():
+    # At 2 pi most channel pairs end at the bound, where |p| grows past 1e7.
+    ore = tuple(np.linspace(-0.2, 0.2, 5))
+    return ascend(GrapeConfig(ErrorKind.ORE, ore, 2 * PI, 60, max_iterations=300, seed=1))
+
+
+def test_ascend_respects_bound(small_run, full_power_run):
+    for run in (small_run, full_power_run):
+        u = run.schedule.u
+        assert np.all(np.hypot(u[:, 0], u[:, 1]) < 0.5)
+        assert np.all(np.hypot(u[:, 2], u[:, 3]) < 0.5)
 
 
 def test_ascend_deterministic(small_run):
@@ -788,6 +814,7 @@ _CHECKPOINT_LINES = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
@@ -798,15 +825,32 @@ _CHECKPOINT_LINES = [
         ).map(lambda rows: "\n".join([PULSE_CSV_HEADER, *rows])),
     )
 )
+@example(f"{PULSE_CSV_HEADER}\n0,0,0.5,1,0.25,0.5\n1,1e308,0,0,0,0\n2,inf,0.1,0,0.1,0")
 def test_import_pulse_csv_fails_only_with_value_error(text):
     # Whatever the text, the parser returns a schedule or raises
-    # ValueError, the error the CLI reports as an I/O failure (exit 3).
+    # ValueError, the error the CLI reports as an I/O failure (exit 3),
+    # with no numpy warning on the way.  The example infers dt = 1e308, so
+    # bin 2 would start at 2e308.
     try:
         schedule, _ = import_pulse_csv(io.StringIO(text))
     except ValueError:
         return
     pulses = schedule_to_pulses(schedule)
     assert np.all(pulses[:, (0, 2)] <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["0,0,nan,0,0,0", "1,0.1,0.5,0,0,0"], "non-finite drive"),
+        (["0,0,0.5,inf,0,0", "1,0.1,0.5,0,0,0"], "non-finite drive"),
+        (["0,0,0.5,0,0,0", "# bins=1", "# total_time=inf"], "last bin start"),
+        (["0,0,0.5,0,0,0", "1,inf,0.5,0,0,0"], "last bin start"),
+    ],
+)
+def test_import_pulse_csv_names_non_finite_values(rows, message):
+    with pytest.raises(ValueError, match=message):
+        import_pulse_csv(io.StringIO("\n".join([PULSE_CSV_HEADER, *rows])))
 
 
 def test_import_pulse_csv_reads_retired_ascent_keys(small_run):

@@ -236,6 +236,27 @@ def test_silent_bin_of_zero_duration_is_exactly_the_identity():
     assert np.array_equal(props, np.broadcast_to(np.eye(3)[:, :, None, None], props.shape))
 
 
+@pytest.mark.parametrize(
+    "errors",
+    [
+        error_pairs(ErrorKind.PLE, (-0.3, 0.2)),
+        error_pairs(ErrorKind.ORE, (-0.2, 0.1)),
+        MIXED_PAIRS,
+    ],
+)
+def test_bin_propagators_write_into_given_stacks(errors):
+    # The GRAPE objective hands in its workspace's U and V stacks, NaN-filled
+    # here: both come back as the very arrays given, equal to a fresh call's.
+    rng = np.random.default_rng(4)
+    controls, durations = rng.uniform(-0.5, 0.5, size=(7, 4)), rng.uniform(0.1, 0.3, 7)
+    t, tw, v, props = bin_propagators(controls, durations, errors)
+    given_props, given_v = np.full_like(props, np.nan), np.full_like(v, np.nan)
+    got = bin_propagators(controls, durations, errors, given_props, given_v)
+    assert got[3] is given_props and got[2] is given_v
+    for fresh, written in zip((t, tw, v, props), got):
+        assert fresh.shape == written.shape and fresh.tobytes() == written.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
     "kind, eps",

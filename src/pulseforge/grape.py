@@ -162,18 +162,18 @@ def performance(
 def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
     """One training problem's layout for `_objective`: each bin's slot, the padded
     controls and durations, and its props, V (E or 1 columns), V^dag, prefix,
-    product and scratch stacks.  With size = isqrt(N) and N padded to size
+    product, scratch and Psi stacks.  With size = isqrt(N) and N padded to size
     blocks slots, bin b size + j sits in slot j blocks + b, and the pads stay
-    at u = t = 0.  The stacks are (3, 3, slots, E) but for V and the prefix,
-    which holds size + 1 rows of blocks."""
+    at u = t = 0.  The stacks are (3, 3, slots, E) but for V, the prefix, which
+    holds size + 1 rows of (3, 3, blocks, E), and Psi, (6, slots, E)."""
     e, ev = len(errors), len(_error_terms(1.0, 1, errors)[1])
     size = math.isqrt(bins)
     blocks = -(-bins // size)
     slots = size * blocks
     slot = np.arange(slots).reshape(size, blocks).T.ravel()[:bins]
     stacks = [np.empty((3, 3, slots, w), dtype=complex) for w in (e, ev, e, e, e)]
-    stacks.insert(3, np.empty((3, 3, size + 1, blocks, e), dtype=complex))
-    return (slot, np.zeros((slots, 4)), np.zeros(slots), *stacks)
+    stacks.insert(3, np.empty((size + 1, 3, 3, blocks, e), dtype=complex))
+    return (slot, np.zeros((slots, 4)), np.zeros(slots), *stacks, np.empty((6, slots, e), complex))
 
 
 def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
@@ -187,21 +187,22 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
 
     One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag,
     written out entry by entry (`sequences.bin_propagators`, (3, 3, N, E)),
-    gives A_j = U_{j-1} ... U_1 and U = U_N A_N in the order of `sequences.gates`,
-    so the value is that of `performance` bit for bit: over blocks of
-    size = isqrt(N) bins, one bin step at a time for all blocks at once, then
-    the block products chained into each block's start, then every A_j in one
-    batched multiply.  In `_workspace`'s slots each step is one contiguous
-    (3, 3, blocks, E) slab, a pad's propagator is exactly the identity, and the
-    gradient is taken per slot and mapped back to the bins.  With
-    C = U_T^dag U, unitarity gives U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so
-    d Tr(U_T^dag U) / du_jk = Tr(Y_j H_k), where Y_j = V M_j V^dag,
-    M_j = K_j o Psi, K_j = (V^dag A_j) C (V^dag A_j)^dag and
-    Psi_ab = -i t e^{-i t (w_a - w_b)/2} sinc(t (w_a - w_b) / 2), the
-    divided difference of the bin exponential times e^{i t w_b}.  Psi / (-i t)
-    is 1 on the diagonal and conjugate across it, so only the three gaps
-    a < b, (3, N, E), are exponentiated.  C carries each pair's weight
-    (2/E) conj(Tr(U_T^dag U)), so the gradient is Re Tr(sum_e Y_je H_k).
+    gives U = U_N ... U_1 in the order of `sequences.gates`, so the value is
+    that of `performance` bit for bit: over blocks of size = isqrt(N) bins,
+    one bin step at a time for all blocks at once gives the within-block
+    prefixes W_j = U_{j-1} ... U_f (1 at a block's first bin f), the block
+    products chain into the block starts S_b, and U is the last block's
+    product times its start.  In `_workspace`'s slots each step is one
+    contiguous (3, 3, blocks, E) slab, a pad's propagator is exactly the
+    identity, and the gradient is taken per slot and mapped back to the bins.
+    With A_j = U_{j-1} ... U_1 = W_j S_b and C = U_T^dag U, unitarity gives
+    U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so d Tr(U_T^dag U) / du_jk =
+    Tr(Y_j H_k), where Y_j = V M_j V^dag, M_j = K_j o Psi and
+    K_j = (V^dag A_j) C (V^dag A_j)^dag = X_j C_b X_j^dag, with X_j = V^dag W_j
+    and the block weights C_b = S_b C S_b^dag: no A_j is formed.  Psi, the
+    divided difference of the bin exponential times e^{i t w_b}, comes from
+    `bin_propagators`.  C carries each pair's weight (2/E) conj(Tr(U_T^dag U)),
+    so the gradient is Re Tr(sum_e Y_je H_k).
 
     Y is never formed: V = B R with B = [(bx, 0, by) | (by*, 0, -bx*) | |2>]
     and the real R = [[-c, 0, s], [0, 1, 0], [s, 0, c]].  B's middle row is
@@ -214,53 +215,47 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     `work` is `_workspace(N, errors)`, built once per ascent by `ascend` and
     fresh for any other caller; one built for another N or E raises ValueError.
     No product operand is strided or broadcast along the slots or pairs.  The
-    product stack holds the within-block prefixes row by row, then X C, then
-    Psi; props the block products (then copied into prefix), X, then M; prefix
-    the block starts and A_j, then K; V^dag, once X is formed, C tiled over the
-    slots.  Each entry is written before it is read in a call.
+    prefix stack holds the W_j row by row, then the chain of (3, 3, E) starts,
+    S_b C and K; props the U_j, the W_j in slot order, the block products,
+    C then C_b, X C and M; the product stack X; V^dag the S_b, then C_b tiled
+    over each block's slots.  Each entry is written before it is read.
     """
     n, e = len(u), len(errors)
-    slot, us, ts, props, v, vh, pre, prod, tmp = work or _workspace(n, errors)
+    slot, us, ts, props, v, vh, pre, prod, tmp, psi = work or _workspace(n, errors)
     if (built := (len(slot), pre.shape[-1])) != (n, e):
         raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
-    size, blocks = pre.shape[2] - 1, pre.shape[3]
+    size, blocks = pre.shape[0] - 1, pre.shape[3]
     us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U = 1
-    t, tw, v, props = bin_propagators(us, ts, errors, props, v)
+    t, _, v, props = bin_propagators(us, ts, errors, props, v, psi)
     vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
-    bins = props.reshape((3, 3, size, blocks, e))
-    within = prod.reshape((size, 3, 3, blocks, e))  # U_j ... U_f, f a block's first bin
-    within[0] = bins[:, :, 0]
-    scratch = _view(tmp, (3, 3, blocks, e))
+    bins, scratch = props.reshape((3, 3, size, blocks, e)), _view(tmp, pre.shape[1:])
+    pre[0], pre[1] = IDENTITY[..., None, None], bins[:, :, 0]
     for j in range(1, size):
-        _matmul3(bins[:, :, j], within[j - 1], within[j], scratch)
-    ends, starts = within[-1], pre[:, :, 0]  # pre's row 0 holds each block's start
-    starts[:, :, 0], starts[:, :, 1:2] = IDENTITY[..., None], ends[:, :, :1]
-    for b in range(2, blocks):  # block b's start: block b - 1's product times its start
-        starts[:, :, b : b + 1] = _matmul3(ends[:, :, b - 1 : b], starts[:, :, b - 1 : b])
-    within = np.moveaxis(within, 0, 2)
-    pre[:, :, 1:, 0] = within[:, :, :, 0]
-    rest = (3, 3, size, blocks - 1, e)  # whole in props, then copied: gapped adds are slow
-    pre[:, :, 1:, 1:] = _matmul3(
-        within[:, :, :, 1:], pre[:, :, :1, 1:], _view(props, rest), _view(tmp, rest)
-    )
-    full = np.moveaxis(pre[:, :, n - size * (blocks - 1), -1], 2, 0).copy()  # U, (E, 3, 3)
+        _matmul3(bins[:, :, j], pre[j], pre[j + 1], scratch)
+    np.copyto(bins, np.moveaxis(pre[:size], 0, 2))  # W_j, in the slots
+    x = _matmul3(vh, props, prod, tmp)  # X_j = V^dag W_j
+    ends = _view(props, (blocks, 3, 3, e))  # each block's product, its pads exactly 1
+    ends[...] = np.moveaxis(pre[size], 2, 0)
+    chain = _view(pre, (blocks + 1, 3, 3, e))  # S_0 = 1, S_1, ..., then U
+    chain[0], chain[1] = IDENTITY[..., None], ends[0]
+    for b in range(1, blocks):
+        _matmul3(ends[b], chain[b], chain[b + 1], _view(tmp, (3, 3, e)))
+    full = np.moveaxis(chain[-1], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
-    x = _matmul3(vh, pre[:, :, :size].reshape(props.shape), props, tmp)  # X_j = V^dag A_j
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
-    vh[...] = np.moveaxis(weighted, 0, 2)[:, :, None]  # C, tiled over the slots
-    xc = _matmul3(x, vh, prod, tmp)
-    k = _view(pre, x.shape)
-    _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), k, tmp)  # X C X^dag
-    gap = tw[[0, 0, 1]] - tw[[2, 1, 2]]  # t (w_a - w_b), ab = 02, 01, 12
-    psi = prod.reshape(9, -1, e)[:6]  # Psi_ab / (-i t) at ab = 20, 10, 21, 02, 01, 12
-    np.exp(np.multiply(gap, -0.5j, out=psi[3:]), out=psi[3:])
-    psi[3:] *= np.sinc(gap / TWO_PI)
-    np.conjugate(psi[3:], out=psi[:3])
-    m = props.reshape(9, -1, e)[:7]  # M = K o Psi at the same ab, then M_00 - M_22
+    starts, cb = _view(vh, scratch.shape), _view(props, scratch.shape)
+    starts[...] = np.moveaxis(chain[:blocks], 0, 2)  # S_b and C over the blocks
+    cb[...] = np.moveaxis(weighted, 0, 2)[:, :, None]
+    sc = _matmul3(starts, cb, _view(pre, scratch.shape), scratch)
+    _matmul3(sc, np.swapaxes(np.conjugate(starts, out=starts), 0, 1), cb, scratch)
+    vh.reshape(bins.shape)[...] = cb[:, :, None]  # C_b, tiled over each block's slots
+    xc = _matmul3(x, vh, props, tmp)
+    k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), _view(pre, x.shape), tmp)
+    m = props.reshape(9, -1, e)[:7]  # M = K o Psi at ab = 20, 10, 21, 02, 01, 12, then M_00 - M_22
     for i, ab in enumerate(((2, 0), (1, 0), (2, 1), (0, 2), (0, 1), (1, 2))):
         np.multiply(k[ab], psi[i], out=m[i])
     np.subtract(k[0, 0], k[2, 2], out=m[6])
-    m *= -1j * t
+    m[6] *= -1j * t
     c, s = v[1, 2].real, v[1, 0].real  # R's mixing angle, V_12 and V_10, (N, E or 1)
     if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
         m = np.einsum("ine->in", m)[..., None]
@@ -482,9 +477,9 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
     Accepts a path or a text stream.  Rows must be bins 0..N-1 in order,
     N = bins when the config block gives it.  The bin duration comes from
     total_time/bins when the config block is present, otherwise from the
-    t_start column; (N - 1) dt and every drive value must be finite, and bin j
-    must start at j dt and drive u_m, u_r <= 1, both to a relative 1e-9.  Any
-    malformed input raises ValueError.
+    t_start column; dt must be positive, (N - 1) dt and every drive value
+    finite, and bin j must start at j dt and drive u_m, u_r <= 1, both to a
+    relative 1e-9.  Any malformed input raises ValueError.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -520,11 +515,11 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         dt = rows[1][1] - rows[0][1]
     else:
         raise ValueError("cannot infer bin duration: no config block, single row")
-    if not math.isfinite(last := (len(rows) - 1) * dt):
-        raise ValueError(f"pulse checkpoint: last bin start (N - 1) dt = {last:g}")
+    if not (math.isfinite(last := (len(rows) - 1) * dt) and dt > 0.0):
+        raise ValueError(f"pulse checkpoint: dt = {dt:g}, last bin start (N - 1) dt = {last:g}")
     j = np.arange(len(rows))
-    t_start = np.array([r[1] for r in rows])
-    if not np.all(np.abs(t_start - j * dt) <= 1e-9 * np.maximum(j, 1) * dt):
+    half = np.array([r[1] for r in rows]) / 2.0 - j * (dt / 2.0)  # halved, so finite
+    if not np.all(np.abs(half) <= 1e-9 * np.maximum(j, 1) * (dt / 2.0)):
         raise ValueError("pulse checkpoint: t_start is not bin * dt")
     pulses = np.array([(r[2], r[3] * PI, r[4], r[5] * PI) for r in rows])
     if not np.all(np.isfinite(pulses)):

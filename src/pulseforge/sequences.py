@@ -16,8 +16,9 @@ to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
 eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
 detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  Only
 `_error_terms` applies the pairs and only `_bin_exponentials` exponentiates
-bins, into matrix-first (3, 3, N, E) stacks; `gates` multiplies them by
-`_matmul3`, the GRAPE objective differentiates them, and `propagator`
+bins, by real cos and sin, into matrix-first (3, 3, N, E) stacks; `gates`
+multiplies them by `_matmul3`, the GRAPE objective differentiates them by
+the Psi stack `bin_propagators` writes on request, and `propagator`
 returns a pulse's (E, 3, 3) gates at an `ErrorKind` and E fractions.
 
 Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
@@ -196,10 +197,11 @@ def _bright_states(controls):
     return tuple(term[:, None] for term in terms)
 
 
-def _bin_exponentials(bright, times, drift, props=None):
-    """The mixing angle's cos and sin, t w (3, N, E) and the bin propagators
-    (3, 3, N, E), written entry by entry into `props` or a new stack, from
-    the durations (E, N) and drift of `_error_terms` (`bin_propagators`)."""
+def _bin_exponentials(bright, times, drift, props=None, psi=None):
+    """The mixing angle's cos and sin, t w and e^{-i t w} (3, N, E) and the bin
+    propagators (3, 3, N, E), written entry by entry into `props` or a new
+    stack, from the durations (E, N) and drift of `_error_terms`; with `psi`
+    (6, N, E), also Psi there, its reals held in its own planes."""
     r, bx, by, bx2, by2, bxy = bright
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
     phi = 0.5 * np.arctan2(2.0 * r, b - a)
@@ -207,7 +209,9 @@ def _bin_exponentials(bright, times, drift, props=None):
     m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), r)
     tw = np.empty((3,) + times.T.shape)  # t w, w = (m - h, a, m + h)
     tw[0], tw[1], tw[2] = times.T * (m - h), times.T * a, times.T * (m + h)
-    e0, e1, e2 = np.exp(-1j * tw)
+    e0, e1, e2 = phases = np.empty(tw.shape, dtype=complex)  # as np.exp(-1j * tw)
+    np.cos(tw, out=phases.real)
+    np.negative(np.sin(tw, out=phases.imag), out=phases.imag)
     cc, ss = c * c, s * s
     p, q = cc * e0 + ss * e2, c * s * (e2 - e0)
     props = np.empty((3, 3) + tw.shape[1:], dtype=complex) if props is None else props
@@ -217,10 +221,21 @@ def _bin_exponentials(bright, times, drift, props=None):
     props[0, 2], props[2, 0] = bxy * p, bxy.conj() * p
     props[0, 1], props[2, 1] = bx * q, by * q
     props[1, 0], props[1, 2] = bx.conj() * q, by.conj() * q
-    return c, s, tw, props
+    if psi is not None:  # Psi_ab = -i t e^{-i theta} sinc theta at the half gaps theta
+        theta, sinc, sin, cos = psi[:3].real, psi[:3].imag, psi[3:].real, psi[3:].imag
+        np.multiply(tw[[0, 0, 1]] - tw[[2, 1, 2]], 0.5, out=theta)  # ab = 02, 01, 12
+        np.sin(theta, out=sin)
+        np.cos(theta, out=cos)
+        sinc.fill(1.0)  # its limit at theta = 0
+        np.divide(sin, theta, out=sinc, where=theta != 0.0)
+        sinc *= -times.T
+        sin *= sinc
+        cos *= sinc
+        np.negative(np.conjugate(psi[3:], out=psi[:3]), out=psi[:3])  # Psi_ba = -Psi_ab*
+    return c, s, tw, phases, props
 
 
-def bin_propagators(controls, durations, errors, props=None, v=None):
+def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
     """Every bin's exponential under the error pairs, matrix-first, unchecked.
 
     Arguments as for `bin_generators`.  Returns t (N, E), t w (3, N, E),
@@ -242,12 +257,15 @@ def bin_propagators(controls, durations, errors, props=None, v=None):
     e_k = e^{-i t w_k}, p = c^2 e_0 + s^2 e_2 and q = c s (e_2 - e_0),
     U_00 = |bx|^2 p + |by|^2 e_1, U_22 = |by|^2 p + |bx|^2 e_1,
     U_11 = s^2 e_0 + c^2 e_2, (U_02, U_20) = (bx by*, by bx*) (p - e_1),
-    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q.  U and V are written
-    into `props` and `v` when given, and returned.
+    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q, each e_k by one real cos
+    and sin.  U and V are written into `props` and `v` when given, and
+    returned; a (6, N, E) `psi` gets Psi_ab = -i t e^{-i theta} sinc theta,
+    theta = t (w_a - w_b)/2, at ab = 20, 10, 21, 02, 01, 12 from one cos and
+    sin of theta, sinc theta = sin theta / theta (1 at 0), Psi_ba = -Psi_ab*.
     """
     bright = _bright_states(controls)
     times, drift = _error_terms(durations, len(bright[0]), errors)
-    c, s, tw, props = _bin_exponentials(bright, times, drift, props)
+    c, s, tw, _, props = _bin_exponentials(bright, times, drift, props, psi)
     bx, by = bright[1:3]
     v = np.empty((3, 3) + c.shape, dtype=complex) if v is None else v
     v[0, 0], v[1, 0], v[2, 0] = -c * bx, s, -c * by
@@ -283,7 +301,7 @@ def gates(controls, durations, errors) -> np.ndarray:
         for start in range(first, min(first + size, n), step):
             chunk = slice(start, min(start + step, first + size))
             bins = [t[chunk] for t in bright]
-            props = _bin_exponentials(bins, scale * times[chunk], drift)[3]
+            props = _bin_exponentials(bins, scale * times[chunk], drift)[-1]
             for prop in np.moveaxis(props, 2, 0):
                 block = prop if block is None else _matmul3(prop, block, tmp=tmp)
         out = block if out is None else _matmul3(block, out, tmp=tmp)

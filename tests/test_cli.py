@@ -336,6 +336,18 @@ def test_compare_rejects_truncated_pulse_file(runner, tmp_path, tiny_pulse):
     assert not (tmp_path / "ple_compare.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compare_rejects_t_starts_near_the_float_limit(runner, tmp_path):
+    # Starts 0, -1e307, 1.7e308: dt = -1e307 is refused before any t_start
+    # arithmetic could overflow, so even with warnings as errors it is an I/O
+    # failure, not a crash.
+    bad = tmp_path / "huge.csv"
+    rows = ["0,0,0,0,0,0", "1,-1e307,0,0,0,0", "2,1.7e308,0,0,0,0"]
+    bad.write_text("\n".join(["bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi", *rows]))
+    result = runner.invoke(main, ["compare", "--grape-pulse", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+
+
 def test_compare_requires_pulse_option(runner, tmp_path):
     result = runner.invoke(main, ["compare", "--out", str(tmp_path)])
     assert result.exit_code == 2

@@ -367,6 +367,40 @@ def test_objective_gradient_on_mixed_pairs_matches_van_loan_reference():
         assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+SMALL_PAIRS = {
+    "none": error_pairs(NONE, ()),
+    "ple": error_pairs(ErrorKind.PLE, (-0.5, 0.0, 0.5)),
+    "ore": error_pairs(ErrorKind.ORE, (-0.2, 0.1)),
+    "mixed": np.array([(-0.3, 0.1), (0.2, -0.15), (0.0, 0.2)]),
+}
+
+
+@pytest.mark.parametrize("pairs", SMALL_PAIRS.values(), ids=SMALL_PAIRS.keys())
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 5, 8, 9])
+def test_objective_gradient_at_small_sizes_matches_van_loan_reference(bins, pairs):
+    # isqrt(N)-bin blocks: one block (1 bin), one-bin blocks (2, 3), a ragged
+    # last block (5, 8), and chains of 0 to 2 block steps past the first.
+    # Bin 1, when there is one, is silent.
+    u = make_schedule(41 + bins, bins=bins, total_time=2 * PI, scale=0.4).u.copy()
+    u[1:2] = 0.0
+    s = ControlSchedule(u, 2 * PI / bins)
+    _, g = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+    ref = van_loan_gradient(s, pairs, 0.01)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bins", [1, 4, 5])
+def test_objective_gradient_of_a_silent_schedule_matches_van_loan_reference(bins):
+    # Under NONE every bin of a silent schedule has H = 0, so every gap is
+    # zero and Psi is -i t (sinc's limit) throughout.
+    s = ControlSchedule(np.zeros((bins, 4)), 2 * PI / bins)
+    pairs = error_pairs(NONE, ())
+    _, g = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+    ref = van_loan_gradient(s, pairs, 0.01)
+    assert np.max(np.abs(ref)) > 0.1
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_objective_value_is_penalized_performance():
     # The one sweep takes the objective from the same forward product as
     # the gate stack of `performance`, bit for bit, at every bin count
@@ -849,6 +883,25 @@ def test_import_pulse_csv_fails_only_with_value_error(text):
     ],
 )
 def test_import_pulse_csv_names_non_finite_values(rows, message):
+    with pytest.raises(ValueError, match=message):
+        import_pulse_csv(io.StringIO("\n".join([PULSE_CSV_HEADER, *rows])))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # dt = -1e307 from the t_start column; bin 2 would be 1.9e308 off.
+        (["0,0,0,0,0,0", "1,-1e307,0,0,0,0", "2,1.7e308,0,0,0,0"], "dt = -1e\\+307"),
+        # dt = 1e307 > 0, but bin 2 starts 1.9e308 before 2 dt.
+        (["0,0,0,0,0,0", "1,1e307,0,0,0,0", "2,-1.7e308,0,0,0,0"], "t_start is not"),
+        (["0,0,0,0,0,0", "1,0,0,0,0,0"], "dt = 0,"),
+        (["0,0,0.5,0,0,0", "1,0.1,0.5,0,0,0", "# bins=2", "# total_time=-1"], "dt = -0.5"),
+    ],
+)
+def test_import_pulse_csv_rejects_steps_and_starts_near_the_float_limit(rows, message):
+    # Every step must be positive and every t_start is compared with j dt
+    # without overflowing, so each of these is a ValueError and no warning.
     with pytest.raises(ValueError, match=message):
         import_pulse_csv(io.StringIO("\n".join([PULSE_CSV_HEADER, *rows])))
 

@@ -1,6 +1,7 @@
 """Pulse schedules: the bare gate, its error response, and the composites."""
 
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,15 @@ from pulseforge import (
     ErrorKind,
     composite,
     gate_fidelity,
+    import_pulse_csv,
     propagator,
     sequence_table,
     sequential_gate,
 )
 from pulseforge.sequences import (
+    _bin_exponentials,
+    _bright_states,
+    _error_terms,
     _matmul3,
     bin_generators,
     bin_propagators,
@@ -255,6 +260,47 @@ def test_bin_propagators_write_into_given_stacks(errors):
     assert got[3] is given_props and got[2] is given_v
     for fresh, written in zip((t, tw, v, props), got):
         assert fresh.shape == written.shape and fresh.tobytes() == written.tobytes()
+
+
+def sinc_reference_psi(t, tw):
+    """Psi at ab = 20, 10, 21, 02, 01, 12 by np.exp and np.sinc, (6, N, E)."""
+    theta = 0.5 * (tw[[0, 0, 1]] - tw[[2, 1, 2]])
+    ab = -1j * t * np.exp(-1j * theta) * np.sinc(theta / np.pi)
+    return np.concatenate((-ab.conj(), ab))
+
+
+def assert_psi_matches_sinc_reference(controls, durations, errors):
+    psi = np.full((6, len(controls), len(errors)), np.nan, dtype=complex)
+    t, tw, _, _ = bin_propagators(controls, durations, errors, psi=psi)
+    ref = sinc_reference_psi(t, tw)
+    assert np.all(np.abs(psi - ref) <= 1e-15 * np.abs(ref))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-170, 1e-8, 1e-3, 1.0])
+def test_psi_matches_the_sinc_reference_from_zero_to_unit_gaps(theta):
+    # One bin driven at u1 = theta for t = 1 under NONE has w = (-theta, 0,
+    # theta), so its half gaps are -theta (ab = 02) and -theta / 2 twice;
+    # theta = 0 is a silent bin, where sinc takes its limit 1.
+    assert_psi_matches_sinc_reference([[theta, 0.0, 0.0, 0.0]], 1.0, error_pairs(NONE, ()))
+
+
+PULSES = pathlib.Path(__file__).parents[1] / "bench" / "pulses"
+
+
+@pytest.mark.parametrize("name", ["ple", "ore"])
+@pytest.mark.parametrize(
+    "kind, eps", [(ErrorKind.PLE, (-0.5, 0.0, 0.5)), (ErrorKind.ORE, (-0.2, 0.0, 0.2))]
+)
+def test_psi_and_phases_on_the_committed_pulses(name, kind, eps):
+    # Psi of every bin of a trained pulse meets the np.exp / np.sinc
+    # reference, and the phases written from real cos and sin are those of
+    # np.exp(-1j * t w), bit for bit, so `gates` is unchanged by the rewrite.
+    s, _ = import_pulse_csv(PULSES / f"{name}_pulse.csv")
+    errors = error_pairs(kind, eps)
+    assert_psi_matches_sinc_reference(s.u, s.dt, errors)
+    times, drift = _error_terms(s.dt, s.bins, errors)
+    _, _, tw, phases, _ = _bin_exponentials(_bright_states(s.u), times, drift)
+    assert phases.tobytes() == np.exp(-1j * tw).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -379,8 +379,8 @@ SMALL_PAIRS = {
 @pytest.mark.parametrize("bins", [1, 2, 3, 4, 5, 8, 9])
 def test_objective_gradient_at_small_sizes_matches_van_loan_reference(bins, pairs):
     # isqrt(N)-bin blocks: one block (1 bin), one-bin blocks (2, 3), a ragged
-    # last block (5, 8), and chains of 0 to 2 block steps past the first.
-    # Bin 1, when there is one, is silent.
+    # last block (5), and chains of 0 (1 bin) to 3 (8 bins) block-start
+    # products.  Bin 1, when there is one, is silent.
     u = make_schedule(41 + bins, bins=bins, total_time=2 * PI, scale=0.4).u.copy()
     u[1:2] = 0.0
     s = ControlSchedule(u, 2 * PI / bins)

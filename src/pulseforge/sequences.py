@@ -200,12 +200,13 @@ def _bright_states(controls):
 def _bin_exponentials(bright, times, drift, props=None, psi=None):
     """The mixing angle's cos and sin, t w and e^{-i t w} (3, N, E) and the bin
     propagators (3, 3, N, E), written entry by entry into `props` or a new
-    stack, from the durations (E, N) and drift of `_error_terms`; with `psi`
-    (6, N, E), also Psi there, its reals held in its own planes."""
+    stack, whose U_20 and U_12 hold p and q till they are written last, from
+    the durations (E, N) and drift of `_error_terms`; with `psi` (6, N, E),
+    also Psi there, its reals held in its own planes."""
     r, bx, by, bx2, by2, bxy = bright
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
     phi = 0.5 * np.arctan2(2.0 * r, b - a)
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.cos(phi), np.sin(phi, out=phi)
     m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), r)
     tw = np.empty((3,) + times.T.shape)  # t w, w = (m - h, a, m + h)
     tw[0], tw[1], tw[2] = times.T * (m - h), times.T * a, times.T * (m + h)
@@ -213,14 +214,18 @@ def _bin_exponentials(bright, times, drift, props=None, psi=None):
     np.cos(tw, out=phases.real)
     np.negative(np.sin(tw, out=phases.imag), out=phases.imag)
     cc, ss = c * c, s * s
-    p, q = cc * e0 + ss * e2, c * s * (e2 - e0)
     props = np.empty((3, 3) + tw.shape[1:], dtype=complex) if props is None else props
-    props[0, 0], props[2, 2] = bx2 * p + by2 * e1, by2 * p + bx2 * e1
-    props[1, 1] = ss * e0 + cc * e2
+    p, q = props[2, 0], props[1, 2]  # written last, so they hold p and q till then
+    for out, x, ex, y, ey in ((p, cc, e0, ss, e2), (props[0, 0], bx2, p, by2, e1),
+                              (props[2, 2], by2, p, bx2, e1), (props[1, 1], ss, e0, cc, e2)):
+        np.add(np.multiply(x, ex, out=out), y * ey, out=out)  # x ex + y ey
+    np.multiply(c * s, np.subtract(e2, e0, out=q), out=q)
     p -= e1
-    props[0, 2], props[2, 0] = bxy * p, bxy.conj() * p
-    props[0, 1], props[2, 1] = bx * q, by * q
-    props[1, 0], props[1, 2] = bx.conj() * q, by.conj() * q
+    for out, x, pq in ((props[0, 2], bxy, p), (props[0, 1], bx, q),
+                       (props[2, 1], by, q), (props[1, 0], bx.conj(), q)):
+        np.multiply(x, pq, out=out)
+    p[...] = bxy.conj() * p  # via a temporary: numpy rounds an in-place
+    q[...] = by.conj() * q  # complex product of one entry differently
     if psi is not None:  # Psi_ab = -i t e^{-i theta} sinc theta at the half gaps theta
         theta, sinc, sin, cos = psi[:3].real, psi[:3].imag, psi[3:].real, psi[3:].imag
         np.multiply(tw[[0, 0, 1]] - tw[[2, 1, 2]], 0.5, out=theta)  # ab = 02, 01, 12
@@ -275,8 +280,9 @@ def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
     return t, tw, v, props
 
 
-# Fraction x bin propagators `gates` writes out at once, within one bin block.
-BLOCK_PROPAGATORS = 512
+# Fraction x bin propagators `gates` writes out at once, within one bin block:
+# 3 bins at 399-403 fractions (traced peak 0.60 MB at 401; 4 bins peak at 0.70 MB).
+BLOCK_PROPAGATORS = 1209
 
 
 def gates(controls, durations, errors) -> np.ndarray:
@@ -286,24 +292,27 @@ def gates(controls, durations, errors) -> np.ndarray:
     last one ragged, each block's (3, 3, E) bin propagators are multiplied
     in bin order and the block product into the running gate, the GRAPE
     objective's order.  The bright states are found once per pulse; a
-    block's bins are written out entry by entry, with no V, in chunks of
-    max(1, BLOCK_PROPAGATORS // E), so memory stays bounded on dense grids.
+    block's bins are written out entry by entry, with no V, in chunks of k =
+    max(1, BLOCK_PROPAGATORS // E) bins or the whole block, each into one
+    reused (3, 3, k, E) stack, so memory stays bounded on dense grids.
     """
     n = len(controls)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
     scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
     bright = _bright_states(controls)
-    size, step = math.isqrt(n), max(1, BLOCK_PROPAGATORS // len(errors))
+    size = math.isqrt(n)
+    step = min(size, max(1, BLOCK_PROPAGATORS // len(errors)))
+    stack = np.empty((3, 3, step, len(errors)), dtype=complex)
     tmp = np.empty((3, 3, len(errors)), dtype=complex)
     out = None
     for first in range(0, n, size):
-        block = None
-        for start in range(first, min(first + size, n), step):
-            chunk = slice(start, min(start + step, first + size))
-            bins = [t[chunk] for t in bright]
-            props = _bin_exponentials(bins, scale * times[chunk], drift)[-1]
-            for prop in np.moveaxis(props, 2, 0):
-                block = prop if block is None else _matmul3(prop, block, tmp=tmp)
+        block, last = None, min(first + size, n)
+        for start in range(first, last, step):
+            chunk = slice(start, min(start + step, last))
+            props = stack[:, :, : chunk.stop - start]
+            _bin_exponentials([t[chunk] for t in bright], scale * times[chunk], drift, props)
+            for prop in np.moveaxis(props, 2, 0):  # views of the reused stack
+                block = prop.copy() if block is None else _matmul3(prop, block, tmp=tmp)
         out = block if out is None else _matmul3(block, out, tmp=tmp)
     return np.moveaxis(out, 2, 0).copy()
 

@@ -1,5 +1,7 @@
 """Shared oracle constants and random-matrix helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ def segment_schedule(rows):
         c = 0 if channel == "MW" else 2
         drives[j, c : c + 2] = 1.0, theta
     return ControlSchedule(_drive_controls(drives), [tau for _, tau, _ in rows])
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes of one call of fn, after one warm call, so that
+    first-call allocations (caches, lazy imports) stay out of the count."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

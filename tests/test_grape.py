@@ -2,7 +2,6 @@
 
 import dataclasses
 import io
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, probe_gradient_fd
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, probe_gradient_fd, traced_peak
 from pulseforge import (
     CONTROL_BOUND,
     PULSE_CSV_HEADER,
@@ -499,13 +498,7 @@ def test_warm_objective_allocates_no_stack():
     s = make_schedule(5, bins=400)
     pairs = error_pairs(ErrorKind.ORE, np.linspace(-0.2, 0.2, 5))
     work = grape_module._workspace(400, pairs)
-    grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
-    tracemalloc.start()
-    try:
-        grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work))
     assert peak <= 0.8e6
 
 

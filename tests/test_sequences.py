@@ -2,7 +2,6 @@
 
 import math
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, segment_schedule
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, segment_schedule, traced_peak
 from pulseforge import (
     COMPOSITES,
     ControlSchedule,
@@ -22,6 +21,7 @@ from pulseforge import (
     sequence_table,
     sequential_gate,
 )
+from pulseforge import sequences
 from pulseforge.sequences import (
     _bin_exponentials,
     _bright_states,
@@ -357,22 +357,66 @@ def test_gates_stay_unitary_on_a_dense_grid(kind):
     assert np.max(np.abs(defect)) <= 1e-13
 
 
-def test_gates_memory_stays_bounded_on_a_dense_grid():
-    # Bins are exponentiated in chunks of BLOCK_PROPAGATORS // E, with no
-    # eigenvectors built: one call at 401 ORE fractions on 400 bins peaks
-    # near 0.44 MB of traced allocations, where a full (3, 3, N, E) stack
-    # alone would take 23 MB.
+def dense_grid_peak(kind):
+    # One warm `gates` call's traced peak at 401 fractions on 400 bins.
     rng = np.random.default_rng(22)
     controls = rng.uniform(-0.5, 0.5, size=(400, 4))
-    errors = error_pairs(ErrorKind.ORE, np.linspace(-1.0, 1.0, 401))
-    gates(controls, 6 * PI / 400, errors)  # first-call allocations aside
-    tracemalloc.start()
-    try:
-        gates(controls, 6 * PI / 400, errors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.65e6
+    errors = error_pairs(kind, np.linspace(-1.0, 1.0, 401))
+    return traced_peak(lambda: gates(controls, 6 * PI / 400, errors))
+
+
+def test_gates_memory_stays_bounded_on_a_dense_grid():
+    # Bins are exponentiated in chunks of BLOCK_PROPAGATORS // E whole bins
+    # (3 at 401 fractions), written into one reused (3, 3, 3, E) stack with
+    # no eigenvectors built: one call at 401 ORE fractions on 400 bins peaks
+    # at 0.58-0.60 MB of traced allocations (4 bins would peak at 0.70 MB),
+    # where a full (3, 3, N, E) stack alone would take 23 MB.
+    assert dense_grid_peak(ErrorKind.ORE) <= 0.65e6
+
+
+def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
+    # As above under PLE, where one mixing angle serves every fraction:
+    # 0.56-0.57 MB (4 bins would peak at 0.62 MB).
+    assert dense_grid_peak(ErrorKind.PLE) <= 0.65e6
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 10**6])
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE, None], ids=["ple", "ore", "mixed"])
+def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
+    # The chunk stack is reused, so a block's first bin, a one-bin block, or
+    # a ragged last chunk or block left reading the stack would change a gate.
+    rng = np.random.default_rng(23)
+    pulses = [(s.u, s.dt) for s in map(composite, COMPOSITES)] + [
+        (rng.uniform(-0.5, 0.5, size=(400, 4)), rng.uniform(0.01, 0.1, size=400)),
+        (rng.uniform(-0.5, 0.5, size=(401, 4)), 6 * PI / 401),
+    ]
+    grids = []
+    for size in (1, 5, 257, 401):
+        eps = np.linspace(-1.0, 1.0, size) if size > 1 else [0.3]
+        mixed = rng.uniform(-1.0, 1.0, size=(size, 2))  # stretch and detune at once
+        grids.append(mixed if kind is None else error_pairs(kind, eps))
+    expected = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
+    monkeypatch.setattr(sequences, "BLOCK_PROPAGATORS", budget)
+    got = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("fractions, calls", [(401, range(20, 201)), (21, [20]), (5, [20])])
+def test_gates_exponentiate_several_bins_per_call(monkeypatch, fractions, calls):
+    # 400 bins make 20 blocks of 20: at 401 fractions each call takes at
+    # least two bins, and at 5 or 21 fractions one call takes a whole block.
+    made = []
+    real = sequences._bin_exponentials
+
+    def counted(*args):
+        made.append(args[1].shape[1])  # the bins of this call
+        return real(*args)
+
+    monkeypatch.setattr(sequences, "_bin_exponentials", counted)
+    controls = np.random.default_rng(24).uniform(-0.5, 0.5, size=(400, 4))
+    gates(controls, 0.05, error_pairs(ErrorKind.ORE, np.linspace(-1.0, 1.0, fractions)))
+    assert sum(made) == 400
+    assert len(made) in calls
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

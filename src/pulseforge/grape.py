@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sequences
 from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     ControlSchedule,
@@ -34,7 +35,6 @@ from .sequences import (
     _error_terms,
     _matmul3,
     _write_text,
-    bin_propagators,
     error_pairs,
     propagator,
     sequential_gate,
@@ -161,19 +161,15 @@ def performance(
 
 def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
     """One training problem's layout for `_objective`: each bin's slot, the padded
-    controls and durations, and its props, V (E or 1 columns), V^dag, prefix,
-    product, scratch and Psi stacks.  With size = isqrt(N) and N padded to size
-    blocks slots, bin b size + j sits in slot j blocks + b, and the pads stay
-    at u = t = 0.  The stacks are (3, 3, slots, E) but for V, the prefix, which
-    holds size + 1 rows of (3, 3, blocks, E), and Psi, (6, slots, E)."""
-    e, ev = len(errors), len(_error_terms(1.0, 1, errors)[1])
-    size = math.isqrt(bins)
-    blocks = -(-bins // size)
-    slots = size * blocks
-    slot = np.arange(slots).reshape(size, blocks).T.ravel()[:bins]
-    stacks = [np.empty((3, 3, slots, w), dtype=complex) for w in (e, ev, e, e, e)]
-    stacks.insert(3, np.empty((size + 1, 3, 3, blocks, e), dtype=complex))
-    return (slot, np.zeros((slots, 4)), np.zeros(slots), *stacks, np.empty((6, slots, e), complex))
+    controls and durations, (p, q, p') (3, slots, E), the Y, X, weight, product
+    and scratch stacks (3, 3, slots, E) and Psi (6, slots, E).  With size =
+    isqrt(N), bin b size + j sits in slot j blocks + b; the pads keep u = t = 0."""
+    e, slots = len(errors), (size := math.isqrt(bins)) * -(-bins // size)
+    slot = np.arange(slots).reshape(size, -1).T.ravel()[:bins]
+    stacks = [np.empty((3, 3, slots, e), complex) for _ in range(3)]
+    stacks.extend(np.empty((2, 3, 3, slots, e), complex))  # one buffer, for 2x2 products too
+    return (slot, np.zeros((slots, 4)), np.zeros(slots), np.empty((3, slots, e), complex),
+            *stacks, np.empty((6, slots, e), complex))
 
 
 def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
@@ -185,83 +181,84 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     """Penalized mean performance over the (E, 2) error pairs and its exact
     gradient (N, 4), one sweep.
 
-    One forward pass over the bin propagators U_j = V diag(e^{-i t w}) V^dag,
-    written out entry by entry (`sequences.bin_propagators`, (3, 3, N, E)),
-    gives U = U_N ... U_1 in the order of `sequences.gates`, so the value is
-    that of `performance` bit for bit: over blocks of size = isqrt(N) bins,
-    one bin step at a time for all blocks at once gives the within-block
-    prefixes W_j = U_{j-1} ... U_f (1 at a block's first bin f), the block
-    products chain into the block starts S_b, and U is the last block's
-    product times its start.  In `_workspace`'s slots each step is one
-    contiguous (3, 3, blocks, E) slab, a pad's propagator is exactly the
-    identity, and the gradient is taken per slot and mapped back to the bins.
-    With A_j = U_{j-1} ... U_1 = W_j S_b and C = U_T^dag U, unitarity gives
+    The forward pass is the arithmetic of `sequences.gates`, one step for all
+    blocks at once, so the value is that of `performance` bit for bit:
+    Y_j = B_j^dag W_j with the within-block prefix W_j = U_{j-1} ... U_f, and
+    the block products chain into the block starts S_b and U.  In
+    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab.  The
+    pads (u = t = 0) are silent bins, whose basis is the lab's, so the last
+    real bin turns into the lab as in `gates` and each pad step is exactly 1.
+    With A_j = W_j S_b and C = U_T^dag U, unitarity gives
     U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so d Tr(U_T^dag U) / du_jk =
-    Tr(Y_j H_k), where Y_j = V M_j V^dag, M_j = K_j o Psi and
-    K_j = (V^dag A_j) C (V^dag A_j)^dag = X_j C_b X_j^dag, with X_j = V^dag W_j
-    and the block weights C_b = S_b C S_b^dag: no A_j is formed.  Psi, the
-    divided difference of the bin exponential times e^{i t w_b}, comes from
-    `bin_propagators`.  C carries each pair's weight (2/E) conj(Tr(U_T^dag U)),
-    so the gradient is Re Tr(sum_e Y_je H_k).
+    Tr(Y'_j H_k), where Y'_j = V M_j V^dag, M_j = K_j o Psi and K_j =
+    (V^dag A_j) C (V^dag A_j)^dag = X_j C_b X_j^dag, with C_b = S_b C S_b^dag
+    and X_j = V^dag W_j, two rows of Y_j turned by the mixing angle: no A_j is
+    formed.  Psi, the divided difference of the bin exponential times
+    e^{i t w_b}, comes from `sequences._bin_exponentials`.  C carries each
+    pair's weight (2/E) conj(Tr(U_T^dag U)), so the gradient is
+    Re Tr(sum_e Y'_je H_k).
 
-    Y is never formed: V = B R with B = [(bx, 0, by) | (by*, 0, -bx*) | |2>]
+    Y' is never formed: V = B' R with B' = [(bx, 0, by) | (by*, 0, -bx*) | |2>]
     and the real R = [[-c, 0, s], [0, 1, 0], [s, 0, c]].  B's middle row is
     (0, 0, 1) and the H_k couple |2> to |0> and |3> only, so four entries of
     S = sum_e R M_e R^T serve (M is summed over the pairs first when no pair
-    detunes): Y_01 = bx S_02 + by* S_12, Y_10 = bx* S_20 + by S_21,
-    Y_12 = by* S_20 - bx S_21, Y_21 = by S_02 - bx* S_12, and the gradient is
-    (Re(Y_01 + Y_10), Im(Y_10 - Y_01), Re(Y_12 + Y_21), Im(Y_12 - Y_21)).
+    detunes): Y'_01 = bx S_02 + by* S_12, Y'_10 = bx* S_20 + by S_21,
+    Y'_12 = by* S_20 - bx S_21, Y'_21 = by S_02 - bx* S_12, and the gradient is
+    (Re(Y'_01 + Y'_10), Im(Y'_10 - Y'_01), Re(Y'_12 + Y'_21), Im(Y'_12 - Y'_21)).
 
     `work` is `_workspace(N, errors)`, built once per ascent by `ascend` and
     fresh for any other caller; one built for another N or E raises ValueError.
-    No product operand is strided or broadcast along the slots or pairs.  The
-    prefix stack holds the W_j row by row, then the chain of (3, 3, E) starts,
-    S_b C and K; props the U_j, the W_j in slot order, the block products,
-    C then C_b, X C and M; the product stack X; V^dag the S_b, then C_b tiled
-    over each block's slots.  Each entry is written before it is read.
+    No `_matmul3` operand is strided or broadcast along the slots or pairs.  Y
+    holds the Y_j, then the block starts and C_b tiled; X the X_j; the weight
+    stack the block products, C, C_b and K; the product stack (the scratch
+    after it) 2x2 products, the chain, S_b C, X C and M.  Written before read.
     """
     n, e = len(u), len(errors)
-    slot, us, ts, props, v, vh, pre, prod, tmp, psi = work or _workspace(n, errors)
-    if (built := (len(slot), pre.shape[-1])) != (n, e):
+    slot, us, ts, ub, y, x, cw, xc, tmp, psi = work or _workspace(n, errors)
+    if (built := (len(slot), y.shape[-1])) != (n, e):
         raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
-    size, blocks = pre.shape[0] - 1, pre.shape[3]
-    us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U = 1
-    t, _, v, props = bin_propagators(us, ts, errors, props, v, psi)
-    vh = np.conjugate(np.swapaxes(v, 0, 1), out=vh)
-    bins, scratch = props.reshape((3, 3, size, blocks, e)), _view(tmp, pre.shape[1:])
-    pre[0], pre[1] = IDENTITY[..., None, None], bins[:, :, 0]
-    for j in range(1, size):
-        _matmul3(bins[:, :, j], pre[j], pre[j + 1], scratch)
-    np.copyto(bins, np.moveaxis(pre[:size], 0, 2))  # W_j, in the slots
-    x = _matmul3(vh, props, prod, tmp)  # X_j = V^dag W_j
-    ends = _view(props, (blocks, 3, 3, e))  # each block's product, its pads exactly 1
-    ends[...] = np.moveaxis(pre[size], 2, 0)
-    chain = _view(pre, (blocks + 1, 3, 3, e))  # S_0 = 1, S_1, ..., then U
-    chain[0], chain[1] = IDENTITY[..., None], ends[0]
+    grid = (size := math.isqrt(n), blocks := len(ts) // size)  # bin steps, blocks
+    us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U^B = 1
+    bright = sequences._bright_states(us)
+    times, drift = _error_terms(ts, len(ts), errors)
+    c, s, _, phases, ub = sequences._bin_exponentials(bright, times, drift, ub, psi)
+    bxs, bys = (b.reshape((size, 1, blocks, 1)) for b in bright[1:])
+    turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None, None])
+    ys, steps = y.reshape((3, 3) + grid + (e,)), sequences._square(ub.reshape((3,) + grid + (e,)))
+    e1, products = phases[1].reshape(grid + (e,)), _view(cw, (blocks, 3, 3, e))
+    scratch, slab = _view(xc.base, (2, 2, 3, blocks, e)), (3, 3, blocks, e)
+    sequences._basis_start(bxs[0, 0], bys[0, 0], ys[:, :, 0])
+    for j in range(size):  # the last step writes each block's product, in the lab
+        out = ys[:, :, j + 1] if j + 1 < size else np.moveaxis(products, 0, 2)
+        sequences._advance(steps[:, :, None, j], e1[j], turns[:, :, j], ys[:, :, j], out, scratch)
+    rotation = np.array([[-c, s], [s, c]])[:, :, None]  # R^T on the (bright, |2>) rows
+    sequences._matmul2(rotation, y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
+    np.negative(y[2], out=x[1])  # X_j = R^T Y_j, V's dark column being -B's
+    chain = _view(xc, (blocks, 3, 3, e))  # S_1, ..., S_{blocks - 1}, then U
+    chain[0] = products[0]
     for b in range(1, blocks):
-        _matmul3(ends[b], chain[b], chain[b + 1], _view(tmp, (3, 3, e)))
+        _matmul3(products[b], chain[b - 1], chain[b], _view(tmp, (3, 3, e)))
     full = np.moveaxis(chain[-1], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
-    starts, cb = _view(vh, scratch.shape), _view(props, scratch.shape)
-    starts[...] = np.moveaxis(chain[:blocks], 0, 2)  # S_b and C over the blocks
-    cb[...] = np.moveaxis(weighted, 0, 2)[:, :, None]
-    sc = _matmul3(starts, cb, _view(pre, scratch.shape), scratch)
-    _matmul3(sc, np.swapaxes(np.conjugate(starts, out=starts), 0, 1), cb, scratch)
-    vh.reshape(bins.shape)[...] = cb[:, :, None]  # C_b, tiled over each block's slots
-    xc = _matmul3(x, vh, props, tmp)
-    k = _matmul3(xc, np.swapaxes(np.conjugate(x, out=x), 0, 1), _view(pre, x.shape), tmp)
-    m = props.reshape(9, -1, e)[:7]  # M = K o Psi at ab = 20, 10, 21, 02, 01, 12, then M_00 - M_22
+    starts, cb = _view(y, slab), _view(cw, slab)
+    starts[:, :, 0], starts[:, :, 1:] = IDENTITY[..., None], np.moveaxis(chain[:-1], 0, 2)
+    cb[...] = np.moveaxis(weighted, 0, 2)[:, :, None]  # C over the blocks
+    sc = _matmul3(starts, cb, _view(xc, slab), _view(tmp, slab))
+    _matmul3(sc, np.swapaxes(np.conjugate(starts, out=starts), 0, 1), cb, _view(tmp, slab))
+    ys[...] = cb[:, :, None]  # C_b, tiled over each block's slots
+    xcb = _matmul3(x, y, xc, tmp)
+    k = _matmul3(xcb, np.swapaxes(np.conjugate(x, out=x), 0, 1), cw, tmp)
+    m = xc.reshape(9, -1, e)[:7]  # M = K o Psi at ab = 20, 10, 21, 02, 01, 12, then M_00 - M_22
     for i, ab in enumerate(((2, 0), (1, 0), (2, 1), (0, 2), (0, 1), (1, 2))):
         np.multiply(k[ab], psi[i], out=m[i])
     np.subtract(k[0, 0], k[2, 2], out=m[6])
-    m[6] *= -1j * t
-    c, s = v[1, 2].real, v[1, 0].real  # R's mixing angle, V_12 and V_10, (N, E or 1)
+    m[6] *= -1j * times.T
     if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
         m = np.einsum("ine->in", m)[..., None]
     s02, s20 = np.einsum("ine->in", s * s * m[0:4:3] - c * c * m[3::-3] - c * s * m[6])
     s12, s21 = np.einsum("ine->in", s * m[1:5:3] + c * m[5:1:-3])  # S = sum_e R M R^T
-    bx, by = -np.conj(v[2, 1, :, 0]), np.conj(v[0, 1, :, 0])  # from V's dark column
+    bx, by = bright[1][:, 0], bright[2][:, 0]
     y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
     y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
     grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1)
@@ -490,7 +487,7 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         except OSError as exc:
             raise OSError(f"cannot read pulse CSV from {source}: {exc}") from exc
     meta: dict[str, str] = {}
-    rows: list[tuple[float, ...]] = []
+    rows: list[str] = []
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != PULSE_CSV_HEADER:
         raise ValueError("not a pulse checkpoint: missing header")
@@ -498,30 +495,30 @@ def import_pulse_csv(source) -> tuple[ControlSchedule, dict[str, str]]:
         if ln.startswith("#"):
             key, _, value = ln.lstrip("# ").partition("=")
             meta[key.strip()] = value.strip()
-            continue
-        parts = ln.split(",")
-        if len(parts) != 6:
+        elif ln.count(",") != 5:
             raise ValueError(f"malformed pulse row: {ln!r}")
-        rows.append(tuple(float(x) for x in parts))
+        else:
+            rows.append(ln)
     if not rows:
         raise ValueError("pulse checkpoint has no rows")
-    if [r[0] for r in rows] != list(range(len(rows))):
+    table = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 6)  # one conversion
+    if not np.array_equal(table[:, 0], j := np.arange(n := len(table))):
         raise ValueError("pulse checkpoint: bin column is not 0..N-1")
-    if "bins" in meta and int(meta["bins"]) != len(rows):
-        raise ValueError(f"pulse checkpoint: {len(rows)} rows under bins={meta['bins']}")
+    if "bins" in meta and int(meta["bins"]) != n:
+        raise ValueError(f"pulse checkpoint: {n} rows under bins={meta['bins']}")
     if "total_time" in meta and "bins" in meta:
         dt = float(meta["total_time"]) / int(meta["bins"])
-    elif len(rows) > 1:
-        dt = rows[1][1] - rows[0][1]
+    elif n > 1:
+        dt = float(table[1, 1]) - float(table[0, 1])
     else:
         raise ValueError("cannot infer bin duration: no config block, single row")
-    if not (math.isfinite(last := (len(rows) - 1) * dt) and dt > 0.0):
+    if not (math.isfinite(last := (n - 1) * dt) and dt > 0.0):
         raise ValueError(f"pulse checkpoint: dt = {dt:g}, last bin start (N - 1) dt = {last:g}")
-    j = np.arange(len(rows))
-    half = np.array([r[1] for r in rows]) / 2.0 - j * (dt / 2.0)  # halved, so finite
+    half = table[:, 1] / 2.0 - j * (dt / 2.0)  # halved, so finite
     if not np.all(np.abs(half) <= 1e-9 * np.maximum(j, 1) * (dt / 2.0)):
         raise ValueError("pulse checkpoint: t_start is not bin * dt")
-    pulses = np.array([(r[2], r[3] * PI, r[4], r[5] * PI) for r in rows])
+    with np.errstate(over="ignore"):  # a phase past the float range is caught below
+        pulses = table[:, 2:] * (1.0, PI, 1.0, PI)
     if not np.all(np.isfinite(pulses)):
         raise ValueError("pulse checkpoint: non-finite drive amplitude or phase")
     if not np.all(pulses[:, (0, 2)] <= 1.0 + 1e-9):

@@ -150,15 +150,10 @@ def good_fidelity_window(
     smaller or equal |eps| has F >= threshold, or None if even the
     innermost shell fails.
     """
-    pts = np.asarray(result.grid.points)
-    fid = np.asarray(result.series[label])
-    radii = np.abs(pts)
-    best = None
-    for r in np.unique(radii):
-        if np.any(fid[radii == r] < threshold):
-            break
-        best = float(r)
-    return best
+    radii, shell = np.unique(np.abs(result.grid.points), return_inverse=True)
+    bad = shell[np.asarray(result.series[label]) < threshold]  # the shells of points below
+    first = int(bad.min(initial=len(radii)))  # the innermost bad shell, or past the last
+    return float(radii[first - 1]) if first else None
 
 
 def export_csv(result: ScanResult, destination) -> str:
@@ -167,11 +162,9 @@ def export_csv(result: ScanResult, destination) -> str:
     Header `epsilon,<labels...>`, values to 9 significant digits.
     """
     labels = list(result.series)
-    lines = ["epsilon," + ",".join(labels)]
-    for i, eps in enumerate(result.grid.points):
-        row = [f"{eps:.9g}"] + [f"{result.series[lab][i]:.9g}" for lab in labels]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    row = ",".join(["%.9g"] * (1 + len(labels)))  # one format per row
+    columns = zip(result.grid.points, *(result.series[lab] for lab in labels))
+    text = "\n".join(["epsilon," + ",".join(labels)] + [row % values for values in columns]) + "\n"
     _write_text(destination, text, "scan CSV")
     return text
 

@@ -16,17 +16,17 @@ to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
 eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
 detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  Only
 `_error_terms` applies the pairs and only `_bin_exponentials` exponentiates
-bins, by real cos and sin, into matrix-first (3, 3, N, E) stacks; `gates`
-multiplies them by `_matmul3`, the GRAPE objective differentiates them by
-the Psi stack `bin_propagators` writes on request, and `propagator`
-returns a pulse's (E, 3, 3) gates at an `ErrorKind` and E fractions.
+bins, by real cos and sin; `propagator` returns a pulse's (E, 3, 3) gates at
+an `ErrorKind` and E fractions.
 
 Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
 (RF), and the detuning drift gives |0> and |3> the same energy.  So the
 dark state, the superposition of |0> and |3> that the drives cancel on,
 is an exact eigenvector, and what remains is a 2x2 block of the bright
-state and |2>.  So each bin's exponential is written out entry by entry
-from its bright state and one mixing angle; no eigensolver runs per bin.
+state and |2> with one mixing angle; no eigensolver runs per bin.  In the
+basis B = [bright | |2> | dark] a bin acts by one 2x2 block and a phase, and
+consecutive bases differ by a 2x2 unitary of the controls, so `gates` and the
+GRAPE objective step each bin by two 2x2 products (`_advance`).
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -183,8 +183,16 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
+def _matmul2(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """a @ b for a matrix-first (2, 2, ...) a on two rows b (2, ...), each a_ik
+    broadcast along row k: out_i = a_i0 b_0 + a_i1 b_1, k summed in order as in
+    `_matmul3`.  The products go to `tmp` (2, 2, ...) first, so out may be b."""
+    tmp = np.multiply(a, b, out=tmp)
+    return np.add(tmp[:, 0], tmp[:, 1], out=out)
+
+
 def _bright_states(controls):
-    """Per-bin control-only terms, each (N, 1): r, bx, by, |bx|^2, |by|^2, bx by*."""
+    """Per-bin control-only terms r, bx, by, each (N, 1)."""
     u = np.asarray(controls, dtype=float)
     x = u[:, 0] - 1j * u[:, 1]
     y = u[:, 2] + 1j * u[:, 3]
@@ -192,40 +200,28 @@ def _bright_states(controls):
     silent = r == 0.0
     r_safe = np.where(silent, 1.0, r)
     bx = np.where(silent, 1.0, x / r_safe)
-    by = y.conj() / r_safe
-    terms = r, bx, by, bx.real**2 + bx.imag**2, by.real**2 + by.imag**2, bx * by.conj()
-    return tuple(term[:, None] for term in terms)
+    return r[:, None], bx[:, None], (y.conj() / r_safe)[:, None]
 
 
-def _bin_exponentials(bright, times, drift, props=None, psi=None):
-    """The mixing angle's cos and sin, t w and e^{-i t w} (3, N, E) and the bin
-    propagators (3, 3, N, E), written entry by entry into `props` or a new
-    stack, whose U_20 and U_12 hold p and q till they are written last, from
-    the durations (E, N) and drift of `_error_terms`; with `psi` (6, N, E),
-    also Psi there, its reals held in its own planes."""
-    r, bx, by, bx2, by2, bxy = bright
+def _bin_exponentials(bright, times, drift, blocks=None, psi=None):
+    """The mixing angle's cos and sin, t w and e^{-i t w} (3, N, E), and (p, q, p')
+    (3, N, E) into `blocks` or a new stack (`bin_propagators`), from `_error_terms`'
+    durations (E, N) and drift; also Psi into a given (6, N, E) `psi`."""
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
-    phi = 0.5 * np.arctan2(2.0 * r, b - a)
+    phi = 0.5 * np.arctan2(2.0 * bright[0], b - a)
     c, s = np.cos(phi), np.sin(phi, out=phi)
-    m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), r)
+    m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), bright[0])
     tw = np.empty((3,) + times.T.shape)  # t w, w = (m - h, a, m + h)
     tw[0], tw[1], tw[2] = times.T * (m - h), times.T * a, times.T * (m + h)
     e0, e1, e2 = phases = np.empty(tw.shape, dtype=complex)  # as np.exp(-1j * tw)
     np.cos(tw, out=phases.real)
     np.negative(np.sin(tw, out=phases.imag), out=phases.imag)
-    cc, ss = c * c, s * s
-    props = np.empty((3, 3) + tw.shape[1:], dtype=complex) if props is None else props
-    p, q = props[2, 0], props[1, 2]  # written last, so they hold p and q till then
-    for out, x, ex, y, ey in ((p, cc, e0, ss, e2), (props[0, 0], bx2, p, by2, e1),
-                              (props[2, 2], by2, p, bx2, e1), (props[1, 1], ss, e0, cc, e2)):
-        np.add(np.multiply(x, ex, out=out), y * ey, out=out)  # x ex + y ey
-    np.multiply(c * s, np.subtract(e2, e0, out=q), out=q)
-    p -= e1
-    for out, x, pq in ((props[0, 2], bxy, p), (props[0, 1], bx, q),
-                       (props[2, 1], by, q), (props[1, 0], bx.conj(), q)):
-        np.multiply(x, pq, out=out)
-    p[...] = bxy.conj() * p  # via a temporary: numpy rounds an in-place
-    q[...] = by.conj() * q  # complex product of one entry differently
+    blocks = np.empty((3,) + tw.shape[1:], dtype=complex) if blocks is None else blocks
+    p, q, p_ = blocks  # p = e_0 + s^2 (e_2 - e_0), q = c s (e_2 - e_0), p' = e_2 - s^2 (e_2 - e_0)
+    np.multiply(s * s, np.subtract(e2, e0, out=q), out=p_)
+    np.add(e0, p_, out=p)
+    np.subtract(e2, p_, out=p_)
+    q *= c * s
     if psi is not None:  # Psi_ab = -i t e^{-i theta} sinc theta at the half gaps theta
         theta, sinc, sin, cos = psi[:3].real, psi[:3].imag, psi[3:].real, psi[3:].imag
         np.multiply(tw[[0, 0, 1]] - tw[[2, 1, 2]], 0.5, out=theta)  # ab = 02, 01, 12
@@ -237,16 +233,48 @@ def _bin_exponentials(bright, times, drift, props=None, psi=None):
         sin *= sinc
         cos *= sinc
         np.negative(np.conjugate(psi[3:], out=psi[:3]), out=psi[:3])  # Psi_ba = -Psi_ab*
-    return c, s, tw, phases, props
+    return c, s, tw, phases, blocks
+
+
+def _square(blocks: np.ndarray) -> np.ndarray:
+    """The (2, 2, ...) view [[p, q], [q, p']] of a contiguous (p, q, p') stack."""
+    strides = blocks.strides[:1] * 2 + blocks.strides[1:]
+    return np.ndarray((2, 2) + blocks.shape[1:], blocks.dtype, blocks, 0, strides)
+
+
+def _turns(bx, by, ends) -> np.ndarray:
+    """Each bin's turn B'^dag B, [[a, b], [-b*, a*]] on (bright (bx, 0, by), dark
+    (-by*, 0, bx*)), into the next bin's basis along axis 0 or, where `ends`
+    holds, into the lab, the basis of a silent bin (bright |0>, dark |3>)."""
+    to_bx, to_by = np.where(ends, 1.0, np.roll(bx, -1, 0)), np.where(ends, 0.0, np.roll(by, -1, 0))
+    a = to_bx.conj() * bx + to_by.conj() * by
+    b = to_by.conj() * bx.conj() - to_bx.conj() * by.conj()
+    return np.array([[a, b], [-b.conj(), a.conj()]])
+
+
+def _basis_start(bx, by, out) -> np.ndarray:
+    """B^dag, a block's first Y, into out (3, 3, ...)."""
+    out.fill(0.0)
+    out[0, 0], out[0, 2], out[1, 1], out[2, 0], out[2, 2] = bx.conj(), by.conj(), 1.0, -by, bx
+    return out
+
+
+def _advance(square, e1, turn, y, out, tmp) -> np.ndarray:
+    """One bin on Y (3, 3, ...) in its basis, into out (not y): `square` on the
+    bright and |2> rows, e_1 on the dark row, then `turn` (`_turns`) on bright
+    and dark.  The 2x2 operands carry a length-1 column axis; tmp (2, 2, 3, ...)."""
+    _matmul2(square, y[:2], out[:2], tmp)
+    np.multiply(e1, y[2], out=out[2])
+    _matmul2(turn, out[::2], out[::2], tmp)
+    return out
 
 
 def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
     """Every bin's exponential under the error pairs, matrix-first, unchecked.
 
     Arguments as for `bin_generators`.  Returns t (N, E), t w (3, N, E),
-    V (3, 3, N, E or 1) and U_j = V diag(e^{-i t w}) V^dag (3, 3, N, E).
-    The eigensystem w, V is closed-form, so long products stay unitary to
-    machine precision.  Every generator is the Lambda system
+    V (3, 3, N, E or 1) and U_j = V diag(e^{-i t w}) V^dag (3, 3, N, E),
+    closed-form, so long products stay unitary.  Every generator is
 
         [[a, x, 0], [x*, b, y], [0, y*, a]],  x = u1 - i u2,  y = u3 + i u4,
 
@@ -258,20 +286,23 @@ def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
     phi = atan2(2 r, b - a) / 2, fill V's columns 0 and 2.  A silent bin
     (r = 0) takes |0> as its bright state and so -|3> as its dark state.
     Dark and bright states depend on the controls only, so when no pair
-    detunes one V serves every pair.  U is written out: with
-    e_k = e^{-i t w_k}, p = c^2 e_0 + s^2 e_2 and q = c s (e_2 - e_0),
-    U_00 = |bx|^2 p + |by|^2 e_1, U_22 = |by|^2 p + |bx|^2 e_1,
-    U_11 = s^2 e_0 + c^2 e_2, (U_02, U_20) = (bx by*, by bx*) (p - e_1),
-    (U_01, U_21, U_10, U_12) = (bx, by, bx*, by*) q, each e_k by one real cos
-    and sin.  U and V are written into `props` and `v` when given, and
+    detunes one V serves every pair.  With e_k = e^{-i t w_k} by one real cos
+    and sin, U is [[p, q], [q, p']] on (bright, |2>), p = c^2 e_0 + s^2 e_2,
+    q = c s (e_2 - e_0), p' = s^2 e_0 + c^2 e_2, and e_1 on the dark state, so
+    U = B U^B B^dag is one `_advance` of B^dag into the lab.
+    U and V are written into `props` and `v` when given, and
     returned; a (6, N, E) `psi` gets Psi_ab = -i t e^{-i theta} sinc theta,
     theta = t (w_a - w_b)/2, at ab = 20, 10, 21, 02, 01, 12 from one cos and
     sin of theta, sinc theta = sin theta / theta (1 at 0), Psi_ba = -Psi_ab*.
     """
     bright = _bright_states(controls)
     times, drift = _error_terms(durations, len(bright[0]), errors)
-    c, s, tw, _, props = _bin_exponentials(bright, times, drift, props, psi)
-    bx, by = bright[1:3]
+    c, s, tw, phases, blocks = _bin_exponentials(bright, times, drift, psi=psi)
+    _, bx, by = bright
+    start = _basis_start(bx, by, np.empty((3, 3) + tw.shape[1:], dtype=complex))
+    props = np.empty_like(start) if props is None else props
+    lab = _turns(bx, by, True)[:, :, None]
+    _advance(_square(blocks)[:, :, None], phases[1], lab, start, props, None)  # B U^B B^dag
     v = np.empty((3, 3) + c.shape, dtype=complex) if v is None else v
     v[0, 0], v[1, 0], v[2, 0] = -c * bx, s, -c * by
     v[0, 1], v[1, 1], v[2, 1] = by.conj(), 0.0, -bx.conj()
@@ -280,40 +311,44 @@ def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
     return t, tw, v, props
 
 
-# Fraction x bin propagators `gates` writes out at once, within one bin block:
-# 3 bins at 399-403 fractions (traced peak 0.60 MB at 401; 4 bins peak at 0.70 MB).
-BLOCK_PROPAGATORS = 1209
+# Fraction x bin propagators `gates` exponentiates at once, within one bin block:
+# 4 bins at 399-403 fractions (traced peak 0.61 MB at 403; 5 bins peak at 0.67 MB).
+BLOCK_PROPAGATORS = 1612
 
 
 def gates(controls, durations, errors) -> np.ndarray:
     """U_N ... U_2 U_1 for every error pair, shape (E, 3, 3), unchecked.
 
-    Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the
-    last one ragged, each block's (3, 3, E) bin propagators are multiplied
-    in bin order and the block product into the running gate, the GRAPE
-    objective's order.  The bright states are found once per pulse; a
-    block's bins are written out entry by entry, with no V, in chunks of k =
-    max(1, BLOCK_PROPAGATORS // E) bins or the whole block, each into one
-    reused (3, 3, k, E) stack, so memory stays bounded on dense grids.
+    Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the last
+    ragged, each block starts from B_f^dag of its first bin f, `_advance` steps
+    Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turns into the lab, and the
+    block products chain by `_matmul3`: the GRAPE objective's order.  (p, q, p')
+    come in chunks of max(1, BLOCK_PROPAGATORS // E) bins or a whole block.
     """
-    n = len(controls)
+    n, e = len(controls), len(errors)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
     scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
     bright = _bright_states(controls)
-    size = math.isqrt(n)
-    step = min(size, max(1, BLOCK_PROPAGATORS // len(errors)))
-    stack = np.empty((3, 3, step, len(errors)), dtype=complex)
-    tmp = np.empty((3, 3, len(errors)), dtype=complex)
-    out = None
+    size, bx, by = math.isqrt(n), *(b[:, None] for b in bright[1:])  # (N, 1, 1)
+    ends = (np.arange(n) % size == size - 1) | (np.arange(n) == n - 1)  # each block's last bin
+    turns = _turns(bx, by, ends[:, None, None])  # (2, 2, N, 1, 1)
+    step = min(size, max(1, BLOCK_PROPAGATORS // e))
+    square = _square(stack := np.empty((3, step, e), dtype=complex))
+    y, y_, out, spare = (np.empty(s, complex) for s in [(3, 3, e)] * 3 + [(2, 2, 3, e)])
     for first in range(0, n, size):
-        block, last = None, min(first + size, n)
+        last = min(first + size, n)
+        _basis_start(bx[first, 0], by[first, 0], y)
         for start in range(first, last, step):
-            chunk = slice(start, min(start + step, last))
-            props = stack[:, :, : chunk.stop - start]
-            _bin_exponentials([t[chunk] for t in bright], scale * times[chunk], drift, props)
-            for prop in np.moveaxis(props, 2, 0):  # views of the reused stack
-                block = prop.copy() if block is None else _matmul3(prop, block, tmp=tmp)
-        out = block if out is None else _matmul3(block, out, tmp=tmp)
+            stop = min(start + step, last)
+            part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
+            e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[3][1]
+            for i, j in enumerate(range(start, stop)):
+                y, y_ = _advance(square[:, :, None, i], e1[i], turns[:, :, j], y, y_, spare), y
+            del e1  # the chunk's phases, before the next chunk's are made
+        if first:  # chain the block product y into the running gate, through y_
+            out, y_ = _matmul3(y, out, y_, spare.reshape(-1)[: y.size].reshape(y.shape)), out
+        else:
+            out, y = y, out
     return np.moveaxis(out, 2, 0).copy()
 
 

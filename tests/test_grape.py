@@ -34,7 +34,7 @@ from pulseforge import (
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
-from pulseforge.sequences import error_pairs
+from pulseforge.sequences import error_pairs, gates
 
 PI = np.pi
 NONE = ErrorKind.NONE
@@ -446,6 +446,37 @@ def test_reused_workspace_leaks_no_stale_entry():
             assert np.array_equal(grad, fresh_grad)
 
 
+@pytest.mark.parametrize("bins", [37, 61, 401])
+def test_objective_value_is_performance_bit_for_bit_on_a_ragged_last_block(bins):
+    # isqrt(N) = 6, 7 and 20 leave a last block of 1, 5 and 1 bins, padded with
+    # silent slots: the turns into them are exactly 1 and the block ends in
+    # its last real bin's basis, so the value is the gate stack's bit for bit,
+    # under PLE, ORE and mixed pairs (`performance`'s formula on `gates`),
+    # from fresh and from reused NaN-filled workspaces.
+    problems = (
+        (ErrorKind.PLE, (-0.5, 0.1, 0.5)),
+        (ErrorKind.ORE, (-0.2, 0.3)),
+        (None, [[0.3, -0.2], [-0.5, 0.7], [1.0, -1.0]]),
+    )
+    for kind, eps in problems:
+        pairs = np.array(eps) if kind is None else error_pairs(kind, eps)
+        work = grape_module._workspace(bins, pairs)
+        for stack in work:
+            if stack.dtype == complex:
+                stack.fill(np.nan)
+        for seed in (bins, bins + 1):
+            s = make_schedule(seed, bins=bins)
+            if kind is None:
+                tr = np.einsum("ba,eba->e", USQ.conj(), gates(s.u, s.dt, pairs))
+                expected = float(np.mean(np.abs(tr) ** 2)) - 0.01 * s.dt * float(np.sum(s.u * s.u))
+            else:
+                expected = performance(s, USQ, kind, eps, 0.01)
+            with np.errstate(all="raise"):
+                reused, _ = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01, work)
+            fresh, _ = grape_module._objective(s.u, s.dt, pairs, USQ, 0.01)
+            assert reused == fresh == expected
+
+
 @pytest.mark.parametrize(
     "bins,kind,fractions", [(61, ErrorKind.ORE, (0.1, 0.2)), (60, NONE, ())]
 )
@@ -493,7 +524,7 @@ def test_objective_multiplies_contiguous_unbroadcast_slabs(monkeypatch, kind, fr
 def test_warm_objective_allocates_no_stack():
     # Through a workspace, a warm call at 400 bins and 5 ORE pairs allocates
     # only temporaries of (N, E) size and numpy's iterator buffers: its traced
-    # peak is near 0.5 MB, where allocating each (3, 3, N, E) stack per call
+    # peak is near 0.6 MB, where allocating each (3, 3, N, E) stack per call
     # peaked at 2.0 MB.
     s = make_schedule(5, bins=400)
     pairs = error_pairs(ErrorKind.ORE, np.linspace(-0.2, 0.2, 5))

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulseforge import (
     ErrorGrid,
@@ -159,6 +161,44 @@ def test_window_custom_threshold():
     assert good_fidelity_window(res, "x", threshold=0.8) == pytest.approx(0.2)
 
 
+def window_by_shells(result, label, threshold):
+    """The shell-by-shell loop `good_fidelity_window` replaced: one mask per |eps|."""
+    pts = np.asarray(result.grid.points)
+    fid = np.asarray(result.series[label])
+    radii = np.abs(pts)
+    best = None
+    for r in np.unique(radii):
+        if np.any(fid[radii == r] < threshold):
+            break
+        best = float(r)
+    return best
+
+
+@st.composite
+def window_scans(draw):
+    # Strictly increasing points in [-1, 1], mirrored (each radius twice) or
+    # not, with fidelities drawn from a floor that often leaves all points good
+    # or exactly at a threshold.
+    right = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True))
+    left = [-x for x in right] if draw(st.booleans()) else draw(st.lists(st.floats(-1.0, 0.0), max_size=12))
+    pts = sorted(set(right) | set(left))
+    floor = draw(st.sampled_from([0.0, 0.85, 0.95]))
+    values = st.one_of(st.floats(floor, 1.0), st.sampled_from([0.5, 0.9, 1.0]))  # or at a threshold
+    fid = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    return ScanResult(ErrorGrid(ErrorKind.PLE, tuple(pts)), {"x": tuple(fid)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_scans(), st.sampled_from([0.5, 0.9, 1.0]))
+@example(ScanResult(ErrorGrid(ErrorKind.PLE, (-0.5, 0.0, 0.5)), {"x": (1.0, 0.2, 1.0)}), 0.9)
+@example(ScanResult(ErrorGrid(ErrorKind.ORE, (-0.3, 0.1, 0.2, 0.3)), {"x": (1.0,) * 4}), 0.9)
+@example(ScanResult(ErrorGrid(ErrorKind.PLE, (-0.2, -0.1, 0.1, 0.2)), {"x": (0.95, 1.0, 0.5, 1.0)}), 0.9)
+def test_window_equals_the_shell_by_shell_loop(result, threshold):
+    # Symmetric and asymmetric grids, repeated radii, all points good, and a
+    # bad innermost shell: the one-pass window is the loop's, None included.
+    assert good_fidelity_window(result, "x", threshold) == window_by_shells(result, "x", threshold)
+
+
 def test_series_fidelity_values():
     assert ple_series_fidelity(0.0) == 1.0
     assert ple_series_fidelity(0.2) == pytest.approx(0.9794721467654506, abs=1e-12)
@@ -242,6 +282,37 @@ def test_export_csv_stream():
     buf = io.StringIO()
     text = export_csv(res, buf)
     assert buf.getvalue() == text
+
+
+def csv_by_fstrings(result):
+    """The writer `export_csv` replaced: one f-string per value."""
+    labels = list(result.series)
+    lines = ["epsilon," + ",".join(labels)]
+    for i, eps in enumerate(result.grid.points):
+        row = [f"{eps:.9g}"] + [f"{result.series[lab][i]:.9g}" for lab in labels]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 401), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_export_csv_is_the_per_value_fstring_text(n, columns, uniform, seed):
+    # Fidelities over 300 decades, with -0.0, 0.0, a subnormal, 1e-300 and 1.0
+    # mixed in, on epsilon grids from `ErrorGrid.uniform` or random points:
+    # the text is the per-value f-string text, byte for byte.
+    rng = np.random.default_rng(seed)
+    if uniform:
+        grid = ErrorGrid.uniform(ErrorKind.ORE, -1.0, 1.0, n)
+    else:
+        grid = ErrorGrid(ErrorKind.PLE, tuple(np.unique(rng.uniform(-1.0, 1.0, n)).tolist()))
+    series = {}
+    for label in ("sequential", "bb1", "corpse", "pulse")[:columns]:
+        values = rng.uniform(0.0, 1.0, len(grid.points)) * 10.0 ** -rng.uniform(0.0, 300.0, len(grid.points))
+        special = rng.random(len(values)) < 0.3
+        values[special] = rng.choice([-0.0, 0.0, 5e-324, 1e-300, 1.0], special.sum())
+        series[label] = tuple(values.tolist())
+    result = ScanResult(grid, series)
+    assert export_csv(result, io.StringIO()) == csv_by_fstrings(result)
 
 
 def test_export_csv_bad_path_mentions_destination():

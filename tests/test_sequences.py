@@ -23,10 +23,15 @@ from pulseforge import (
 )
 from pulseforge import sequences
 from pulseforge.sequences import (
+    _advance,
+    _basis_start,
     _bin_exponentials,
     _bright_states,
     _error_terms,
+    _matmul2,
     _matmul3,
+    _square,
+    _turns,
     bin_generators,
     bin_propagators,
     error_pairs,
@@ -165,22 +170,28 @@ def test_propagator_stacks_one_gate_per_fraction():
 @pytest.mark.parametrize("n_fractions", [1, 5, 21, 403])
 def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     # Chunks over bins bound memory but change no arithmetic: the gates
-    # equal the documented blocked product over one full stack of bin
-    # propagators.  Blocks of isqrt(N) bins, the last one ragged, are each
-    # multiplied in bin order and then into the running gate, by the
-    # kernel `gates` uses.
+    # equal the documented blocked product, built here from the engine's
+    # pieces over one full stack of bins.  Blocks of isqrt(N) bins, the last
+    # one ragged, each start from their first bin's B^dag; every bin acts in
+    # its own bright/dark basis and turns into the next bin's, the block's
+    # last into the lab, and the block products chain into the running gate.
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, n_fractions))
-    props = np.moveaxis(bin_propagators(controls, durations, errors)[3], 2, 0)
-    size = math.isqrt(n_bins)
-    expected = None
+    _, bx, by = bright = _bright_states(controls)
+    times, drift = _error_terms(durations, n_bins, errors)
+    _, _, _, phases, blocks = _bin_exponentials(bright, times, drift)
+    size, expected = math.isqrt(n_bins), None
     for first in range(0, n_bins, size):
-        block = props[first]
-        for prop in props[first + 1 : first + size]:
-            block = _matmul3(prop, block)
-        expected = block if expected is None else _matmul3(block, expected)
+        stop = min(first + size, n_bins)
+        ends = np.arange(first, stop) == stop - 1
+        turns = _turns(bx[first:stop, None], by[first:stop, None], ends[:, None, None])
+        y = _basis_start(bx[first], by[first], np.empty((3, 3, n_fractions), dtype=complex))
+        for j in range(first, stop):
+            square = _square(blocks)[:, :, None, j]
+            y = _advance(square, phases[1, j], turns[:, :, j - first], y, np.empty_like(y), None)
+        expected = y if expected is None else _matmul3(y, expected)
     assert np.array_equal(gates(controls, durations, errors), np.moveaxis(expected, 2, 0))
 
 
@@ -217,6 +228,21 @@ def matrix_first_stacks():
     }
 
 
+@pytest.mark.parametrize("shape", [(), (401,), (20, 5)])
+def test_matmul2_is_the_two_term_sum_over_broadcast_rows(shape):
+    # out_i = a_i0 b_0 + a_i1 b_1 for 2x2 coefficients broadcast along the
+    # three columns of each row, as `_advance` takes them, also in place.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 2, 1) + shape) + 1j * rng.normal(size=(2, 2, 1) + shape)
+    b = rng.normal(size=(2, 3) + shape) + 1j * rng.normal(size=(2, 3) + shape)
+    got = _matmul2(a, b)
+    expected = np.stack([a[i, 0] * b[0] + a[i, 1] * b[1] for i in range(2)])
+    assert np.array_equal(got, expected)
+    in_place = b.copy()
+    assert _matmul2(a, in_place, in_place) is in_place
+    assert np.array_equal(in_place, expected)
+
+
 @pytest.mark.parametrize("case", ["full", "broadcast-v", "small", "strided"])
 def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
     # Entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, summed in that
@@ -250,7 +276,7 @@ def test_silent_bin_of_zero_duration_is_exactly_the_identity():
     ],
 )
 def test_bin_propagators_write_into_given_stacks(errors):
-    # The GRAPE objective hands in its workspace's U and V stacks, NaN-filled
+    # A caller may hand in its own U and V stacks, NaN-filled
     # here: both come back as the very arrays given, equal to a fresh call's.
     rng = np.random.default_rng(4)
     controls, durations = rng.uniform(-0.5, 0.5, size=(7, 4)), rng.uniform(0.1, 0.3, 7)
@@ -340,7 +366,7 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
     assert t.shape == tw.shape[:2] == (len(controls), len(eps))
     if not np.any(errors[:, 1]):
         assert v_first.shape == (3, 3, len(controls), 1)
-    # The propagators, written out entry by entry, are each bin's exponential.
+    # The propagators, assembled from the engine's pieces, are each bin's exponential.
     for j, p in np.ndindex(t.shape):
         expected = scipy.linalg.expm(-1j * t[j, p] * gen[j, p % e])
         assert np.max(np.abs(props[:, :, j, p] - expected)) <= 1e-14
@@ -348,7 +374,7 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
 
 @pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
 def test_gates_stay_unitary_on_a_dense_grid(kind):
-    # 400 bins at 401 fractions: the written-out bin propagators keep the
+    # 400 bins at 401 fractions: stepping each bin in its own basis keeps the
     # long product unitary to rounding.
     rng = np.random.default_rng(21)
     controls = rng.uniform(-0.5, 0.5, size=(400, 4))
@@ -367,16 +393,17 @@ def dense_grid_peak(kind):
 
 def test_gates_memory_stays_bounded_on_a_dense_grid():
     # Bins are exponentiated in chunks of BLOCK_PROPAGATORS // E whole bins
-    # (3 at 401 fractions), written into one reused (3, 3, 3, E) stack with
-    # no eigenvectors built: one call at 401 ORE fractions on 400 bins peaks
-    # at 0.58-0.60 MB of traced allocations (4 bins would peak at 0.70 MB),
-    # where a full (3, 3, N, E) stack alone would take 23 MB.
+    # (4 at 401 fractions), their (p, q, p') written into one reused (3, 4, E)
+    # stack and each bin stepped in its own basis: one call at 401 ORE
+    # fractions on 400 bins peaks at 0.61 MB of traced allocations (5 bins
+    # would peak at 0.67 MB), where a full (3, 3, N, E) stack alone would
+    # take 23 MB.
     assert dense_grid_peak(ErrorKind.ORE) <= 0.65e6
 
 
 def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
     # As above under PLE, where one mixing angle serves every fraction:
-    # 0.56-0.57 MB (4 bins would peak at 0.62 MB).
+    # 0.61 MB (5 bins would peak at 0.65 MB).
     assert dense_grid_peak(ErrorKind.PLE) <= 0.65e6
 
 

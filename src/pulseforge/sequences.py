@@ -43,14 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CONTROL_HAMILTONIANS, Z_TOTAL
-
 __all__ = [
     "ErrorKind",
     "error_pairs",
     "ControlSchedule",
-    "bin_generators",
-    "bin_propagators",
     "gates",
     "propagator",
     "sequential_gate",
@@ -152,32 +148,12 @@ def _error_terms(durations, bins: int, errors):
     return (1.0 + stretch)[:, None] * times, drift
 
 
-def bin_generators(controls, durations, errors):
-    """Generators H_j and durations t_j of every bin under the error, unchecked.
-
-    `controls` is (N, 4) and gives H_j = sum_k u_jk H_k; `durations` is a
-    scalar or (N,); `errors` is (E, 2) as from `error_pairs`.  The pairs
-    enter as in `_error_terms`: H is (E or 1, N, 3, 3), t is (E, N), and
-    exp(-i t H) broadcasts to (E, N, 3, 3).  A bin driven at amplitudes
-    u_m, u_r and phases theta_m, theta_r (`_drive_controls`) under the
-    detuning d thus has the effective Hamiltonian
-
-        (d/3) Z_TOTAL
-        - (u_m/2)(cos(theta_m) sigma_x^20 + sin(theta_m) sigma_y^20)
-        - (u_r/2)(cos(theta_r) sigma_x^23 + sin(theta_r) sigma_y^23).
-    """
-    gen = np.einsum("jk,kab->jab", controls, CONTROL_HAMILTONIANS)
-    times, drift = _error_terms(durations, len(gen), errors)
-    return gen + drift[:, None, None, None] * Z_TOTAL, times
-
-
-def _matmul3(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order,
-    into `out` (no input), terms 2 and 3 via `tmp`, each allocated if not given.
-    Given both, 0.09 ms at (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@`
-    on (400, 5, 3, 3) takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    into `out` (no input), terms 2 and 3 via `tmp` of out's shape.  0.09 ms at
+    (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on (400, 5, 3, 3)
+    takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
     out = np.multiply(a[:, :1], b[:1], out=out)
-    tmp = np.empty_like(out) if tmp is None else tmp
     for k in (1, 2):
         out += np.multiply(a[:, k : k + 1], b[k : k + 1], out=tmp)
     return out
@@ -203,10 +179,25 @@ def _bright_states(controls):
     return r[:, None], bx[:, None], (y.conj() / r_safe)[:, None]
 
 
-def _bin_exponentials(bright, times, drift, blocks=None, psi=None):
-    """The mixing angle's cos and sin, t w and e^{-i t w} (3, N, E), and (p, q, p')
-    (3, N, E) into `blocks` or a new stack (`bin_propagators`), from `_error_terms`'
-    durations (E, N) and drift; also Psi into a given (6, N, E) `psi`."""
+def _bin_exponentials(bright, times, drift, blocks, psi=None):
+    """Every bin's exponential in its bright/dark basis, closed-form, unchecked.
+
+    From `_bright_states`' (r, bx, by) and `_error_terms`' durations t (E, N)
+    and drift d/3.  Every generator is [[a, x, 0], [x*, b, y], [0, y*, a]],
+    x = u1 - i u2, y = u3 + i u4, a = -d/3, b = 2 d/3.  With r = |(x, y)|, the
+    dark state (y, 0, -x*)/r has eigenvalue a, and the bright state (bx, 0, by)
+    = (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]]: eigenvalues
+    (a + b)/2 -+ hypot((b - a)/2, r), eigenvectors -c bright + s |2> and
+    s bright + c |2>, (c, s) = (cos, sin) of phi = atan2(2 r, b - a) / 2.  A
+    silent bin (r = 0) takes |0> as its bright state and -|3> as its dark one.
+    Returns c and s (N, E), or (N, 1) when no pair detunes and one angle serves
+    every pair; t w (3, N, E) for w = (w_0, a, w_2), e_k = e^{-i t w_k} by one
+    real cos and sin; and into `blocks` (3, N, E) the bright/|2> block
+    [[p, q], [q, p']], p = c^2 e_0 + s^2 e_2, q = c s (e_2 - e_0),
+    p' = s^2 e_0 + c^2 e_2, with e_1 on the dark state.  A given (6, N, E)
+    `psi` gets Psi_ab = -i t e^{-i theta} sinc theta, theta = t (w_a - w_b)/2,
+    at ab = 20, 10, 21, 02, 01, 12 (sinc 1 at 0), Psi_ba = -Psi_ab*.
+    """
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
     phi = 0.5 * np.arctan2(2.0 * bright[0], b - a)
     c, s = np.cos(phi), np.sin(phi, out=phi)
@@ -216,7 +207,6 @@ def _bin_exponentials(bright, times, drift, blocks=None, psi=None):
     e0, e1, e2 = phases = np.empty(tw.shape, dtype=complex)  # as np.exp(-1j * tw)
     np.cos(tw, out=phases.real)
     np.negative(np.sin(tw, out=phases.imag), out=phases.imag)
-    blocks = np.empty((3,) + tw.shape[1:], dtype=complex) if blocks is None else blocks
     p, q, p_ = blocks  # p = e_0 + s^2 (e_2 - e_0), q = c s (e_2 - e_0), p' = e_2 - s^2 (e_2 - e_0)
     np.multiply(s * s, np.subtract(e2, e0, out=q), out=p_)
     np.add(e0, p_, out=p)
@@ -269,48 +259,6 @@ def _advance(square, e1, turn, y, out, tmp) -> np.ndarray:
     return out
 
 
-def bin_propagators(controls, durations, errors, props=None, v=None, psi=None):
-    """Every bin's exponential under the error pairs, matrix-first, unchecked.
-
-    Arguments as for `bin_generators`.  Returns t (N, E), t w (3, N, E),
-    V (3, 3, N, E or 1) and U_j = V diag(e^{-i t w}) V^dag (3, 3, N, E),
-    closed-form, so long products stay unitary.  Every generator is
-
-        [[a, x, 0], [x*, b, y], [0, y*, a]],  x = u1 - i u2,  y = u3 + i u4,
-
-    with a = -d/3 and b = 2 d/3 at the detuning d.  With r = |(x, y)|, the
-    dark state (y, 0, -x*)/r has eigenvalue a, and the bright state
-    (bx, 0, by) = (x, 0, y*)/r spans with |2> the block [[a, r], [r, b]],
-    whose eigenvalues (a + b)/2 -+ hypot((b - a)/2, r) and eigenvectors
-    -c bright + s |2>, s bright + c |2>, (c, s) = (cos, sin) of
-    phi = atan2(2 r, b - a) / 2, fill V's columns 0 and 2.  A silent bin
-    (r = 0) takes |0> as its bright state and so -|3> as its dark state.
-    Dark and bright states depend on the controls only, so when no pair
-    detunes one V serves every pair.  With e_k = e^{-i t w_k} by one real cos
-    and sin, U is [[p, q], [q, p']] on (bright, |2>), p = c^2 e_0 + s^2 e_2,
-    q = c s (e_2 - e_0), p' = s^2 e_0 + c^2 e_2, and e_1 on the dark state, so
-    U = B U^B B^dag is one `_advance` of B^dag into the lab.
-    U and V are written into `props` and `v` when given, and
-    returned; a (6, N, E) `psi` gets Psi_ab = -i t e^{-i theta} sinc theta,
-    theta = t (w_a - w_b)/2, at ab = 20, 10, 21, 02, 01, 12 from one cos and
-    sin of theta, sinc theta = sin theta / theta (1 at 0), Psi_ba = -Psi_ab*.
-    """
-    bright = _bright_states(controls)
-    times, drift = _error_terms(durations, len(bright[0]), errors)
-    c, s, tw, phases, blocks = _bin_exponentials(bright, times, drift, psi=psi)
-    _, bx, by = bright
-    start = _basis_start(bx, by, np.empty((3, 3) + tw.shape[1:], dtype=complex))
-    props = np.empty_like(start) if props is None else props
-    lab = _turns(bx, by, True)[:, :, None]
-    _advance(_square(blocks)[:, :, None], phases[1], lab, start, props, None)  # B U^B B^dag
-    v = np.empty((3, 3) + c.shape, dtype=complex) if v is None else v
-    v[0, 0], v[1, 0], v[2, 0] = -c * bx, s, -c * by
-    v[0, 1], v[1, 1], v[2, 1] = by.conj(), 0.0, -bx.conj()
-    v[0, 2], v[1, 2], v[2, 2] = s * bx, c, s * by
-    t = np.broadcast_to(times.T, tw.shape[1:])
-    return t, tw, v, props
-
-
 # Fraction x bin propagators `gates` exponentiates at once, within one bin block:
 # 4 bins at 399-403 fractions (traced peak 0.61 MB at 403; 5 bins peak at 0.67 MB).
 BLOCK_PROPAGATORS = 1612
@@ -319,7 +267,10 @@ BLOCK_PROPAGATORS = 1612
 def gates(controls, durations, errors) -> np.ndarray:
     """U_N ... U_2 U_1 for every error pair, shape (E, 3, 3), unchecked.
 
-    Arguments as for `bin_generators`.  Over blocks of isqrt(N) bins, the last
+    Bin j runs for (1 + s) t_j under sum_k u_jk `linalg.CONTROL_HAMILTONIANS`[k]
+    + (d/3) Z_TOTAL at each pair (s, d) of `errors` (E, 2), as from `error_pairs`,
+    from controls u (N, 4) and a scalar or (N,) `durations` t, so a one-bin call
+    is that bin's exponential.  Over blocks of isqrt(N) bins, the last
     ragged, each block starts from B_f^dag of its first bin f, `_advance` steps
     Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turns into the lab, and the
     block products chain by `_matmul3`: the GRAPE objective's order.  (p, q, p')

@@ -32,6 +32,13 @@ X23 = op(1, 2) + op(2, 1)
 ZHAT = np.diag([-1.0, 2.0, -1.0]).astype(complex)
 
 
+def bin_hamiltonian(u, detuning=0.0) -> np.ndarray:
+    """One bin's Hamiltonian at controls u = (u1, u2, u3, u4) and detuning d,
+    u1 X20 + u2 Y20 + u3 X23 + u4 Y23 + (d/3) ZHAT, from the operators above."""
+    u1, u2, u3, u4 = u
+    return u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23 + detuning / 3 * ZHAT
+
+
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     q, r = np.linalg.qr(z)

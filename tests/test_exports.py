@@ -1,7 +1,7 @@
-"""Public names: every `__all__` entry exists, and the package re-exports
-only names that some module lists in its `__all__`.  Leftovers: no module
-imports a name it never uses, and every private module-level name is used
-somewhere in the package."""
+"""Public names: every `__all__` entry exists and is re-exported or read in
+the package, and the package re-exports only names that some module lists in
+its `__all__`.  Leftovers: no module imports a name it never uses, and every
+private module-level name is used somewhere in the package."""
 
 import ast
 import importlib
@@ -64,6 +64,21 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - names_read(tree):
             unused[stem] = sorted(imported - names_read(tree))
     assert unused == {}
+
+
+def test_every_all_name_is_exported_or_read_in_the_package():
+    # A public name that `__init__` does not re-export and no package code
+    # reads, as a name or an attribute, serves only tests.
+    trees = sources()
+    read = set().union(*map(names_read, trees.values()))
+    read |= {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    unused = [
+        f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        for module in modules()
+        for name in getattr(module, "__all__", ())
+        if name not in read and name not in vars(pulseforge)
+    ]
+    assert unused == []
 
 
 def test_every_private_module_name_is_used():

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, probe_gradient_fd, traced_peak
+from conftest import USQ, X20, X23, Y20, Y23, ZHAT, bin_hamiltonian, probe_gradient_fd, traced_peak
 from pulseforge import (
     CONTROL_BOUND,
     PULSE_CSV_HEADER,
@@ -317,8 +317,7 @@ def van_loan_gradient(s, pairs, penalty):
     grad = np.zeros_like(s.u)
     for stretch, detuning in pairs:
         t = s.dt * (1 + stretch)
-        drift = detuning / 3 * ZHAT
-        gens = [drift + sum(c * h for c, h in zip(row, controls)) for row in s.u]
+        gens = [bin_hamiltonian(row, detuning) for row in s.u]
         props = [scipy.linalg.expm(-1j * t * h) for h in gens]
         prefix = [np.eye(3, dtype=complex)]
         for p in props[:-1]:

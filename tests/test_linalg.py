@@ -1,4 +1,4 @@
-"""Written-out operators, bin generators and exponentials, gate fidelity."""
+"""Written-out operators, bin Hamiltonians and exponentials, gate fidelity."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,29 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, random_unitary, segment_schedule
+from conftest import (
+    USQ,
+    X20,
+    X23,
+    Y20,
+    Y23,
+    ZHAT,
+    bin_hamiltonian,
+    random_unitary,
+    segment_schedule,
+)
 from pulseforge import ErrorKind, propagator, pulses_to_schedule
 from pulseforge import linalg as la
-from pulseforge.sequences import bin_generators, bin_propagators, error_pairs
+from pulseforge.sequences import error_pairs, gates
 
 PI = np.pi
 
 
 def effective_hamiltonian(delta, u_m, theta_m, u_r, theta_r):
-    """The engine's generator of one bin driven at (u_m, theta_m, u_r, theta_r)
-    under the detuning delta, given as the pair (0, delta) since |delta| may
-    exceed the checked range of `error_pairs`."""
+    """The Hamiltonian of one bin driven at (u_m, theta_m, u_r, theta_r) under
+    the detuning delta: the drive map's controls on the written-out operators."""
     s = pulses_to_schedule(np.array([[u_m, theta_m, u_r, theta_r]]), 1.0)
-    gen, _ = bin_generators(s.u, 1.0, [[0.0, delta]])
-    return gen[0, 0]
+    return bin_hamiltonian(s.u[0], delta)
 
 
 def test_control_hamiltonians_are_the_sigma_operators():
@@ -116,21 +124,19 @@ def test_mw_segment_rabi_block():
     assert np.max(np.abs(u - expected)) <= 1e-12
 
 
-def test_bin_propagators_broadcast_stretches_over_a_stack():
-    # Under PLE one eigensystem per bin serves every fraction: entry (j, e)
-    # of the matrix-first stack is exp(-i (1 + eps_e) t_j H_j).
+def test_one_bin_gates_broadcast_stretches_over_a_stack():
+    # Under PLE one eigensystem per bin serves every fraction: gate e of a
+    # one-bin `gates` call is exp(-i (1 + eps_e) t_j H_j).
     rng = np.random.default_rng(9)
     controls = rng.uniform(-0.5, 0.5, size=(4, 4))
     t = rng.uniform(0.1, 3.0, size=4)
     eps = np.array([-0.6, 0.0, 0.35])
-    _, _, v, props = bin_propagators(controls, t, error_pairs(ErrorKind.PLE, eps))
-    assert v.shape == (3, 3, 4, 1)
-    assert props.shape == (3, 3, 4, 3)
-    for j, (u1, u2, u3, u4) in enumerate(controls):
-        h = u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23
+    for j, u in enumerate(controls):
+        props = gates(controls[j : j + 1], t[j], error_pairs(ErrorKind.PLE, eps))
+        assert props.shape == (3, 3, 3)
         for e in range(3):
-            expected = scipy.linalg.expm(-1j * (1 + eps[e]) * t[j] * h)
-            assert np.max(np.abs(props[:, :, j, e] - expected)) <= 1e-12
+            expected = scipy.linalg.expm(-1j * (1 + eps[e]) * t[j] * bin_hamiltonian(u))
+            assert np.max(np.abs(props[e] - expected)) <= 1e-12
 
 
 def test_gate_fidelity_self_is_one():

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import USQ, X20, X23, Y20, Y23, ZHAT, segment_schedule, traced_peak
+from conftest import USQ, Y20, Y23, ZHAT, bin_hamiltonian, segment_schedule, traced_peak
 from pulseforge import (
     COMPOSITES,
     ControlSchedule,
@@ -32,8 +32,6 @@ from pulseforge.sequences import (
     _matmul3,
     _square,
     _turns,
-    bin_generators,
-    bin_propagators,
     error_pairs,
     gates,
 )
@@ -43,6 +41,14 @@ NONE = ErrorKind.NONE
 
 # Pairs that stretch and detune at once, which no one-axis kind reaches.
 MIXED_PAIRS = [[0.3, -0.2], [-0.5, 0.7], [1.0, -1.0]]
+
+
+def exponentials(controls, durations, errors, psi=None):
+    """t (N, E), then `_bin_exponentials`' c, s, t w, phases and (p, q, p') of
+    every bin under the error pairs, (p, q, p') written into a fresh stack."""
+    times, drift = _error_terms(durations, len(controls), errors)
+    blocks = np.empty((3,) + times.T.shape, dtype=complex)
+    return times.T, *_bin_exponentials(_bright_states(controls), times, drift, blocks, psi)
 
 
 def test_sequential_gate_matrix():
@@ -179,9 +185,8 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, n_fractions))
-    _, bx, by = bright = _bright_states(controls)
-    times, drift = _error_terms(durations, n_bins, errors)
-    _, _, _, phases, blocks = _bin_exponentials(bright, times, drift)
+    _, bx, by = _bright_states(controls)
+    *_, phases, blocks = exponentials(controls, durations, errors)
     size, expected = math.isqrt(n_bins), None
     for first in range(0, n_bins, size):
         stop = min(first + size, n_bins)
@@ -191,7 +196,7 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
         for j in range(first, stop):
             square = _square(blocks)[:, :, None, j]
             y = _advance(square, phases[1, j], turns[:, :, j - first], y, np.empty_like(y), None)
-        expected = y if expected is None else _matmul3(y, expected)
+        expected = y if expected is None else _matmul3(y, expected, np.empty_like(y), np.empty_like(y))
     assert np.array_equal(gates(controls, durations, errors), np.moveaxis(expected, 2, 0))
 
 
@@ -202,7 +207,7 @@ def test_gates_match_sequential_running_product(kind):
     rng = np.random.default_rng(7)
     controls = rng.uniform(-0.5, 0.5, size=(400, 4))
     errors = error_pairs(kind, np.linspace(-1.0, 1.0, 403))
-    props = np.moveaxis(bin_propagators(controls, 0.05, errors)[3], (0, 1), (2, 3))
+    props = [gates(controls[j : j + 1], 0.05, errors) for j in range(400)]  # each U_j
     expected = props[0]
     for prop in props[1:]:
         expected = prop @ expected
@@ -211,9 +216,10 @@ def test_gates_match_sequential_running_product(kind):
 
 
 def matrix_first_stacks():
-    # Full (3, 3, 400, 5) stacks, a V shared by every pair (3, 3, N, 1), a
-    # small (3, 3, E) stack as in `gates`' bin loop, and the every-20th-bin
-    # views (isqrt(401) = 20, ragged last block) the objective steps through.
+    # Full (3, 3, 400, 5) stacks, a (3, 3, N, 1) operand broadcast over the
+    # pairs, a small (3, 3, E) stack as in `gates`' bin loop, and the
+    # every-20th-bin views (isqrt(401) = 20, ragged last block) the objective
+    # steps through.
     rng = np.random.default_rng(3)
 
     def stack(*shape):
@@ -248,7 +254,9 @@ def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
     # Entry (i, j) is (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, summed in that
     # order, so every product in the engine rounds the same at any size.
     a, b = matrix_first_stacks()[case]
-    got = _matmul3(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    got = _matmul3(a, b, out, np.empty_like(out))
+    assert got is out
     expected = np.empty(got.shape, dtype=complex)
     for i in range(3):
         for j in range(3):
@@ -263,29 +271,8 @@ def test_silent_bin_of_zero_duration_is_exactly_the_identity():
     # relies on each pad multiplying as the exact identity under any pair:
     # stretched or not, detuned either way (mixing angle 0 or pi/2).
     pairs = np.array([(s, d) for s in (-0.5, 0.5) for d in (-0.2, 0.0, 0.2)])
-    props = bin_propagators(np.zeros((3, 4)), np.zeros(3), pairs)[3]
-    assert np.array_equal(props, np.broadcast_to(np.eye(3)[:, :, None, None], props.shape))
-
-
-@pytest.mark.parametrize(
-    "errors",
-    [
-        error_pairs(ErrorKind.PLE, (-0.3, 0.2)),
-        error_pairs(ErrorKind.ORE, (-0.2, 0.1)),
-        MIXED_PAIRS,
-    ],
-)
-def test_bin_propagators_write_into_given_stacks(errors):
-    # A caller may hand in its own U and V stacks, NaN-filled
-    # here: both come back as the very arrays given, equal to a fresh call's.
-    rng = np.random.default_rng(4)
-    controls, durations = rng.uniform(-0.5, 0.5, size=(7, 4)), rng.uniform(0.1, 0.3, 7)
-    t, tw, v, props = bin_propagators(controls, durations, errors)
-    given_props, given_v = np.full_like(props, np.nan), np.full_like(v, np.nan)
-    got = bin_propagators(controls, durations, errors, given_props, given_v)
-    assert got[3] is given_props and got[2] is given_v
-    for fresh, written in zip((t, tw, v, props), got):
-        assert fresh.shape == written.shape and fresh.tobytes() == written.tobytes()
+    pad = gates(np.zeros((1, 4)), 0.0, pairs)
+    assert np.array_equal(pad, np.broadcast_to(np.eye(3), pad.shape))
 
 
 def sinc_reference_psi(t, tw):
@@ -297,7 +284,7 @@ def sinc_reference_psi(t, tw):
 
 def assert_psi_matches_sinc_reference(controls, durations, errors):
     psi = np.full((6, len(controls), len(errors)), np.nan, dtype=complex)
-    t, tw, _, _ = bin_propagators(controls, durations, errors, psi=psi)
+    t, _, _, tw, _, _ = exponentials(controls, durations, errors, psi)
     ref = sinc_reference_psi(t, tw)
     assert np.all(np.abs(psi - ref) <= 1e-15 * np.abs(ref))
 
@@ -324,8 +311,7 @@ def test_psi_and_phases_on_the_committed_pulses(name, kind, eps):
     s, _ = import_pulse_csv(PULSES / f"{name}_pulse.csv")
     errors = error_pairs(kind, eps)
     assert_psi_matches_sinc_reference(s.u, s.dt, errors)
-    times, drift = _error_terms(s.dt, s.bins, errors)
-    _, _, tw, phases, _ = _bin_exponentials(_bright_states(s.u), times, drift)
+    _, _, _, tw, phases, _ = exponentials(s.u, s.dt, errors)
     assert phases.tobytes() == np.exp(-1j * tw).tobytes()
 
 
@@ -351,25 +337,33 @@ def test_closed_form_eigensystem_rebuilds_the_generators(seed, kind, eps):
     controls[3] = 1e-170
     controls[4] = (0.0, 0.0, 0.0, -1e-170)
     durations = rng.uniform(0.01, 0.3, size=40)
-    t, tw, v_first, props = bin_propagators(controls, durations, errors)
-    tw, v = np.moveaxis(tw, 0, 2), np.moveaxis(v_first, (0, 1), (2, 3))
-    gen, _ = bin_generators(controls, durations, errors)
-    gen = np.moveaxis(np.broadcast_to(gen, (v.shape[1],) + gen.shape[-3:]), 0, 1)
+    t, c, s, tw, _, _ = exponentials(controls, durations, errors)
+    # When no pair detunes, one angle per bin serves every pair, as the
+    # objective's pair-summed gradient contraction relies on.
+    if not np.any(errors[:, 1]):
+        assert c.shape == (len(controls), 1)
+    # V's columns: -c bright + s |2>, the dark state and s bright + c |2>, with
+    # bright (bx, 0, by) and dark (by*, 0, -bx*) from the controls alone.
+    _, bx, by = _bright_states(controls)
+    bright, dark = np.stack([bx, 0 * bx, by], -1), np.stack([by.conj(), 0 * bx, -bx.conj()], -1)
+    c, s, two = c[..., None], s[..., None], np.eye(3)[1]
+    v = np.stack(np.broadcast_arrays(-c * bright + s * two, dark, s * bright + c * two), -1)
     # V and w serve every pair when none detunes (w is read off the first,
     # since PLE's fraction -1 has t = 0); otherwise each pair has its own.
     e = v.shape[1]
+    tw = np.moveaxis(tw, 0, 2)
     w = tw[:, :e] / t[:, :e, None]
+    gen = np.array([[bin_hamiltonian(u, d) for d in errors[:e, 1]] for u in controls])
     vh = np.swapaxes(v.conj(), -1, -2)
     assert np.max(np.abs((v * w[..., None, :]) @ vh - gen)) <= 1e-14
     assert np.max(np.abs(vh @ v - np.eye(3))) <= 1e-14
     assert np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(gen))) <= 1e-14
     assert t.shape == tw.shape[:2] == (len(controls), len(eps))
-    if not np.any(errors[:, 1]):
-        assert v_first.shape == (3, 3, len(controls), 1)
-    # The propagators, assembled from the engine's pieces, are each bin's exponential.
-    for j, p in np.ndindex(t.shape):
-        expected = scipy.linalg.expm(-1j * t[j, p] * gen[j, p % e])
-        assert np.max(np.abs(props[:, :, j, p] - expected)) <= 1e-14
+    # A one-bin `gates` call is each bin's exponential.
+    for j in range(len(controls)):
+        for p, u in enumerate(gates(controls[j : j + 1], durations[j], errors)):
+            expected = scipy.linalg.expm(-1j * t[j, p] * gen[j, p % e])
+            assert np.max(np.abs(u - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
@@ -456,9 +450,8 @@ def test_gates_at_mixed_pairs_match_scipy(seed):
     assert got.shape == (3, 3, 3)
     for gate, (s, d) in zip(got, MIXED_PAIRS):
         expected = np.eye(3)
-        for (u1, u2, u3, u4), t in zip(controls, durations):
-            h = u1 * X20 + u2 * Y20 + u3 * X23 + u4 * Y23 + d / 3 * ZHAT
-            expected = scipy.linalg.expm(-1j * (1 + s) * t * h) @ expected
+        for u, t in zip(controls, durations):
+            expected = scipy.linalg.expm(-1j * (1 + s) * t * bin_hamiltonian(u, d)) @ expected
         assert np.max(np.abs(gate - expected)) <= 1e-12
 
 

@@ -162,14 +162,15 @@ def performance(
 def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
     """One training problem's layout for `_objective`: each bin's slot, the padded
     controls and durations, (p, q, p') (3, slots, E), the Y, X, weight, product
-    and scratch stacks (3, 3, slots, E) and Psi (6, slots, E).  With size =
-    isqrt(N), bin b size + j sits in slot j blocks + b; the pads keep u = t = 0."""
-    e, slots = len(errors), (size := math.isqrt(bins)) * -(-bins // size)
+    and scratch stacks (3, 3, slots, E), Psi (6, slots, E) and a flat scratch of
+    27 blocks E for one step's products.  With size = isqrt(N), bin b size + j
+    sits in slot j blocks + b; the pads keep u = t = 0."""
+    e, slots = len(errors), (size := math.isqrt(bins)) * (blocks := -(-bins // size))
     slot = np.arange(slots).reshape(size, -1).T.ravel()[:bins]
     stacks = [np.empty((3, 3, slots, e), complex) for _ in range(3)]
     stacks.extend(np.empty((2, 3, 3, slots, e), complex))  # one buffer, for 2x2 products too
     return (slot, np.zeros((slots, 4)), np.zeros(slots), np.empty((3, slots, e), complex),
-            *stacks, np.empty((6, slots, e), complex))
+            *stacks, np.empty((6, slots, e), complex), np.empty(27 * blocks * e, complex))
 
 
 def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
@@ -185,7 +186,9 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     blocks at once, so the value is that of `performance` bit for bit:
     Y_j = B_j^dag W_j with the within-block prefix W_j = U_{j-1} ... U_f, and
     the block products chain into the block starts S_b and U.  In
-    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab.  The
+    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab: for
+    few pairs (`sequences._folds`) one `_matmul3` by the step matrices, built
+    for every bin at once into X's stack, otherwise `sequences._advance`.  The
     pads (u = t = 0) are silent bins, whose basis is the lab's, so the last
     real bin turns into the lab as in `gates` and each pad step is exactly 1.
     With A_j = W_j S_b and C = U_T^dag U, unitarity gives
@@ -209,35 +212,45 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     `work` is `_workspace(N, errors)`, built once per ascent by `ascend` and
     fresh for any other caller; one built for another N or E raises ValueError.
     No `_matmul3` operand is strided or broadcast along the slots or pairs.  Y
-    holds the Y_j, then the block starts and C_b tiled; X the X_j; the weight
-    stack the block products, C, C_b and K; the product stack (the scratch
-    after it) 2x2 products, the chain, S_b C, X C and M.  Written before read.
+    holds the Y_j, then the block starts and C_b tiled; X the step matrices,
+    then the X_j; the weight stack the block products, C, C_b and K; the
+    product stack (the scratch after it) the last step, 2x2 products, the
+    chain, S_b C, X C and M; the flat scratch one step's or chain product's
+    terms.  Written before read.
     """
     n, e = len(u), len(errors)
-    slot, us, ts, ub, y, x, cw, xc, tmp, psi = work or _workspace(n, errors)
+    slot, us, ts, ub, y, x, cw, xc, tmp, psi, terms = work or _workspace(n, errors)
     if (built := (len(slot), y.shape[-1])) != (n, e):
         raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
     grid = (size := math.isqrt(n), blocks := len(ts) // size)  # bin steps, blocks
     us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U^B = 1
     bright = sequences._bright_states(us)
     times, drift = _error_terms(ts, len(ts), errors)
-    c, s, _, phases, ub = sequences._bin_exponentials(bright, times, drift, ub, psi)
-    bxs, bys = (b.reshape((size, 1, blocks, 1)) for b in bright[1:])
-    turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None, None])
-    ys, steps = y.reshape((3, 3) + grid + (e,)), sequences._square(ub.reshape((3,) + grid + (e,)))
-    e1, products = phases[1].reshape(grid + (e,)), _view(cw, (blocks, 3, 3, e))
-    scratch, slab = _view(xc.base, (2, 2, 3, blocks, e)), (3, 3, blocks, e)
-    sequences._basis_start(bxs[0, 0], bys[0, 0], ys[:, :, 0])
+    c, s, phases, ub = sequences._bin_exponentials(bright, times, drift, ub, psi)
+    bxs, bys = (b.reshape(grid + (1,)) for b in bright[1:])
+    turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None])
+    ys, ubs, e1 = (a.reshape(a.shape[:-2] + grid + (e,)) for a in (y, ub, phases[1]))
+    slab, products = (3, 3, blocks, e), _view(cw, (blocks, 3, 3, e))
+    if fold := sequences._folds(e):  # each step M_j = T_j S_j, held in X's stack
+        steps = sequences._step_matrices(ubs, e1, turns, x.reshape(ys.shape))
+        scratch = _view(terms, (3,) + slab)
+    else:
+        steps, scratch = sequences._square(ubs), _view(terms, (2, 2, 3, blocks, e))
+    sequences._basis_start(bxs[0], bys[0], ys[:, :, 0])
     for j in range(size):  # the last step writes each block's product, in the lab
-        out = ys[:, :, j + 1] if j + 1 < size else np.moveaxis(products, 0, 2)
-        sequences._advance(steps[:, :, None, j], e1[j], turns[:, :, j], ys[:, :, j], out, scratch)
+        y_j, out = ys[:, :, j], ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
+        if fold:
+            _matmul3(steps[:, :, j], y_j, out, scratch)
+        else:
+            sequences._advance(steps[:, :, None, j], e1[j], turns[:, :, None, j], y_j, out, scratch)
+    np.moveaxis(products, 0, 2)[...] = out  # as the chain reads them
     rotation = np.array([[-c, s], [s, c]])[:, :, None]  # R^T on the (bright, |2>) rows
     sequences._matmul2(rotation, y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
     np.negative(y[2], out=x[1])  # X_j = R^T Y_j, V's dark column being -B's
-    chain = _view(xc, (blocks, 3, 3, e))  # S_1, ..., S_{blocks - 1}, then U
+    chain, scratch = _view(xc, (blocks, 3, 3, e)), _view(terms, (3, 3, 3, e))  # S_1, ..., then U
     chain[0] = products[0]
     for b in range(1, blocks):
-        _matmul3(products[b], chain[b - 1], chain[b], _view(tmp, (3, 3, e)))
+        _matmul3(products[b], chain[b - 1], chain[b], scratch)
     full = np.moveaxis(chain[-1], 2, 0).copy()  # U, (E, 3, 3)
     tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)

@@ -25,8 +25,11 @@ dark state, the superposition of |0> and |3> that the drives cancel on,
 is an exact eigenvector, and what remains is a 2x2 block of the bright
 state and |2> with one mixing angle; no eigensolver runs per bin.  In the
 basis B = [bright | |2> | dark] a bin acts by one 2x2 block and a phase, and
-consecutive bases differ by a 2x2 unitary of the controls, so `gates` and the
-GRAPE objective step each bin by two 2x2 products (`_advance`).
+consecutive bases differ by a 2x2 unitary of the controls.  `gates` and the
+GRAPE objective step each bin by one 3x3 product with that turn folded into
+the bin's step matrix (`_step_matrices`) for few error pairs, where numpy's
+per-call cost dominates, and by two 2x2 products (`_advance`) for many;
+`_folds` decides for both.
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -150,16 +153,20 @@ def _error_terms(durations, bins: int, errors):
 
 def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order,
-    into `out` (no input), terms 2 and 3 via `tmp` of out's shape.  0.09 ms at
-    (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on (400, 5, 3, 3)
-    takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    into `out` (no input).  A `tmp` of out's shape takes terms 2 and 3; a
+    (3, 3, 3, ...) one takes every a_ik b_kj at once, summed over k by one
+    ordered reduce: the same bytes in 2 numpy calls, not 5, which pays on small
+    stacks.  0.09 ms at (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on
+    (400, 5, 3, 3) takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    if tmp.ndim > out.ndim:
+        return np.add.reduce(np.multiply(a[:, :, None], b[None], out=tmp), axis=1, out=out)
     out = np.multiply(a[:, :1], b[:1], out=out)
     for k in (1, 2):
         out += np.multiply(a[:, k : k + 1], b[k : k + 1], out=tmp)
     return out
 
 
-def _matmul2(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _matmul2(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a @ b for a matrix-first (2, 2, ...) a on two rows b (2, ...), each a_ik
     broadcast along row k: out_i = a_i0 b_0 + a_i1 b_1, k summed in order as in
     `_matmul3`.  The products go to `tmp` (2, 2, ...) first, so out may be b."""
@@ -191,8 +198,8 @@ def _bin_exponentials(bright, times, drift, blocks, psi=None):
     s bright + c |2>, (c, s) = (cos, sin) of phi = atan2(2 r, b - a) / 2.  A
     silent bin (r = 0) takes |0> as its bright state and -|3> as its dark one.
     Returns c and s (N, E), or (N, 1) when no pair detunes and one angle serves
-    every pair; t w (3, N, E) for w = (w_0, a, w_2), e_k = e^{-i t w_k} by one
-    real cos and sin; and into `blocks` (3, N, E) the bright/|2> block
+    every pair; the phases e_k = e^{-i t w_k} (3, N, E), w = (w_0, a, w_2), by
+    one real cos and sin; and into `blocks` (3, N, E) the bright/|2> block
     [[p, q], [q, p']], p = c^2 e_0 + s^2 e_2, q = c s (e_2 - e_0),
     p' = s^2 e_0 + c^2 e_2, with e_1 on the dark state.  A given (6, N, E)
     `psi` gets Psi_ab = -i t e^{-i theta} sinc theta, theta = t (w_a - w_b)/2,
@@ -223,7 +230,7 @@ def _bin_exponentials(bright, times, drift, blocks, psi=None):
         sin *= sinc
         cos *= sinc
         np.negative(np.conjugate(psi[3:], out=psi[:3]), out=psi[:3])  # Psi_ba = -Psi_ab*
-    return c, s, tw, phases, blocks
+    return c, s, phases, blocks
 
 
 def _square(blocks: np.ndarray) -> np.ndarray:
@@ -259,6 +266,25 @@ def _advance(square, e1, turn, y, out, tmp) -> np.ndarray:
     return out
 
 
+def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
+    """Each bin's step M = T S into out (3, 3, ...), its turn T = [[a, b], [-b*, a*]]
+    (`_turns`, on bright and dark) folded into S = [[p, q, 0], [q, p', 0],
+    [0, 0, e_1]]: rows (a p, a q, b e_1), (q, p', 0), (-b* p, -b* q, a* e_1),
+    every entry written out of place.  Then Y -> M Y is one `_matmul3`."""
+    np.multiply(turns[:, :1], blocks[:2], out=out[::2, :2])
+    np.multiply(turns[:, 1], e1, out=out[::2, 2])
+    out[1, :2], out[1, 2] = blocks[1:], 0.0
+    return out
+
+
+def _folds(pairs: int) -> bool:
+    """Whether bins step by `_step_matrices` and one `_matmul3`, not `_advance`:
+    up to 48 pairs, where numpy's cost per call outweighs the fold's extra
+    arithmetic, as in training (1-21 pairs) but not on dense scans (399-403).
+    `gates` and the GRAPE objective both decide here, so they agree bit for bit."""
+    return pairs <= 48
+
+
 # Fraction x bin propagators `gates` exponentiates at once, within one bin block:
 # 4 bins at 399-403 fractions (traced peak 0.61 MB at 403; 5 bins peak at 0.67 MB).
 BLOCK_PROPAGATORS = 1612
@@ -271,33 +297,45 @@ def gates(controls, durations, errors) -> np.ndarray:
     + (d/3) Z_TOTAL at each pair (s, d) of `errors` (E, 2), as from `error_pairs`,
     from controls u (N, 4) and a scalar or (N,) `durations` t, so a one-bin call
     is that bin's exponential.  Over blocks of isqrt(N) bins, the last
-    ragged, each block starts from B_f^dag of its first bin f, `_advance` steps
-    Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turns into the lab, and the
-    block products chain by `_matmul3`: the GRAPE objective's order.  (p, q, p')
-    come in chunks of max(1, BLOCK_PROPAGATORS // E) bins or a whole block.
+    ragged, each block starts from B_f^dag of its first bin f, and each bin
+    steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab:
+    for few pairs (`_folds`) by its step matrix (`_step_matrices`) and one
+    `_matmul3` through a (3, 3, 3, E) terms stack, otherwise by `_advance`.
+    The block products chain by `_matmul3`: the GRAPE objective's order.
+    (p, q, p') come in chunks of max(1, BLOCK_PROPAGATORS // E) bins or a
+    whole block.
     """
     n, e = len(controls), len(errors)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
     scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
     bright = _bright_states(controls)
-    size, bx, by = math.isqrt(n), *(b[:, None] for b in bright[1:])  # (N, 1, 1)
+    size, bx, by = math.isqrt(n), *bright[1:]  # (N, 1)
     ends = (np.arange(n) % size == size - 1) | (np.arange(n) == n - 1)  # each block's last bin
-    turns = _turns(bx, by, ends[:, None, None])  # (2, 2, N, 1, 1)
-    step = min(size, max(1, BLOCK_PROPAGATORS // e))
+    turns = _turns(bx, by, ends[:, None])  # (2, 2, N, 1)
+    step, fold = min(size, max(1, BLOCK_PROPAGATORS // e)), _folds(e)
     square = _square(stack := np.empty((3, step, e), dtype=complex))
-    y, y_, out, spare = (np.empty(s, complex) for s in [(3, 3, e)] * 3 + [(2, 2, 3, e)])
+    matrices = np.empty((3, 3, step, e), complex) if fold else None
+    y, y_, out = (np.empty((3, 3, e), complex) for _ in range(3))
+    spare = np.empty((3, 3, 3, e) if fold else (2, 2, 3, e), complex)
+    chain = spare if fold else spare.reshape(-1)[: y.size].reshape(y.shape)  # _matmul3's tmp
     for first in range(0, n, size):
         last = min(first + size, n)
-        _basis_start(bx[first, 0], by[first, 0], y)
+        _basis_start(bx[first], by[first], y)
         for start in range(first, last, step):
             stop = min(start + step, last)
             part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
-            e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[3][1]
-            for i, j in enumerate(range(start, stop)):
-                y, y_ = _advance(square[:, :, None, i], e1[i], turns[:, :, j], y, y_, spare), y
+            e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[2][1]
+            if fold:
+                m = _step_matrices(blocks, e1, turns[:, :, start:stop], matrices[:, :, : len(e1)])
+                for i in range(stop - start):
+                    y, y_ = _matmul3(m[:, :, i], y, y_, spare), y
+            else:
+                for i, j in enumerate(range(start, stop)):
+                    turn = turns[:, :, None, j]
+                    y, y_ = _advance(square[:, :, None, i], e1[i], turn, y, y_, spare), y
             del e1  # the chunk's phases, before the next chunk's are made
         if first:  # chain the block product y into the running gate, through y_
-            out, y_ = _matmul3(y, out, y_, spare.reshape(-1)[: y.size].reshape(y.shape)), out
+            out, y_ = _matmul3(y, out, y_, chain), out
         else:
             out, y = y, out
     return np.moveaxis(out, 2, 0).copy()

@@ -34,6 +34,7 @@ from pulseforge import (
     trained_min_fidelity,
 )
 from pulseforge import grape as grape_module
+from pulseforge import sequences
 from pulseforge.sequences import error_pairs, gates
 
 PI = np.pi
@@ -402,13 +403,17 @@ def test_objective_gradient_of_a_silent_schedule_matches_van_loan_reference(bins
 def test_objective_value_is_penalized_performance():
     # The one sweep takes the objective from the same forward product as
     # the gate stack of `performance`, bit for bit, at every bin count
-    # (61 and 401 end in a ragged block shorter than isqrt(N)) and on a
-    # training set that splits `gates`' blocks into chunks.
+    # (61 and 401 end in a ragged block shorter than isqrt(N)), on a
+    # training set that splits `gates`' blocks into chunks, and on both
+    # sides of the pair count up to which both fold each bin's turn into
+    # its step matrix.
     errors = (
         (ErrorKind.PLE, (-0.3, 0.1)),
         (ErrorKind.ORE, (0.2,)),
         (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 21))),
+        (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 101))),
     )
+    assert [sequences._folds(len(f)) for _, f in errors] == [True, True, True, False]
     for bins in (1, 2, 3, 60, 61, 400, 401):
         s = make_schedule(4, bins=bins)
         for kind, fractions in errors:
@@ -502,20 +507,23 @@ def _slab(x: np.ndarray) -> bool:
 def test_objective_multiplies_contiguous_unbroadcast_slabs(monkeypatch, kind, fractions):
     # Every product of the objective runs numpy's inner loops over whole
     # (bin, pair) slabs: no operand is strided along the bins or broadcast
-    # along the bins or pairs, so no loop is only E entries long.
+    # along the bins or pairs, so no loop is only E entries long.  At 5 pairs
+    # each bin's turn is folded into its step matrix, so all 43 products of
+    # 400 bins pass here: 20 steps and 19 block-chain products through a
+    # (3, 3, 3, ...) terms stack, then S_b C, C_b, X C_b and K.
     calls = []
     real = grape_module._matmul3
 
-    def recorded(a, b, out=None, tmp=None):
+    def recorded(a, b, out, tmp):
         out = real(a, b, out, tmp)
-        calls.append((a, b, out))
+        calls.append((a, b, out, tmp.ndim > out.ndim))
         return out
 
     monkeypatch.setattr(grape_module, "_matmul3", recorded)
     s = make_schedule(6, bins=400)
     grape_module._objective(s.u, s.dt, error_pairs(kind, fractions), USQ, 0.01)
-    assert calls
-    for a, b, out in calls:
+    assert [terms for *_, terms in calls] == [True] * 39 + [False] * 4
+    for a, b, out, _ in calls:
         assert _slab(a) and _slab(b) and _slab(out)
         assert a.shape[-2:] == b.shape[-2:] == out.shape[-2:]
 

@@ -31,6 +31,7 @@ from pulseforge.sequences import (
     _matmul2,
     _matmul3,
     _square,
+    _step_matrices,
     _turns,
     error_pairs,
     gates,
@@ -44,11 +45,18 @@ MIXED_PAIRS = [[0.3, -0.2], [-0.5, 0.7], [1.0, -1.0]]
 
 
 def exponentials(controls, durations, errors, psi=None):
-    """t (N, E), then `_bin_exponentials`' c, s, t w, phases and (p, q, p') of
-    every bin under the error pairs, (p, q, p') written into a fresh stack."""
+    """t (N, E), `_bin_exponentials`' c and s, t w (3, N, E) for the closed-form
+    eigenvalues w = (m - h, a, m + h), a = -d/3, b = 2 d/3, m = (a + b)/2 and
+    h = hypot((b - a)/2, r), then the phases and (p, q, p') of every bin under
+    the error pairs, (p, q, p') written into a fresh stack."""
     times, drift = _error_terms(durations, len(controls), errors)
+    bright = _bright_states(controls)
+    a, b = -drift, 2.0 * drift
+    m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), bright[0])
+    tw = np.stack([times.T * (m - h), times.T * a, times.T * (m + h)])
     blocks = np.empty((3,) + times.T.shape, dtype=complex)
-    return times.T, *_bin_exponentials(_bright_states(controls), times, drift, blocks, psi)
+    c, s, phases, blocks = _bin_exponentials(bright, times, drift, blocks, psi)
+    return times.T, c, s, tw, phases, blocks
 
 
 def test_sequential_gate_matrix():
@@ -181,6 +189,8 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     # one ragged, each start from their first bin's B^dag; every bin acts in
     # its own bright/dark basis and turns into the next bin's, the block's
     # last into the lab, and the block products chain into the running gate.
+    # Few pairs step by the folded step matrix and one 3x3 product through
+    # its terms, many by `_advance`'s two 2x2 products.
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
@@ -191,11 +201,17 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     for first in range(0, n_bins, size):
         stop = min(first + size, n_bins)
         ends = np.arange(first, stop) == stop - 1
-        turns = _turns(bx[first:stop, None], by[first:stop, None], ends[:, None, None])
+        turns = _turns(bx[first:stop], by[first:stop], ends[:, None])
+        steps = np.empty((3, 3, stop - first, n_fractions), dtype=complex)
+        _step_matrices(blocks[:, first:stop], phases[1, first:stop], turns, steps)
         y = _basis_start(bx[first], by[first], np.empty((3, 3, n_fractions), dtype=complex))
         for j in range(first, stop):
-            square = _square(blocks)[:, :, None, j]
-            y = _advance(square, phases[1, j], turns[:, :, j - first], y, np.empty_like(y), None)
+            if sequences._folds(n_fractions):
+                terms = np.empty((3, 3, 3, n_fractions), dtype=complex)
+                y = _matmul3(steps[:, :, j - first], y, np.empty_like(y), terms)
+            else:
+                square, tmp = _square(blocks)[:, :, None, j], np.empty((2, 2, 3, n_fractions), complex)
+                y = _advance(square, phases[1, j], turns[:, :, None, j - first], y, np.empty_like(y), tmp)
         expected = y if expected is None else _matmul3(y, expected, np.empty_like(y), np.empty_like(y))
     assert np.array_equal(gates(controls, durations, errors), np.moveaxis(expected, 2, 0))
 
@@ -231,6 +247,7 @@ def matrix_first_stacks():
         "broadcast-v": (stack(400, 1), stack(400, 5)),
         "small": (stack(5), stack(5)),
         "strided": (props[:, :, 7::20], prefix[:, :, 7:401:20]),
+        "block-major": (stack(20, 20, 5)[:, :, 7], stack(20, 20, 5)[:, :, 7]),
     }
 
 
@@ -241,11 +258,12 @@ def test_matmul2_is_the_two_term_sum_over_broadcast_rows(shape):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 2, 1) + shape) + 1j * rng.normal(size=(2, 2, 1) + shape)
     b = rng.normal(size=(2, 3) + shape) + 1j * rng.normal(size=(2, 3) + shape)
-    got = _matmul2(a, b)
+    tmp = np.empty((2, 2, 3) + shape, dtype=complex)
+    got = _matmul2(a, b, np.empty_like(b), tmp)
     expected = np.stack([a[i, 0] * b[0] + a[i, 1] * b[1] for i in range(2)])
     assert np.array_equal(got, expected)
     in_place = b.copy()
-    assert _matmul2(a, in_place, in_place) is in_place
+    assert _matmul2(a, in_place, in_place, tmp) is in_place
     assert np.array_equal(in_place, expected)
 
 
@@ -264,6 +282,71 @@ def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
     assert np.array_equal(got, expected)
     reference = np.einsum("ik...,kj...->ij...", a, b)
     assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("case", ["full", "broadcast-v", "small", "strided", "block-major"])
+@pytest.mark.parametrize("into", ["contiguous", "strided"])
+def test_matmul3_through_its_terms_is_the_three_term_sum_byte_for_byte(case, into):
+    # Given a (3, 3, 3, ...) terms stack, `_matmul3` takes every a_ik b_kj in
+    # one multiply and sums over k by one reduce; the sum runs in order, so
+    # the bytes are those of the three accumulated products on every layout
+    # the engine passes: its slabs and one step's block-major views, (..., 1)
+    # operands broadcast over the pairs, and out strided as the objective's
+    # block products or contiguous.  `gates` and the objective fold few pairs
+    # this way and chain their block products so, and must agree bit for bit.
+    a, b = matrix_first_stacks()[case]
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    expected = _matmul3(a, b, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+    if into == "contiguous":
+        out = np.empty(shape, dtype=complex)
+    else:  # matrix-first views of a (n, 3, 3, ...) stack, as the block products
+        out = np.moveaxis(np.empty(shape[2:3] + shape[:2] + shape[3:], dtype=complex), 0, 2)
+    terms = np.full((3,) + shape, np.nan, dtype=complex)
+    assert _matmul3(a, b, out, terms) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pairs", [1, 5])
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE, None], ids=["ple", "ore", "mixed"])
+def test_step_matrices_are_the_same_bytes_from_a_chunk_and_a_slab(kind, pairs):
+    # `gates` folds a (k, E) chunk of bins, the objective one (size, blocks, E)
+    # slab of them all, with bin b size + j at (j, b); each bin's step must be
+    # the same bytes either way, and each entry the out-of-place product of a
+    # turn entry and one of p, q, e_1: numpy rounds an in-place product with
+    # one-entry operands, as a one-bin chunk at one pair has, differently.
+    size, n = 20, 400
+    rng = np.random.default_rng(26)
+    controls = rng.uniform(-0.5, 0.5, size=(n, 4))
+    controls[[0, 57, 399]] = 0.0  # silent bins, whose basis is the lab's
+    eps = np.linspace(-1.0, 1.0, pairs) if pairs > 1 else [0.3]
+    errors = rng.uniform(-1.0, 1.0, size=(pairs, 2)) if kind is None else error_pairs(kind, eps)
+    e = len(errors)
+    *_, phases, blocks = exponentials(controls, rng.uniform(0.01, 0.2, size=n), errors)
+    _, bx, by = _bright_states(controls)
+    turns = _turns(bx, by, (np.arange(n) % size == size - 1)[:, None])  # gates' (2, 2, N, 1)
+    slot = np.arange(n).reshape(-1, size).T  # bin b size + j at (j, b)
+    slab = _step_matrices(
+        blocks[:, slot],
+        phases[1][slot],
+        _turns(bx[slot], by[slot], (np.arange(size) == size - 1)[:, None, None]),
+        np.full((3, 3, size, n // size, e), np.nan, dtype=complex),
+    )
+    (a, b), (p, q, p_), e1 = turns[0], blocks, phases[1]
+    rows = np.array([
+        [a * p, a * q, b * e1],
+        [q, p_, np.zeros_like(q)],
+        [-b.conj() * p, -b.conj() * q, a.conj() * e1],
+    ])
+    for start, stop in [(0, 20), (13, 20), (20, 27)] + [(j, j + 1) for j in range(n)]:
+        chunk = _step_matrices(
+            blocks[:, start:stop],
+            e1[start:stop],
+            turns[:, :, start:stop],
+            np.full((3, 3, stop - start, e), np.nan, dtype=complex),
+        )
+        bins = np.arange(start, stop)
+        assert chunk.tobytes() == np.ascontiguousarray(slab[:, :, bins % size, bins // size]).tobytes()
+        assert chunk.tobytes() == rows[:, :, start:stop].tobytes()
 
 
 def test_silent_bin_of_zero_duration_is_exactly_the_identity():

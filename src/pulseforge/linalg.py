@@ -50,6 +50,8 @@ def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3 or a stack of 3x3, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):  # NaN would pass the defect test below
+        raise ValueError(f"{name} must be finite")
     defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - IDENTITY).max(axis=(-2, -1))
     if np.any(defect > _UNITARY_ATOL):
         raise ValueError(f"{name} is not unitary within tolerance {_UNITARY_ATOL}")

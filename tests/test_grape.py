@@ -204,6 +204,14 @@ def test_performance_requires_training_set():
         performance(s, USQ, ErrorKind.ORE, ())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_performance_rejects_a_non_finite_target(value):
+    target = USQ.copy()
+    target[0, 0] = value
+    with pytest.raises(ValueError, match="target must be finite"):
+        performance(make_schedule(1), target, ErrorKind.PLE, (0.0, 0.1))
+
+
 def test_performance_rejects_per_bin_durations():
     # The power penalty alpha_p dt sum(u^2) takes one bin duration.
     with pytest.raises(ValueError, match="one bin duration, got 10 per-bin"):

@@ -198,6 +198,23 @@ def test_gate_fidelity_scores_a_stack_gate_by_gate():
         la.gate_fidelity(stack[:, :, :2], target)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_gate_fidelity_rejects_non_finite_gates_and_targets(value):
+    # A NaN compares False against the unitarity tolerance and an inf overflows
+    # U^dag U; both must raise ValueError before that product.
+    gate = np.full((3, 3), value, dtype=complex)
+    stack = np.array([USQ, USQ, USQ])
+    stack[1, 2, 0] = value
+    for args, name in [
+        ((gate, USQ), "u_actual"),
+        ((USQ, gate), "u_ideal"),
+        ((stack, USQ), "u_actual"),
+        ((USQ, stack), "u_ideal"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            la.gate_fidelity(*args)
+
+
 def test_gate_fidelity_known_overlap():
     # Orthogonal-trace pair pins the lower end of the scale.  The outer
     # square root turns ~1e-16 of trace cancellation noise into ~1e-8,

@@ -1,13 +1,16 @@
 """Error-fraction grids, fidelity scans, windows and CSV export."""
 
 import io
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from pulseforge import (
+    ControlSchedule,
     ErrorGrid,
     ErrorKind,
     ScanError,
@@ -16,6 +19,7 @@ from pulseforge import (
     export_csv,
     gate_fidelity,
     good_fidelity_window,
+    import_pulse_csv,
     ple_series_fidelity,
     propagator,
     quadratic_loss_coefficient,
@@ -23,6 +27,8 @@ from pulseforge import (
     sequential_gate,
     write_plot_script,
 )
+from pulseforge.scanning import _grid_gates, _node_count
+from pulseforge.sequences import error_pairs
 
 PI = np.pi
 
@@ -113,6 +119,14 @@ def test_scan_result_validation():
         ScanResult(g, {"x": (1.0,)})
     with pytest.raises(ValueError):
         ScanResult(g, {"x": (1.0, 1.2)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2.0**-52, np.inf, -np.inf])
+def test_scan_result_rejects_nan_and_out_of_range_fidelities(bad):
+    g = ErrorGrid(ErrorKind.PLE, (0.0, 0.1))
+    with pytest.raises(ValueError, match="outside"):
+        ScanResult(g, {"ok": (0.0, 1.0), "x": (0.5, bad)})
+    assert ScanResult(g, {"x": (-0.0, 1.0)}).series["x"] == (-0.0, 1.0)
 
 
 def test_stretch_windows_frozen():
@@ -328,3 +342,116 @@ def test_plot_script_references_csv(tmp_path):
     body = gp.read_text()
     assert "my_scan.csv" in body
     assert "col=2:3" in body
+
+
+PULSES = pathlib.Path(__file__).parents[1] / "bench" / "pulses"
+PULSE_SCHEMES = {
+    **{name: composite(name) for name in ("sequential", "bb1", "corpse")},
+    **{f"{k}_pulse": import_pulse_csv(PULSES / f"{k}_pulse.csv")[0] for k in ("ple", "ore")},
+}
+ACCURACY_GRIDS = [(-1.0, 1.0, n) for n in (81, 399, 401, 403)] + [
+    (-0.5, 0.5, 201), (-0.2, 0.3, 101), (0.0, 1.0, 64)
+]
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+@pytest.mark.parametrize("name", list(PULSE_SCHEMES))
+def test_interpolated_scans_match_direct_gates(name, kind):
+    # Every grid here has more points than nodes, so `scan` interpolates; its
+    # gates and fidelities stay within 1e-13 of direct `propagator` gates.
+    pulse = PULSE_SCHEMES[name]
+    for lo, hi, n in ACCURACY_GRIDS:
+        grid = ErrorGrid.uniform(kind, lo, hi, n)
+        assert _node_count(pulse, error_pairs(kind, grid.points)) < n
+        direct = propagator(pulse, kind, grid.points)
+        assert np.max(np.abs(_grid_gates(pulse, grid) - direct)) <= 1e-13
+        got = scan([(name, pulse)], grid).series[name]
+        assert np.max(np.abs(np.subtract(got, gate_fidelity(direct, sequential_gate())))) <= 1e-13
+
+
+def test_node_counts_of_the_committed_pulses():
+    # The bound's counts on [-1, 1]: tau = sum_j t_j r_j along the stretch
+    # axis and (2/3) sum_j t_j along the detuning axis, both 6 pi long.
+    counts = {
+        (name, kind.value): _node_count(PULSE_SCHEMES[name], error_pairs(kind, (-1.0, 1.0)))
+        for name in ("ple_pulse", "ore_pulse", "sequential", "bb1")
+        for kind in (ErrorKind.PLE, ErrorKind.ORE)
+    }
+    assert counts == {
+        ("ple_pulse", "ple"): 33, ("ple_pulse", "ore"): 41,
+        ("ore_pulse", "ple"): 29, ("ore_pulse", "ore"): 41,
+        ("sequential", "ple"): 20, ("sequential", "ore"): 22,
+        ("bb1", "ple"): 45, ("bb1", "ore"): 53,
+    }
+    # A narrower span needs fewer nodes; pairs on both axes, none.
+    pulse = PULSE_SCHEMES["ore_pulse"]
+    assert _node_count(pulse, error_pairs(ErrorKind.ORE, (-0.2, 0.2))) < 41
+    assert _node_count(pulse, np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])) == 3
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+@pytest.mark.parametrize("name", ["sequential", "corpse", "ore_pulse"])
+def test_grids_without_more_points_than_nodes_are_direct(name, kind):
+    # One point, two, and up to the node count on [-1, 1]: bit for bit the
+    # `propagator` gates, and `scan` scores them as `gate_fidelity` does.
+    pulse = PULSE_SCHEMES[name]
+    nodes = _node_count(pulse, error_pairs(kind, (-1.0, 1.0)))
+    grids = [ErrorGrid(kind, (0.3,)), ErrorGrid(kind, (-1.0,))] + [
+        ErrorGrid.uniform(kind, -1.0, 1.0, n) for n in (2, nodes - 1, nodes)
+    ]
+    for grid in grids:
+        direct = propagator(pulse, kind, grid.points)
+        assert np.array_equal(_grid_gates(pulse, grid), direct)
+        fidelity = gate_fidelity(direct, sequential_gate())
+        assert scan([(name, pulse)], grid).series[name] == tuple(np.atleast_1d(fidelity))
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+def test_grid_points_on_nodes_take_their_gates(kind):
+    # A grid holding every Chebyshev node on [-1, 1] and the midpoints between
+    # them: each node's row of the barycentric matrix is its unit row, written
+    # without a division by zero, so the node points get the node gates.
+    pulse = PULSE_SCHEMES["bb1"]
+    n = _node_count(pulse, error_pairs(kind, (-1.0, 1.0)))
+    nodes = np.polynomial.chebyshev.chebpts2(n)
+    nodes[0], nodes[-1] = -1.0, 1.0
+    points = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
+    got = _grid_gates(pulse, ErrorGrid(kind, tuple(points.tolist())))
+    assert np.array_equal(got[::2], propagator(pulse, kind, nodes))
+    assert np.max(np.abs(got[1::2] - propagator(pulse, kind, points[1::2]))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from([ErrorKind.PLE, ErrorKind.ORE]),
+    st.floats(-1.0, 0.999),
+    st.floats(1e-3, 2.0),
+    st.integers(2, 401),
+    st.integers(0, 2**32 - 1),
+)
+@example(60, ErrorKind.ORE, -1.0, 2.0, 401, 0)
+def test_interpolation_matches_random_schedules(bins, kind, lo, width, points, seed):
+    # Per-bin durations up to 0.5 and drives inside the bound |(u1, u2)|,
+    # |(u3, u4)| < 1/2, on any one-axis range at least 1e-3 wide: the gates,
+    # interpolated or direct, are within 1e-13 of `propagator`'s.
+    hi = min(lo + width, 1.0)
+    rng = np.random.default_rng(seed)
+    amplitude = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, (bins, 2)))
+    phase = rng.uniform(-np.pi, np.pi, (bins, 2))
+    u = np.stack([amplitude * np.cos(phase), amplitude * np.sin(phase)], axis=-1)
+    pulse = ControlSchedule(u.reshape(bins, 4), rng.uniform(0.01, 0.5, bins))
+    grid = ErrorGrid.uniform(kind, lo, hi, points)
+    direct = propagator(pulse, kind, grid.points)
+    assert np.max(np.abs(_grid_gates(pulse, grid) - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE])
+def test_scan_memory_stays_bounded_on_a_dense_grid(kind):
+    # A warm 401-point scan of a 400-bin pulse: the gates at 33 (PLE) or 41
+    # (ORE) nodes, a (401, n) barycentric matrix and the interpolated stack
+    # peak at 0.36 and 0.44 MB, inside the 0.65 MB bound of one direct
+    # dense `gates` call.
+    pulse = PULSE_SCHEMES[f"{kind.value}_pulse"]
+    grid = ErrorGrid.uniform(kind, -1.0, 1.0, 401)
+    assert traced_peak(lambda: scan([("grape", pulse)], grid)) <= 0.65e6

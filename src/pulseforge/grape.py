@@ -186,11 +186,10 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     blocks at once, so the value is that of `performance` bit for bit:
     Y_j = B_j^dag W_j with the within-block prefix W_j = U_{j-1} ... U_f, and
     the block products chain into the block starts S_b and U.  In
-    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab: for
-    few pairs (`sequences._folds`) one `_matmul3` by the step matrices, built
-    for every bin at once into X's stack, otherwise `sequences._advance`.  The
-    pads (u = t = 0) are silent bins, whose basis is the lab's, so the last
-    real bin turns into the lab as in `gates` and each pad step is exactly 1.
+    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab, one
+    `_matmul3` by the step matrices, built for every bin at once into X's
+    stack.  The pads (u = t = 0) are silent bins, whose basis is the lab's, so
+    the last real bin turns into the lab as in `gates` and each pad step is 1.
     With A_j = W_j S_b and C = U_T^dag U, unitarity gives
     U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so d Tr(U_T^dag U) / du_jk =
     Tr(Y'_j H_k), where Y'_j = V M_j V^dag, M_j = K_j o Psi and K_j =
@@ -231,18 +230,12 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None])
     ys, ubs, e1 = (a.reshape(a.shape[:-2] + grid + (e,)) for a in (y, ub, phases[1]))
     slab, products = (3, 3, blocks, e), _view(cw, (blocks, 3, 3, e))
-    if fold := sequences._folds(e):  # each step M_j = T_j S_j, held in X's stack
-        steps = sequences._step_matrices(ubs, e1, turns, x.reshape(ys.shape))
-        scratch = _view(terms, (3,) + slab)
-    else:
-        steps, scratch = sequences._square(ubs), _view(terms, (2, 2, 3, blocks, e))
+    steps = sequences._step_matrices(ubs, e1, turns, x.reshape(ys.shape))  # M_j = T_j S_j
+    scratch = _view(terms, (3,) + slab)
     sequences._basis_start(bxs[0], bys[0], ys[:, :, 0])
     for j in range(size):  # the last step writes each block's product, in the lab
-        y_j, out = ys[:, :, j], ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
-        if fold:
-            _matmul3(steps[:, :, j], y_j, out, scratch)
-        else:
-            sequences._advance(steps[:, :, None, j], e1[j], turns[:, :, None, j], y_j, out, scratch)
+        out = ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
+        _matmul3(steps[:, :, j], ys[:, :, j], out, scratch)
     np.moveaxis(products, 0, 2)[...] = out  # as the chain reads them
     rotation = np.array([[-c, s], [s, c]])[:, :, None]  # R^T on the (bright, |2>) rows
     sequences._matmul2(rotation, y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))

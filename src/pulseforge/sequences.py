@@ -27,9 +27,7 @@ state and |2> with one mixing angle; no eigensolver runs per bin.  In the
 basis B = [bright | |2> | dark] a bin acts by one 2x2 block and a phase, and
 consecutive bases differ by a 2x2 unitary of the controls.  `gates` and the
 GRAPE objective step each bin by one 3x3 product with that turn folded into
-the bin's step matrix (`_step_matrices`) for few error pairs, where numpy's
-per-call cost dominates, and by two 2x2 products (`_advance`) for many;
-`_folds` decides for both.
+the bin's step matrix (`_step_matrices`).
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -167,9 +165,9 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
 
 
 def _matmul2(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """a @ b for a matrix-first (2, 2, ...) a on two rows b (2, ...), each a_ik
-    broadcast along row k: out_i = a_i0 b_0 + a_i1 b_1, k summed in order as in
-    `_matmul3`.  The products go to `tmp` (2, 2, ...) first, so out may be b."""
+    """a @ b for a matrix-first (2, 2, ...) a on two rows b (2, ...), as the GRAPE
+    objective's R^T: each a_ik broadcast along row k, out_i = a_i0 b_0 + a_i1 b_1
+    summed in order as in `_matmul3`.  The products go to `tmp` first, so out may be b."""
     tmp = np.multiply(a, b, out=tmp)
     return np.add(tmp[:, 0], tmp[:, 1], out=out)
 
@@ -233,12 +231,6 @@ def _bin_exponentials(bright, times, drift, blocks, psi=None):
     return c, s, phases, blocks
 
 
-def _square(blocks: np.ndarray) -> np.ndarray:
-    """The (2, 2, ...) view [[p, q], [q, p']] of a contiguous (p, q, p') stack."""
-    strides = blocks.strides[:1] * 2 + blocks.strides[1:]
-    return np.ndarray((2, 2) + blocks.shape[1:], blocks.dtype, blocks, 0, strides)
-
-
 def _turns(bx, by, ends) -> np.ndarray:
     """Each bin's turn B'^dag B, [[a, b], [-b*, a*]] on (bright (bx, 0, by), dark
     (-by*, 0, bx*)), into the next bin's basis along axis 0 or, where `ends`
@@ -256,16 +248,6 @@ def _basis_start(bx, by, out) -> np.ndarray:
     return out
 
 
-def _advance(square, e1, turn, y, out, tmp) -> np.ndarray:
-    """One bin on Y (3, 3, ...) in its basis, into out (not y): `square` on the
-    bright and |2> rows, e_1 on the dark row, then `turn` (`_turns`) on bright
-    and dark.  The 2x2 operands carry a length-1 column axis; tmp (2, 2, 3, ...)."""
-    _matmul2(square, y[:2], out[:2], tmp)
-    np.multiply(e1, y[2], out=out[2])
-    _matmul2(turn, out[::2], out[::2], tmp)
-    return out
-
-
 def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
     """Each bin's step M = T S into out (3, 3, ...), its turn T = [[a, b], [-b*, a*]]
     (`_turns`, on bright and dark) folded into S = [[p, q, 0], [q, p', 0],
@@ -277,16 +259,11 @@ def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
     return out
 
 
-def _folds(pairs: int) -> bool:
-    """Whether bins step by `_step_matrices` and one `_matmul3`, not `_advance`:
-    up to 48 pairs, where numpy's cost per call outweighs the fold's extra
-    arithmetic, as in training (1-21 pairs) but not on dense scans (399-403).
-    `gates` and the GRAPE objective both decide here, so they agree bit for bit."""
-    return pairs <= 48
-
-
-# Fraction x bin propagators `gates` exponentiates at once, within one bin block:
-# 4 bins at 399-403 fractions (traced peak 0.61 MB at 403; 5 bins peak at 0.67 MB).
+# Error pairs `gates` steps at once: one group for ORE BB1's 53 scan nodes, and a
+# warm call at 401 fractions on 400 bins peaks at 0.62 MB traced (60: 0.68 MB).
+PAIRS = 54
+# Fraction x bin propagators `gates` exponentiates at once, within one bin
+# block: at 54 pairs it splits the blocks of pulses of 900 bins or more.
 BLOCK_PROPAGATORS = 1612
 
 
@@ -298,26 +275,30 @@ def gates(controls, durations, errors) -> np.ndarray:
     from controls u (N, 4) and a scalar or (N,) `durations` t, so a one-bin call
     is that bin's exponential.  Over blocks of isqrt(N) bins, the last
     ragged, each block starts from B_f^dag of its first bin f, and each bin
-    steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab:
-    for few pairs (`_folds`) by its step matrix (`_step_matrices`) and one
-    `_matmul3` through a (3, 3, 3, E) terms stack, otherwise by `_advance`.
-    The block products chain by `_matmul3`: the GRAPE objective's order.
+    steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab,
+    by its step matrix (`_step_matrices`) and one `_matmul3` through a
+    (3, 3, 3, E) terms stack.  The block products chain by `_matmul3`: the
+    GRAPE objective's order.  Every step is elementwise over the pairs, so
+    more than PAIRS of them are taken PAIRS at a time, changing no bytes;
     (p, q, p') come in chunks of max(1, BLOCK_PROPAGATORS // E) bins or a
     whole block.
     """
     n, e = len(controls), len(errors)
+    if e > PAIRS:
+        out = np.empty((e, 3, 3), complex)
+        for i in range(0, e, PAIRS):
+            out[i : i + PAIRS] = gates(controls, durations, errors[i : i + PAIRS])
+        return out
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
     scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
     bright = _bright_states(controls)
     size, bx, by = math.isqrt(n), *bright[1:]  # (N, 1)
     ends = (np.arange(n) % size == size - 1) | (np.arange(n) == n - 1)  # each block's last bin
     turns = _turns(bx, by, ends[:, None])  # (2, 2, N, 1)
-    step, fold = min(size, max(1, BLOCK_PROPAGATORS // e)), _folds(e)
-    square = _square(stack := np.empty((3, step, e), dtype=complex))
-    matrices = np.empty((3, 3, step, e), complex) if fold else None
+    step = min(size, max(1, BLOCK_PROPAGATORS // e))
+    stack, matrices = np.empty((3, step, e), complex), np.empty((3, 3, step, e), complex)
     y, y_, out = (np.empty((3, 3, e), complex) for _ in range(3))
-    spare = np.empty((3, 3, 3, e) if fold else (2, 2, 3, e), complex)
-    chain = spare if fold else spare.reshape(-1)[: y.size].reshape(y.shape)  # _matmul3's tmp
+    terms = np.empty((3, 3, 3, e), complex)  # _matmul3's tmp
     for first in range(0, n, size):
         last = min(first + size, n)
         _basis_start(bx[first], by[first], y)
@@ -325,17 +306,12 @@ def gates(controls, durations, errors) -> np.ndarray:
             stop = min(start + step, last)
             part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
             e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[2][1]
-            if fold:
-                m = _step_matrices(blocks, e1, turns[:, :, start:stop], matrices[:, :, : len(e1)])
-                for i in range(stop - start):
-                    y, y_ = _matmul3(m[:, :, i], y, y_, spare), y
-            else:
-                for i, j in enumerate(range(start, stop)):
-                    turn = turns[:, :, None, j]
-                    y, y_ = _advance(square[:, :, None, i], e1[i], turn, y, y_, spare), y
+            m = _step_matrices(blocks, e1, turns[:, :, start:stop], matrices[:, :, : len(e1)])
+            for i in range(stop - start):
+                y, y_ = _matmul3(m[:, :, i], y, y_, terms), y
             del e1  # the chunk's phases, before the next chunk's are made
         if first:  # chain the block product y into the running gate, through y_
-            out, y_ = _matmul3(y, out, y_, chain), out
+            out, y_ = _matmul3(y, out, y_, terms), out
         else:
             out, y = y, out
     return np.moveaxis(out, 2, 0).copy()

@@ -412,16 +412,16 @@ def test_objective_value_is_penalized_performance():
     # The one sweep takes the objective from the same forward product as
     # the gate stack of `performance`, bit for bit, at every bin count
     # (61 and 401 end in a ragged block shorter than isqrt(N)), on a
-    # training set that splits `gates`' blocks into chunks, and on both
-    # sides of the pair count up to which both fold each bin's turn into
-    # its step matrix.
+    # training set that splits `gates`' blocks into chunks, and at 101
+    # fractions, which the objective steps as one slab while `gates` takes
+    # them in groups of at most `sequences.PAIRS` (54 + 47).
     errors = (
         (ErrorKind.PLE, (-0.3, 0.1)),
         (ErrorKind.ORE, (0.2,)),
         (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 21))),
         (ErrorKind.PLE, tuple(np.linspace(-0.5, 0.5, 101))),
     )
-    assert [sequences._folds(len(f)) for _, f in errors] == [True, True, True, False]
+    assert [len(f) > sequences.PAIRS for _, f in errors] == [False, False, False, True]
     for bins in (1, 2, 3, 60, 61, 400, 401):
         s = make_schedule(4, bins=bins)
         for kind, fractions in errors:
@@ -515,9 +515,9 @@ def _slab(x: np.ndarray) -> bool:
 def test_objective_multiplies_contiguous_unbroadcast_slabs(monkeypatch, kind, fractions):
     # Every product of the objective runs numpy's inner loops over whole
     # (bin, pair) slabs: no operand is strided along the bins or broadcast
-    # along the bins or pairs, so no loop is only E entries long.  At 5 pairs
-    # each bin's turn is folded into its step matrix, so all 43 products of
-    # 400 bins pass here: 20 steps and 19 block-chain products through a
+    # along the bins or pairs, so no loop is only E entries long.  Each bin's
+    # turn is folded into its step matrix, so all 43 products of 400 bins
+    # pass here: 20 steps and 19 block-chain products through a
     # (3, 3, 3, ...) terms stack, then S_b C, C_b, X C_b and K.
     calls = []
     real = grape_module._matmul3

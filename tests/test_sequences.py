@@ -23,14 +23,12 @@ from pulseforge import (
 )
 from pulseforge import sequences
 from pulseforge.sequences import (
-    _advance,
     _basis_start,
     _bin_exponentials,
     _bright_states,
     _error_terms,
     _matmul2,
     _matmul3,
-    _square,
     _step_matrices,
     _turns,
     error_pairs,
@@ -189,8 +187,9 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     # one ragged, each start from their first bin's B^dag; every bin acts in
     # its own bright/dark basis and turns into the next bin's, the block's
     # last into the lab, and the block products chain into the running gate.
-    # Few pairs step by the folded step matrix and one 3x3 product through
-    # its terms, many by `_advance`'s two 2x2 products.
+    # Every bin steps by its folded step matrix and one 3x3 product through
+    # its terms, over all the pairs at once, though `gates` takes 403 of
+    # them in groups of at most `sequences.PAIRS`.
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
@@ -206,12 +205,8 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
         _step_matrices(blocks[:, first:stop], phases[1, first:stop], turns, steps)
         y = _basis_start(bx[first], by[first], np.empty((3, 3, n_fractions), dtype=complex))
         for j in range(first, stop):
-            if sequences._folds(n_fractions):
-                terms = np.empty((3, 3, 3, n_fractions), dtype=complex)
-                y = _matmul3(steps[:, :, j - first], y, np.empty_like(y), terms)
-            else:
-                square, tmp = _square(blocks)[:, :, None, j], np.empty((2, 2, 3, n_fractions), complex)
-                y = _advance(square, phases[1, j], turns[:, :, None, j - first], y, np.empty_like(y), tmp)
+            terms = np.empty((3, 3, 3, n_fractions), dtype=complex)
+            y = _matmul3(steps[:, :, j - first], y, np.empty_like(y), terms)
         expected = y if expected is None else _matmul3(y, expected, np.empty_like(y), np.empty_like(y))
     assert np.array_equal(gates(controls, durations, errors), np.moveaxis(expected, 2, 0))
 
@@ -254,7 +249,8 @@ def matrix_first_stacks():
 @pytest.mark.parametrize("shape", [(), (401,), (20, 5)])
 def test_matmul2_is_the_two_term_sum_over_broadcast_rows(shape):
     # out_i = a_i0 b_0 + a_i1 b_1 for 2x2 coefficients broadcast along the
-    # three columns of each row, as `_advance` takes them, also in place.
+    # three columns of each row, as the objective's R^T rotation takes them;
+    # out may be b.
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 2, 1) + shape) + 1j * rng.normal(size=(2, 2, 1) + shape)
     b = rng.normal(size=(2, 3) + shape) + 1j * rng.normal(size=(2, 3) + shape)
@@ -469,18 +465,19 @@ def dense_grid_peak(kind):
 
 
 def test_gates_memory_stays_bounded_on_a_dense_grid():
-    # Bins are exponentiated in chunks of BLOCK_PROPAGATORS // E whole bins
-    # (4 at 401 fractions), their (p, q, p') written into one reused (3, 4, E)
-    # stack and each bin stepped in its own basis: one call at 401 ORE
-    # fractions on 400 bins peaks at 0.61 MB of traced allocations (5 bins
-    # would peak at 0.67 MB), where a full (3, 3, N, E) stack alone would
-    # take 23 MB.
+    # The fractions are taken PAIRS = 54 at a time, and each group's bins
+    # are exponentiated a whole 20-bin block at once (BLOCK_PROPAGATORS // 54
+    # = 29 bins), their (p, q, p') and step matrices written into reused
+    # (3, 20, 54) and (3, 3, 20, 54) stacks: one call at 401 ORE fractions on
+    # 400 bins peaks at 0.62 MB of traced allocations (groups of 60 would
+    # peak at 0.68 MB), where a full (3, 3, N, E) stack alone would take
+    # 23 MB.
     assert dense_grid_peak(ErrorKind.ORE) <= 0.65e6
 
 
 def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
     # As above under PLE, where one mixing angle serves every fraction:
-    # 0.61 MB (5 bins would peak at 0.65 MB).
+    # 0.62 MB (groups of 60 would peak at 0.68 MB).
     assert dense_grid_peak(ErrorKind.PLE) <= 0.65e6
 
 
@@ -489,6 +486,9 @@ def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
 def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
     # The chunk stack is reused, so a block's first bin, a one-bin block, or
     # a ragged last chunk or block left reading the stack would change a gate.
+    # Every step is elementwise over the pairs, so groups of pairs change no
+    # bytes either: a ragged last group, or a group of mixed pairs none of
+    # which detunes and so takes one shared mixing angle.
     rng = np.random.default_rng(23)
     pulses = [(s.u, s.dt) for s in map(composite, COMPOSITES)] + [
         (rng.uniform(-0.5, 0.5, size=(400, 4)), rng.uniform(0.01, 0.1, size=400)),
@@ -498,29 +498,34 @@ def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
     for size in (1, 5, 257, 401):
         eps = np.linspace(-1.0, 1.0, size) if size > 1 else [0.3]
         mixed = rng.uniform(-1.0, 1.0, size=(size, 2))  # stretch and detune at once
+        mixed[: size // 2, 1] = 0.0  # but the first half only stretch
         grids.append(mixed if kind is None else error_pairs(kind, eps))
     expected = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
     monkeypatch.setattr(sequences, "BLOCK_PROPAGATORS", budget)
+    monkeypatch.setattr(sequences, "PAIRS", budget)
     got = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
-@pytest.mark.parametrize("fractions, calls", [(401, range(20, 201)), (21, [20]), (5, [20])])
+@pytest.mark.parametrize(
+    "fractions, calls",
+    [(401, [(54, 20)] * 140 + [(23, 20)] * 20), (21, [(21, 20)] * 20), (5, [(5, 20)] * 20)],
+)
 def test_gates_exponentiate_several_bins_per_call(monkeypatch, fractions, calls):
-    # 400 bins make 20 blocks of 20: at 401 fractions each call takes at
-    # least two bins, and at 5 or 21 fractions one call takes a whole block.
+    # 400 bins make 20 blocks of 20, and one call takes a whole block: at 5
+    # or 21 fractions once, at 401 once in each of the ceil(401 / 54) = 8
+    # groups of at most PAIRS fractions, the last one ragged.
     made = []
     real = sequences._bin_exponentials
 
     def counted(*args):
-        made.append(args[1].shape[1])  # the bins of this call
+        made.append(args[1].shape)  # the (pairs, bins) of this call
         return real(*args)
 
     monkeypatch.setattr(sequences, "_bin_exponentials", counted)
     controls = np.random.default_rng(24).uniform(-0.5, 0.5, size=(400, 4))
     gates(controls, 0.05, error_pairs(ErrorKind.ORE, np.linspace(-1.0, 1.0, fractions)))
-    assert sum(made) == 400
-    assert len(made) in calls
+    assert made == calls
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

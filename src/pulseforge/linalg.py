@@ -11,7 +11,10 @@ Rabi amplitude Lambda, times in units of 1/Lambda.  Only the product
 amplitude*time enters any propagator, so physical units are applied at
 the presentation layer (CLI) and nowhere else.  Every operator is written
 out, and there is no matrix exponential here: `sequences._bin_exponentials`
-writes every propagator down in closed form.
+writes every propagator down in closed form.  Nor is there a matrix
+product: `gate_fidelity` checks every gate unitary by one broadcast
+multiply and one ordered sum for U^dag U, and sums its trace from
+elementwise products, over rows k and then columns i, in that order.
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ def _check_unitary(u: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 3x3 or a stack of 3x3, got shape {u.shape}")
     if not np.all(np.isfinite(u)):  # NaN would pass the defect test below
         raise ValueError(f"{name} must be finite")
-    defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - IDENTITY).max(axis=(-2, -1))
-    if np.any(defect > _UNITARY_ATOL):
+    m = np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))  # m[k, i] = U_ki
+    defect = np.add.reduce(m.conj()[:, :, None] * m[:, None], axis=0)  # (U^dag U)_ij
+    defect -= IDENTITY.reshape((3, 3) + (1,) * (u.ndim - 2))
+    if np.any(np.abs(defect) > _UNITARY_ATOL):
         raise ValueError(f"{name} is not unitary within tolerance {_UNITARY_ATOL}")
     return u
 
@@ -63,13 +68,18 @@ def gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray):
 
     Either argument may be a stack (..., 3, 3); the result is a float for
     two single gates and an array of the broadcast stack shape otherwise.
-    The outer square root is deliberate: it is the convention under
-    which the sequential gate's quadratic loss coefficient comes out as
-    5 pi^2 / 96, and all robustness curves in this package use it.
+    Every gate of both is checked unitary.  The trace is summed from the
+    elementwise products conj(U_a)_ki (U_i)_ki, over k and then over i, in
+    that order, one expression for a gate and a stack, so no product stack
+    is formed.  The outer square root is deliberate: it is the convention
+    under which the sequential gate's quadratic loss coefficient comes out
+    as 5 pi^2 / 96, and all robustness curves in this package use it.
     """
     ua = _check_unitary(u_actual, "u_actual")
     ui = _check_unitary(u_ideal, "u_ideal")
-    tr = np.trace(np.swapaxes(ua.conj(), -1, -2) @ ui, axis1=-2, axis2=-1)
+    d = ua.conj() * ui
+    diag = d[..., 0, :] + d[..., 1, :] + d[..., 2, :]
+    tr = diag[..., 0] + diag[..., 1] + diag[..., 2]
     # hypot, not np.abs: numpy's vectorised complex abs rounds differently
     # from the scalar one, and a stack must score as its gates do one by one.
     overlap = np.hypot(tr.real, tr.imag) / 3.0

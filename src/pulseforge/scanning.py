@@ -123,6 +123,12 @@ def scan(schemes: Sequence[tuple[str, object]], grid: ErrorGrid) -> ScanResult:
     return ScanResult(grid=grid, series=series)
 
 
+# `_node_count`'s Bernstein ellipse parameters rho and their terms, log(4e15 /
+# (rho - 1)), rho - 1/rho and log(rho).
+_RHO = np.geomspace(1.001, 1e4, 400)
+_LOG_BOUND, _RHO_GAP, _LOG_RHO = np.log(4e15 / (_RHO - 1.0)), _RHO - 1.0 / _RHO, np.log(_RHO)
+
+
 def _node_count(pulse, pairs: np.ndarray) -> int:
     """Chebyshev nodes whose interpolant errs by at most 1e-15 in every gate
     entry over the span of the (E, 2) `pairs`, or E if they use both axes.
@@ -137,13 +143,13 @@ def _node_count(pulse, pairs: np.ndarray) -> int:
     Approximation Theory and Approximation Practice, Thm 8.2).  n is the
     least over 400 log-spaced rho in [1.001, 1e4], and takes n + 1 nodes.
     """
-    if np.all(np.any(pairs != 0.0, axis=0)):
+    columns = pairs.T  # reduced one by one: numpy is slow along axis 0 of (E, 2)
+    if all(c.any() for c in columns):
         return len(pairs)
     times = np.broadcast_to(np.asarray(pulse.dt, dtype=float), (len(pulse.u),))
     norms = times @ _bright_states(pulse.u)[0][:, 0], 2.0 / 3.0 * times.sum()
-    tau = np.ptp(pairs, axis=0) @ norms / 2.0
-    rho = np.geomspace(1.001, 1e4, 400)
-    degree = (np.log(4e15 / (rho - 1.0)) + tau * (rho - 1.0 / rho) / 2.0) / np.log(rho)
+    tau = np.array([c.max() - c.min() for c in columns]) @ norms / 2.0
+    degree = (_LOG_BOUND + tau * _RHO_GAP / 2.0) / _LOG_RHO
     return math.ceil(degree.min()) + 1
 
 
@@ -153,10 +159,13 @@ def _grid_gates(pulse, grid: ErrorGrid) -> np.ndarray:
     With fewer `_node_count` nodes than points, `propagator` runs at the
     Chebyshev points of the second kind on [lo, hi], the grid's ends exactly,
     and one real barycentric matrix (Berrut and Trefethen, SIAM Rev. 46, 501
-    (2004)) maps the float view of their gates to the grid, a point on a node
-    taking that node's gate.  Otherwise `propagator` runs on the grid.
+    (2004)) maps the float view of their gates to the grid.  It is one
+    division of the weights by the point-node gaps, whose rows for points on
+    a node, infinite there, are overwritten with that node's unit row, so
+    such a point takes the node's gate.  Otherwise `propagator` runs on the
+    grid.
     """
-    pts = grid.points
+    pts = np.array(grid.points)
     n = _node_count(pulse, error_pairs(grid.kind, pts))
     if n >= len(pts):
         return propagator(pulse, grid.kind, pts)
@@ -167,10 +176,11 @@ def _grid_gates(pulse, grid: ErrorGrid) -> np.ndarray:
     weights = np.resize([1.0, -1.0], n)
     weights[[0, -1]] *= 0.5
     gap = np.subtract.outer(pts, nodes)
-    hit = gap == 0.0
-    exact = np.any(hit, axis=1, keepdims=True)
-    basis = np.divide(weights, gap, out=gap, where=~exact)
-    np.copyto(basis, hit, where=exact)
+    rows, cols = np.nonzero(gap == 0.0)
+    with np.errstate(divide="ignore"):  # the rows on a node, overwritten below
+        basis = np.divide(weights, gap, out=gap)
+    basis[rows] = 0.0
+    basis[rows, cols] = 1.0
     basis /= basis.sum(axis=1, keepdims=True)
     return (basis @ values).view(complex).reshape(-1, 3, 3)
 

@@ -260,11 +260,12 @@ def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
 
 
 # Error pairs `gates` steps at once: one group for ORE BB1's 53 scan nodes, and a
-# warm call at 401 fractions on 400 bins peaks at 0.62 MB traced (60: 0.68 MB).
+# warm call at 401 fractions on 400 bins peaks at 0.62 MB traced (60: 0.63 MB).
 PAIRS = 54
-# Fraction x bin propagators `gates` exponentiates at once, within one bin
-# block: at 54 pairs it splits the blocks of pulses of 900 bins or more.
-BLOCK_PROPAGATORS = 1612
+# Fraction x bin propagators `gates` exponentiates at once, in chunks of
+# consecutive bins that may cross bin blocks: 1080 = 20 x PAIRS, 20 bins per
+# chunk at 54 pairs; 1612 would take 29 and peak at 0.83 MB in the call above.
+BLOCK_PROPAGATORS = 1080
 
 
 def gates(controls, durations, errors) -> np.ndarray:
@@ -278,43 +279,53 @@ def gates(controls, durations, errors) -> np.ndarray:
     steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab,
     by its step matrix (`_step_matrices`) and one `_matmul3` through a
     (3, 3, 3, E) terms stack.  The block products chain by `_matmul3`: the
-    GRAPE objective's order.  Every step is elementwise over the pairs, so
-    more than PAIRS of them are taken PAIRS at a time, changing no bytes;
-    (p, q, p') come in chunks of max(1, BLOCK_PROPAGATORS // E) bins or a
-    whole block.
+    GRAPE objective's order.  The control-only terms are made once; every
+    step is elementwise over the pairs, so more than PAIRS of them are taken
+    PAIRS at a time (`_group_gates`), changing no bytes.
     """
-    n, e = len(controls), len(errors)
-    if e > PAIRS:
-        out = np.empty((e, 3, 3), complex)
-        for i in range(0, e, PAIRS):
-            out[i : i + PAIRS] = gates(controls, durations, errors[i : i + PAIRS])
-        return out
+    n = len(controls)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
-    scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
     bright = _bright_states(controls)
-    size, bx, by = math.isqrt(n), *bright[1:]  # (N, 1)
+    size = math.isqrt(n)
     ends = (np.arange(n) % size == size - 1) | (np.arange(n) == n - 1)  # each block's last bin
-    turns = _turns(bx, by, ends[:, None])  # (2, 2, N, 1)
-    step = min(size, max(1, BLOCK_PROPAGATORS // e))
+    turns = _turns(*bright[1:], ends[:, None])  # (2, 2, N, 1)
+    out = np.empty((len(errors), 3, 3), complex)
+    for i in range(0, len(errors), PAIRS):
+        group = errors[i : i + PAIRS]
+        out[i : i + PAIRS] = np.moveaxis(_group_gates(bright, times, turns, group), 2, 0)
+    return out
+
+
+def _group_gates(bright, times, turns, errors) -> np.ndarray:
+    """`gates` at one group of pairs, (3, 3, E), from its control-only terms.
+
+    (p, q, p') and the step matrices come in chunks of max(1,
+    BLOCK_PROPAGATORS // E) consecutive bins, which may cross blocks: a
+    block's first bin resets Y to its B^dag, and its last chains Y.
+    """
+    n, e, size, (_, bx, by) = len(times), len(errors), math.isqrt(len(times)), bright
+    scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
+    step = min(n, max(1, BLOCK_PROPAGATORS // e))
     stack, matrices = np.empty((3, step, e), complex), np.empty((3, 3, step, e), complex)
     y, y_, out = (np.empty((3, 3, e), complex) for _ in range(3))
     terms = np.empty((3, 3, 3, e), complex)  # _matmul3's tmp
-    for first in range(0, n, size):
-        last = min(first + size, n)
-        _basis_start(bx[first], by[first], y)
-        for start in range(first, last, step):
-            stop = min(start + step, last)
-            part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
-            e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[2][1]
-            m = _step_matrices(blocks, e1, turns[:, :, start:stop], matrices[:, :, : len(e1)])
-            for i in range(stop - start):
-                y, y_ = _matmul3(m[:, :, i], y, y_, terms), y
-            del e1  # the chunk's phases, before the next chunk's are made
-        if first:  # chain the block product y into the running gate, through y_
-            out, y_ = _matmul3(y, out, y_, terms), out
-        else:
-            out, y = y, out
-    return np.moveaxis(out, 2, 0).copy()
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
+        e1 = _bin_exponentials(part, scale * times[start:stop], drift, blocks)[2][1]
+        m = _step_matrices(blocks, e1, turns[:, :, start:stop], matrices[:, :, : len(e1)])
+        for j in range(start, stop):
+            if j % size == 0:
+                _basis_start(bx[j], by[j], y)
+            y, y_ = _matmul3(m[:, :, j - start], y, y_, terms), y
+            if j % size < size - 1 and j < n - 1:  # not a block's last bin
+                continue
+            if j >= size:  # chain the block product y into the running gate, through y_
+                out, y_ = _matmul3(y, out, y_, terms), out
+            else:
+                out, y = y, out
+        del e1  # the chunk's phases, before the next chunk's are made
+    return out
 
 
 def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:

@@ -181,3 +181,15 @@ def test_sequences_multiplies_stacks_only_by_matmul3():
         ):
             found.add(f"swapaxes(..., -1, -2) on line {n.lineno}")
     assert found == set()
+
+
+def test_linalg_forms_no_product_stack():
+    # `gate_fidelity` and `_check_unitary` read a trace and a defect from
+    # elementwise products: no `@`, no `matmul` and no `trace` in `linalg`.
+    found = set()
+    for n in ast.walk(sources()["linalg"]):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.add(f"@ on line {n.lineno}")
+        elif getattr(n, "attr", getattr(n, "id", None)) in ("matmul", "trace"):
+            found.add(f"{ast.unparse(n)} on line {n.lineno}")
+    assert found == set()

@@ -176,24 +176,41 @@ def test_gate_fidelity_bounds(seed):
     assert 0.0 <= f <= 1.0
 
 
+def overlap_of(u, target):
+    # The documented order: elementwise conj(U)_ki T_ki, summed over k,
+    # then over i, each left to right, and Python's complex abs.
+    d = u.conj() * target
+    diag = d[0] + d[1] + d[2]
+    tr = diag[0] + diag[1] + diag[2]
+    return min(np.sqrt(abs(tr) / 3.0), 1.0)
+
+
 def test_gate_fidelity_scores_a_stack_gate_by_gate():
-    # A stack scores bit for bit as the one-gate formula with Python's
-    # complex abs, and every gate in it must be a unitary 3x3.
+    # A stack scores bit for bit as the one-gate formula, and every gate in
+    # it must be a unitary 3x3.  The sum differs from a matrix product's trace
+    # in at most its last bits.
     rng = np.random.default_rng(31)
     stack = np.stack([random_unitary(rng) for _ in range(200)])
     target = random_unitary(rng)
-    expected = [
-        min(np.sqrt(abs(np.trace(u.conj().T @ target)) / 3.0), 1.0) for u in stack
-    ]
+    expected = [overlap_of(u, target) for u in stack]
     got = la.gate_fidelity(stack, target)
     assert got.shape == (200,)
     assert np.array_equal(got, expected)
+    traced = [min(np.sqrt(abs(np.trace(u.conj().T @ target)) / 3.0), 1.0) for u in stack]
+    assert np.max(np.abs(got - traced)) <= 1e-15
     assert la.gate_fidelity(stack[7], target) == expected[7]
     assert isinstance(la.gate_fidelity(stack[7], target), float)
+    square = np.stack([random_unitary(rng) for _ in range(200)]).reshape(2, 100, 3, 3)
+    got = la.gate_fidelity(square, target)
+    assert got.shape == (2, 100)
+    assert np.array_equal(got, [[overlap_of(u, target) for u in row] for row in square])
     bad = stack.copy()
     bad[117] *= 1.001
     with pytest.raises(ValueError, match="unitary"):
         la.gate_fidelity(bad, target)
+    square[1, 63] *= 1.001
+    with pytest.raises(ValueError, match="unitary"):
+        la.gate_fidelity(square, target)
     with pytest.raises(ValueError, match="3x3"):
         la.gate_fidelity(stack[:, :, :2], target)
 

@@ -466,18 +466,18 @@ def dense_grid_peak(kind):
 
 def test_gates_memory_stays_bounded_on_a_dense_grid():
     # The fractions are taken PAIRS = 54 at a time, and each group's bins
-    # are exponentiated a whole 20-bin block at once (BLOCK_PROPAGATORS // 54
-    # = 29 bins), their (p, q, p') and step matrices written into reused
-    # (3, 20, 54) and (3, 3, 20, 54) stacks: one call at 401 ORE fractions on
-    # 400 bins peaks at 0.62 MB of traced allocations (groups of 60 would
-    # peak at 0.68 MB), where a full (3, 3, N, E) stack alone would take
-    # 23 MB.
+    # are exponentiated BLOCK_PROPAGATORS // 54 = 20 consecutive bins at once,
+    # their (p, q, p') and step matrices written into reused (3, 20, 54) and
+    # (3, 3, 20, 54) stacks: one call at 401 ORE fractions on 400 bins peaks
+    # at 0.62 MB of traced allocations (groups of 60 would peak at 0.63 MB,
+    # and chunks of 1612 // 54 = 29 bins at 0.83 MB), where a full
+    # (3, 3, N, E) stack alone would take 23 MB.
     assert dense_grid_peak(ErrorKind.ORE) <= 0.65e6
 
 
 def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
     # As above under PLE, where one mixing angle serves every fraction:
-    # 0.62 MB (groups of 60 would peak at 0.68 MB).
+    # 0.62 MB (groups of 60 would peak at 0.63 MB, chunks of 29 bins at 0.83 MB).
     assert dense_grid_peak(ErrorKind.PLE) <= 0.65e6
 
 
@@ -509,12 +509,17 @@ def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
 
 @pytest.mark.parametrize(
     "fractions, calls",
-    [(401, [(54, 20)] * 140 + [(23, 20)] * 20), (21, [(21, 20)] * 20), (5, [(5, 20)] * 20)],
+    [
+        (401, [(54, 20)] * 140 + [(23, 46)] * 8 + [(23, 32)]),
+        (21, [(21, 51)] * 7 + [(21, 43)]),
+        (5, [(5, 216), (5, 184)]),
+    ],
 )
 def test_gates_exponentiate_several_bins_per_call(monkeypatch, fractions, calls):
-    # 400 bins make 20 blocks of 20, and one call takes a whole block: at 5
-    # or 21 fractions once, at 401 once in each of the ceil(401 / 54) = 8
-    # groups of at most PAIRS fractions, the last one ragged.
+    # 400 bins make 20 blocks of 20, but a call takes BLOCK_PROPAGATORS // E
+    # consecutive bins across them, the last call ragged: at 5 or 21 fractions
+    # 216 or 51 bins, at 401 in each of the ceil(401 / 54) = 8 groups of at
+    # most PAIRS fractions, 20 bins at 54 and 46 in the ragged group of 23.
     made = []
     real = sequences._bin_exponentials
 

@@ -224,7 +224,8 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     grid = (size := math.isqrt(n), blocks := len(ts) // size)  # bin steps, blocks
     us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U^B = 1
     bright = sequences._bright_states(us)
-    times, drift = _error_terms(ts, len(ts), errors)
+    scale, drift = _error_terms(errors)
+    times = scale * ts
     c, s, phases, ub = sequences._bin_exponentials(bright, times, drift, ub, psi)
     bxs, bys = (b.reshape(grid + (1,)) for b in bright[1:])
     turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None])

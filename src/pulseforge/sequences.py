@@ -15,9 +15,9 @@ to (1 + s) t and adds the drift (d/3) Z_TOTAL.  `error_pairs` maps an
 `ErrorKind` and its fractions to pairs: a pulse-length error (PLE)
 eps_f = (T' - T)/T is (eps_f, 0), an off-resonance error (ORE), the
 detuning eps_g Lambda, is (0, eps_g), and NONE is (0, 0).  Only
-`_error_terms` applies the pairs and only `_bin_exponentials` exponentiates
+`_error_terms` reads the pairs and only `_bin_exponentials` exponentiates
 bins, by real cos and sin; `propagator` returns a pulse's (E, 3, 3) gates at
-an `ErrorKind` and E fractions.
+an `ErrorKind` and E fractions, all E stepped in one bin loop.
 
 Every bin generator is a Lambda system: |2> couples to |0> (MW) and |3>
 (RF), and the detuning drift gives |0> and |3> the same energy.  So the
@@ -136,28 +136,29 @@ class ControlSchedule:
         return sum(self.dt.tolist()) if np.ndim(self.dt) else self.bins * self.dt
 
 
-def _error_terms(durations, bins: int, errors):
-    """Bin durations (E, N) under the (E, 2) error pairs, and the drift.
+def _error_terms(errors):
+    """The stretches 1 + s (E, 1) of the (E, 2) error pairs, and the drift.
 
-    A pair (s, d) stretches every duration, t -> (1 + s) t, and adds the
+    A pair (s, d) stretches every bin duration, t -> (1 + s) t, and adds the
     drift (d/3) Z_TOTAL, whose coefficients d/3 come back with shape (E,),
     or (1,) when no pair detunes, so one eigenbasis serves every pair.
     """
-    times = np.broadcast_to(np.asarray(durations, dtype=float), (bins,))
     stretch, detuning = np.asarray(errors, dtype=float).T
     drift = detuning / 3.0 if detuning.any() else np.zeros(1)
-    return (1.0 + stretch)[:, None] * times, drift
+    return (1.0 + stretch)[:, None], drift
 
 
 def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a @ b over broadcast matrix-first (3, 3, ...) stacks, k summed in order,
     into `out` (no input).  A `tmp` of out's shape takes terms 2 and 3; a
     (3, 3, 3, ...) one takes every a_ik b_kj at once, summed over k by one
-    ordered reduce: the same bytes in 2 numpy calls, not 5, which pays on small
-    stacks.  0.09 ms at (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on
-    (400, 5, 3, 3) takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
-    if tmp.ndim > out.ndim:
-        return np.add.reduce(np.multiply(a[:, :, None], b[None], out=tmp), axis=1, out=out)
+    ordered reduce from -0, which adds exactly: the same bytes, signed zeros
+    included, in 2 numpy calls, not 5, which pays on small stacks.  0.09 ms at
+    (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on (400, 5, 3, 3)
+    takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    if tmp.ndim > out.ndim:  # -0j is complex(-0.0, -0.0), a constant
+        terms = np.multiply(a[:, :, None], b[None], out=tmp)
+        return np.add.reduce(terms, axis=1, out=out, initial=-0j)
     out = np.multiply(a[:, :1], b[:1], out=out)
     for k in (1, 2):
         out += np.multiply(a[:, k : k + 1], b[k : k + 1], out=tmp)
@@ -259,12 +260,13 @@ def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
     return out
 
 
-# Error pairs `gates` steps at once: one group for ORE BB1's 53 scan nodes, and a
-# warm call at 401 fractions on 400 bins peaks at 0.62 MB traced (60: 0.63 MB).
+# The most error pairs `gates` steps through a (3, 3, 3, E) terms stack, enough
+# for ORE BB1's 53 scan nodes; more take the (3, 3, E) one, and a warm call at
+# 401 fractions on 400 bins then peaks at 0.63 MB traced.
 PAIRS = 54
 # Fraction x bin propagators `gates` exponentiates at once, in chunks of
 # consecutive bins that may cross bin blocks: 1080 = 20 x PAIRS, 20 bins per
-# chunk at 54 pairs; 1612 would take 29 and peak at 0.83 MB in the call above.
+# chunk at 54 pairs, 2 at 401.
 BLOCK_PROPAGATORS = 1080
 
 
@@ -277,38 +279,24 @@ def gates(controls, durations, errors) -> np.ndarray:
     is that bin's exponential.  Over blocks of isqrt(N) bins, the last
     ragged, each block starts from B_f^dag of its first bin f, and each bin
     steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab,
-    by its step matrix (`_step_matrices`) and one `_matmul3` through a
-    (3, 3, 3, E) terms stack.  The block products chain by `_matmul3`: the
-    GRAPE objective's order.  The control-only terms are made once; every
-    step is elementwise over the pairs, so more than PAIRS of them are taken
-    PAIRS at a time (`_group_gates`), changing no bytes.
+    by its step matrix (`_step_matrices`) and one `_matmul3`.  The block
+    products chain by `_matmul3`: the GRAPE objective's order.  (p, q, p') and
+    the step matrices come in chunks of max(1, BLOCK_PROPAGATORS // E)
+    consecutive bins, which may cross blocks: a block's first bin resets Y to
+    its B^dag, and its last chains Y.  Up to PAIRS pairs `_matmul3` takes a
+    (3, 3, 3, E) terms stack, above them a (3, 3, E) one; both give the same bytes.
     """
-    n = len(controls)
+    n, e = len(controls), len(errors)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
-    bright = _bright_states(controls)
+    _, bx, by = bright = _bright_states(controls)
     size = math.isqrt(n)
     ends = (np.arange(n) % size == size - 1) | (np.arange(n) == n - 1)  # each block's last bin
-    turns = _turns(*bright[1:], ends[:, None])  # (2, 2, N, 1)
-    out = np.empty((len(errors), 3, 3), complex)
-    for i in range(0, len(errors), PAIRS):
-        group = errors[i : i + PAIRS]
-        out[i : i + PAIRS] = np.moveaxis(_group_gates(bright, times, turns, group), 2, 0)
-    return out
-
-
-def _group_gates(bright, times, turns, errors) -> np.ndarray:
-    """`gates` at one group of pairs, (3, 3, E), from its control-only terms.
-
-    (p, q, p') and the step matrices come in chunks of max(1,
-    BLOCK_PROPAGATORS // E) consecutive bins, which may cross blocks: a
-    block's first bin resets Y to its B^dag, and its last chains Y.
-    """
-    n, e, size, (_, bx, by) = len(times), len(errors), math.isqrt(len(times)), bright
-    scale, drift = _error_terms(1.0, 1, errors)  # stretches 1 + s, (E, 1)
+    turns = _turns(bx, by, ends[:, None])  # (2, 2, N, 1)
+    scale, drift = _error_terms(errors)
     step = min(n, max(1, BLOCK_PROPAGATORS // e))
     stack, matrices = np.empty((3, step, e), complex), np.empty((3, 3, step, e), complex)
     y, y_, out = (np.empty((3, 3, e), complex) for _ in range(3))
-    terms = np.empty((3, 3, 3, e), complex)  # _matmul3's tmp
+    terms = np.empty((3, 3, 3, e) if e <= PAIRS else (3, 3, e), complex)  # _matmul3's tmp
     for start in range(0, n, step):
         stop = min(start + step, n)
         part, blocks = [t[start:stop] for t in bright], stack[:, : stop - start]
@@ -325,7 +313,7 @@ def _group_gates(bright, times, turns, errors) -> np.ndarray:
             else:
                 out, y = y, out
         del e1  # the chunk's phases, before the next chunk's are made
-    return out
+    return np.moveaxis(out, 2, 0).copy()
 
 
 def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:

@@ -413,8 +413,8 @@ def test_objective_value_is_penalized_performance():
     # the gate stack of `performance`, bit for bit, at every bin count
     # (61 and 401 end in a ragged block shorter than isqrt(N)), on a
     # training set that splits `gates`' blocks into chunks, and at 101
-    # fractions, which the objective steps as one slab while `gates` takes
-    # them in groups of at most `sequences.PAIRS` (54 + 47).
+    # fractions, which the objective steps as one slab and `gates` in one bin
+    # loop, above `sequences.PAIRS` through the (3, 3, E) form of `_matmul3`.
     errors = (
         (ErrorKind.PLE, (-0.3, 0.1)),
         (ErrorKind.ORE, (0.2,)),

@@ -47,7 +47,8 @@ def exponentials(controls, durations, errors, psi=None):
     eigenvalues w = (m - h, a, m + h), a = -d/3, b = 2 d/3, m = (a + b)/2 and
     h = hypot((b - a)/2, r), then the phases and (p, q, p') of every bin under
     the error pairs, (p, q, p') written into a fresh stack."""
-    times, drift = _error_terms(durations, len(controls), errors)
+    scale, drift = _error_terms(errors)
+    times = scale * np.broadcast_to(np.asarray(durations, dtype=float), (len(controls),))
     bright = _bright_states(controls)
     a, b = -drift, 2.0 * drift
     m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), bright[0])
@@ -188,8 +189,8 @@ def test_gates_equal_bin_by_bin_product(kind, n_bins, n_fractions):
     # its own bright/dark basis and turns into the next bin's, the block's
     # last into the lab, and the block products chain into the running gate.
     # Every bin steps by its folded step matrix and one 3x3 product through
-    # its terms, over all the pairs at once, though `gates` takes 403 of
-    # them in groups of at most `sequences.PAIRS`.
+    # its terms, over all the pairs at once; `gates` too steps all 403 in
+    # one bin loop, through the (3, 3, E) form of `_matmul3` above PAIRS.
     rng = np.random.default_rng(1000 * n_bins + n_fractions)
     controls = rng.uniform(-0.5, 0.5, size=(n_bins, 4))
     durations = rng.uniform(0.01, 0.2, size=n_bins)
@@ -243,6 +244,8 @@ def matrix_first_stacks():
         "small": (stack(5), stack(5)),
         "strided": (props[:, :, 7::20], prefix[:, :, 7:401:20]),
         "block-major": (stack(20, 20, 5)[:, :, 7], stack(20, 20, 5)[:, :, 7]),
+        # every a_ik b_kj = 0 (-1) has real part -0, and so has their sum
+        "signed-zeros": (np.zeros((3, 3, 5), dtype=complex), np.full((3, 3, 5), -1.0 + 0j)),
     }
 
 
@@ -280,16 +283,20 @@ def test_matmul3_is_the_three_term_sum_on_matrix_first_stacks(case):
     assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("case", ["full", "broadcast-v", "small", "strided", "block-major"])
+@pytest.mark.parametrize(
+    "case", ["full", "broadcast-v", "small", "strided", "block-major", "signed-zeros"]
+)
 @pytest.mark.parametrize("into", ["contiguous", "strided"])
 def test_matmul3_through_its_terms_is_the_three_term_sum_byte_for_byte(case, into):
     # Given a (3, 3, 3, ...) terms stack, `_matmul3` takes every a_ik b_kj in
-    # one multiply and sums over k by one reduce; the sum runs in order, so
-    # the bytes are those of the three accumulated products on every layout
-    # the engine passes: its slabs and one step's block-major views, (..., 1)
-    # operands broadcast over the pairs, and out strided as the objective's
-    # block products or contiguous.  `gates` and the objective fold few pairs
-    # this way and chain their block products so, and must agree bit for bit.
+    # one multiply and sums over k by one reduce; the sum runs in order from
+    # -0, so the bytes, signed zeros included, are those of the three
+    # accumulated products on every layout the engine passes: its slabs and
+    # one step's block-major views, (..., 1) operands broadcast over the
+    # pairs, and out strided as the objective's block products or contiguous.
+    # `gates` steps up to PAIRS pairs this way and more pairs by the three
+    # accumulated products, and the objective chains its block products so:
+    # all must agree bit for bit.
     a, b = matrix_first_stacks()[case]
     shape = np.broadcast_shapes(a.shape, b.shape)
     expected = _matmul3(a, b, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
@@ -465,19 +472,19 @@ def dense_grid_peak(kind):
 
 
 def test_gates_memory_stays_bounded_on_a_dense_grid():
-    # The fractions are taken PAIRS = 54 at a time, and each group's bins
-    # are exponentiated BLOCK_PROPAGATORS // 54 = 20 consecutive bins at once,
-    # their (p, q, p') and step matrices written into reused (3, 20, 54) and
-    # (3, 3, 20, 54) stacks: one call at 401 ORE fractions on 400 bins peaks
-    # at 0.62 MB of traced allocations (groups of 60 would peak at 0.63 MB,
-    # and chunks of 1612 // 54 = 29 bins at 0.83 MB), where a full
-    # (3, 3, N, E) stack alone would take 23 MB.
+    # All 401 fractions are stepped at once, BLOCK_PROPAGATORS // 401 = 2
+    # consecutive bins exponentiated per call, their (p, q, p') and step
+    # matrices written into reused (3, 2, 401) and (3, 3, 2, 401) stacks, and
+    # each 3x3 product takes its terms through a (3, 3, 401) stack, not a
+    # (3, 3, 3, 401) one: one call at 401 ORE fractions on 400 bins peaks at
+    # 0.631 MB of traced allocations, where a full (3, 3, N, E) stack alone
+    # would take 23 MB.
     assert dense_grid_peak(ErrorKind.ORE) <= 0.65e6
 
 
 def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
     # As above under PLE, where one mixing angle serves every fraction:
-    # 0.62 MB (groups of 60 would peak at 0.63 MB, chunks of 29 bins at 0.83 MB).
+    # 0.628 MB.
     assert dense_grid_peak(ErrorKind.PLE) <= 0.65e6
 
 
@@ -486,9 +493,10 @@ def test_gates_memory_stays_bounded_on_a_dense_ple_grid():
 def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
     # The chunk stack is reused, so a block's first bin, a one-bin block, or
     # a ragged last chunk or block left reading the stack would change a gate.
-    # Every step is elementwise over the pairs, so groups of pairs change no
-    # bytes either: a ragged last group, or a group of mixed pairs none of
-    # which detunes and so takes one shared mixing angle.
+    # The budget is also PAIRS, the most pairs `_matmul3` takes through a
+    # (3, 3, 3, E) terms stack; more take a (3, 3, E) one, which must give the
+    # same bytes, so the sweep compares both forms.  The PLE grids detune no
+    # pair and take one shared mixing angle.
     rng = np.random.default_rng(23)
     pulses = [(s.u, s.dt) for s in map(composite, COMPOSITES)] + [
         (rng.uniform(-0.5, 0.5, size=(400, 4)), rng.uniform(0.01, 0.1, size=400)),
@@ -500,26 +508,33 @@ def test_gates_do_not_depend_on_the_chunk_size(monkeypatch, budget, kind):
         mixed = rng.uniform(-1.0, 1.0, size=(size, 2))  # stretch and detune at once
         mixed[: size // 2, 1] = 0.0  # but the first half only stretch
         grids.append(mixed if kind is None else error_pairs(kind, eps))
+    forms, real = set(), sequences._matmul3
+
+    def recorded(a, b, out, tmp):
+        forms.add(tmp.shape[:-1])  # the terms stack, without its pairs axis
+        return real(a, b, out, tmp)
+
+    monkeypatch.setattr(sequences, "_matmul3", recorded)
     expected = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
     monkeypatch.setattr(sequences, "BLOCK_PROPAGATORS", budget)
     monkeypatch.setattr(sequences, "PAIRS", budget)
     got = [gates(u, dt, errors) for u, dt in pulses for errors in grids]
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    assert forms == {(3, 3, 3), (3, 3)}
 
 
 @pytest.mark.parametrize(
     "fractions, calls",
     [
-        (401, [(54, 20)] * 140 + [(23, 46)] * 8 + [(23, 32)]),
+        (401, [(401, 2)] * 200),
         (21, [(21, 51)] * 7 + [(21, 43)]),
         (5, [(5, 216), (5, 184)]),
     ],
 )
 def test_gates_exponentiate_several_bins_per_call(monkeypatch, fractions, calls):
     # 400 bins make 20 blocks of 20, but a call takes BLOCK_PROPAGATORS // E
-    # consecutive bins across them, the last call ragged: at 5 or 21 fractions
-    # 216 or 51 bins, at 401 in each of the ceil(401 / 54) = 8 groups of at
-    # most PAIRS fractions, 20 bins at 54 and 46 in the ragged group of 23.
+    # consecutive bins across them, the last call ragged: 216, 51 or 2 bins
+    # at 5, 21 or 401 fractions, every fraction in every call.
     made = []
     real = sequences._bin_exponentials
 

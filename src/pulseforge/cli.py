@@ -1,8 +1,11 @@
 """Command-line front end: scans, GRAPE runs, scheme comparison, model info.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 optimization
-failure.  All commands are deterministic for fixed flags and seeds, so
-repeated runs produce byte-identical output files.
+failure.  The `main` group is the one place where library failures become
+exit codes: `OSError` 3, `ScanError` and `GrapeNumericsError` 4, each with
+its own message.  Only the config, output-directory and pulse-file handlers
+word their own, naming the file.  All commands are deterministic for fixed
+flags and seeds, so repeated runs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -111,6 +114,12 @@ def _load_pulse(path: str):
         raise IOFailure(f"cannot load pulse file {path}: {exc}") from exc
 
 
+def _output_paths(params: dict, *names: str) -> list[Path]:
+    """`<out>/<prefix>_<name>` for each name; the prefix defaults to the error kind."""
+    out = _ensure_out_dir(params["out"])
+    return [out / f"{params['prefix'] or params['error']}_{name}" for name in names]
+
+
 def _scheme_factories(schemes: str):
     """(label, pulse) pairs from a comma list; schemes as in `scanning`."""
     pairs = []
@@ -140,6 +149,10 @@ def _lambda_mhz(params: dict) -> float:
     return lam
 
 
+def _duration(dur: float, lam: float) -> str:
+    return f"{dur / PI:.6g} pi = {dur / lam:.4g} us at Lambda = {lam:g} MHz"
+
+
 def _grid(kind: ErrorKind, lo: float, hi: float, n: int) -> ErrorGrid:
     try:
         return ErrorGrid.uniform(kind, lo, hi, n)
@@ -151,16 +164,9 @@ def _sweep(params: dict, pulses, name: str):
     """Scan the schemes over the command's grid; write `<prefix>_<name>.csv`."""
     kind = ErrorKind(params["error"])
     grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
-    try:
-        result = scan(pulses, grid)
-    except ScanError as exc:
-        raise OptimizationFailure(str(exc)) from exc
-    out = _ensure_out_dir(params["out"])
-    csv_path = out / f"{params['prefix'] or params['error']}_{name}.csv"
-    try:
-        export_csv(result, csv_path)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    result = scan(pulses, grid)
+    [csv_path] = _output_paths(params, f"{name}.csv")
+    export_csv(result, csv_path)
     return result, csv_path
 
 
@@ -191,7 +197,21 @@ def _print_corpse_note(result) -> None:
         )
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    """The command group: library failures become exit codes 3 and 4 here."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout: click's own exit
+        except OSError as exc:
+            raise IOFailure(str(exc)) from exc
+        except (ScanError, GrapeNumericsError) as exc:
+            raise OptimizationFailure(str(exc)) from exc
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """Robust pulse engineering for the three-level NV / 13C spin model."""
 
@@ -208,10 +228,7 @@ def main():
 def cmd_scan(**params):
     """Sweep an error fraction and tabulate fidelity per scheme."""
     result, csv_path = _sweep(params, _scheme_factories(params["schemes"]), "scan")
-    try:
-        write_plot_script(result, csv_path.name, csv_path.with_suffix(".gp"))
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    write_plot_script(result, csv_path.name, csv_path.with_suffix(".gp"))
     click.echo(f"wrote {csv_path} ({len(result.grid.points)} points, {params['error']})")
     click.echo("good-fidelity windows:")
     _print_windows(result)
@@ -224,15 +241,16 @@ def cmd_scan(**params):
 @click.option("--train-min", type=float, default=-0.2, show_default=True)
 @click.option("--train-max", type=float, default=0.2, show_default=True)
 @click.option("--train-points", type=int, default=5, show_default=True)
-@click.option("--bins", type=int, default=400, show_default=True)
-@click.option("--time", "total_time", type=float, default=6.0 * PI,
+@click.option("--bins", type=int, default=GrapeConfig.bins, show_default=True)
+@click.option("--time", "total_time", type=float, default=GrapeConfig.total_time,
               help="total pulse time in 1/Lambda [default: 6*pi]")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--penalty", type=float, default=0.01, show_default=True,
+@click.option("--penalty", type=float, default=GrapeConfig.penalty, show_default=True,
               help="power penalty weight alpha_p")
-@click.option("--init-scale", type=float, default=0.1, show_default=True)
-@click.option("--max-iterations", type=int, default=500, show_default=True)
+@click.option("--init-scale", type=float, default=GrapeConfig.init_scale, show_default=True)
+@click.option("--max-iterations", type=int, default=GrapeConfig.max_iterations,
+              show_default=True)
 @click.option("--lambda-mhz", type=float, default=1.0, show_default=True,
               help="physical max Rabi amplitude, for printed unit annotations only")
 @_output_options
@@ -246,34 +264,17 @@ def cmd_grape(**params):
         training = _grid(
             kind, params["train_min"], params["train_max"], params["train_points"]
         ).points
+    fields = GrapeConfig.__dataclass_fields__  # every option of that name sets it
     try:
-        cfg = GrapeConfig(
-            error_kind=kind,
-            training=training,
-            total_time=params["total_time"],
-            bins=params["bins"],
-            penalty=params["penalty"],
-            max_iterations=params["max_iterations"],
-            seed=params["seed"],
-            init_scale=params["init_scale"],
-        )
+        cfg = GrapeConfig(kind, training, **{k: v for k, v in params.items() if k in fields})
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    try:
-        pulse, score = ascend_with_restarts(cfg, restarts=params["restarts"])
-    except GrapeNumericsError as exc:
-        raise OptimizationFailure(str(exc)) from exc
+    pulse, score = ascend_with_restarts(cfg, restarts=params["restarts"])
 
-    out = _ensure_out_dir(params["out"])
-    prefix = params["prefix"] or params["error"]
-    pulse_path = out / f"{prefix}_pulse.csv"
-    trace_path = out / f"{prefix}_trace.csv"
-    try:
-        export_pulse_csv(pulse, pulse_path)
-        rows = "".join(f"{i},{val:.12g}\n" for i, val in enumerate(pulse.trace))
-        _write_text(trace_path, "iteration,objective\n" + rows, "trace CSV")
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    pulse_path, trace_path = _output_paths(params, "pulse.csv", "trace.csv")
+    export_pulse_csv(pulse, pulse_path)
+    rows = "".join(f"{i},{val:.12g}\n" for i, val in enumerate(pulse.trace))
+    _write_text(trace_path, "iteration,objective\n" + rows, "trace CSV")
 
     click.echo(f"wrote {pulse_path} and {trace_path}")
     click.echo(
@@ -287,10 +288,7 @@ def cmd_grape(**params):
             f"trained-range min fidelity ({params['error']} in "
             f"[{params['train_min']:g}, {params['train_max']:g}]): {score:.6f}"
         )
-    click.echo(
-        f"pulse duration {cfg.total_time / PI:.6g} pi = "
-        f"{cfg.total_time / lam:.4g} us at Lambda = {lam:g} MHz"
-    )
+    click.echo(f"pulse duration {_duration(cfg.total_time, lam)}")
     if score < GOOD_FIDELITY_THRESHOLD:
         raise OptimizationFailure(
             f"trained-range min fidelity {score:.6f} < {GOOD_FIDELITY_THRESHOLD} "
@@ -312,7 +310,7 @@ def cmd_compare(**params):
     """Run all schemes on one grid; report mean fidelities and durations."""
     lam = _lambda_mhz(params)
     grape_sched = _load_pulse(params["grape_pulse"])
-    pulses = _scheme_factories(",".join(COMPOSITES)) + [("grape", grape_sched)]
+    pulses = [(name, composite(name)) for name in COMPOSITES] + [("grape", grape_sched)]
     result, csv_path = _sweep(params, pulses, "compare")
 
     durations = {label: pulse.duration for label, pulse in pulses}
@@ -326,10 +324,7 @@ def cmd_compare(**params):
         click.echo(f"  {label:<12} {np.mean(vals):.6f}")
     click.echo("durations (units of 1/Lambda):")
     for label, dur in durations.items():
-        click.echo(
-            f"  {label:<12} {dur / PI:.6g} pi = {dur / lam:.4g} us "
-            f"at Lambda = {lam:g} MHz"
-        )
+        click.echo(f"  {label:<12} {_duration(dur, lam)}")
     ratio = durations["corpse"] / durations["sequential"]
     click.echo(f"  corpse/sequential duration ratio: {ratio:.4f}")
     _print_corpse_note(result)
@@ -359,7 +354,8 @@ def cmd_info():
     click.echo("  hyperfine splitting 2 MHz")
     click.echo("")
     click.echo("units: amplitudes in Lambda, times in 1/Lambda; at Lambda = 1 MHz")
-    click.echo("the sequential gate (duration 1.5 pi) lasts 4.712 us")
+    duration = composite("sequential").duration
+    click.echo(f"the sequential gate (duration {duration / PI:.6g} pi) lasts {duration:.4g} us")
 
 
 if __name__ == "__main__":

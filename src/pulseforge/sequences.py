@@ -287,6 +287,8 @@ def gates(controls, durations, errors) -> np.ndarray:
     (3, 3, 3, E) terms stack, above them a (3, 3, E) one; both give the same bytes.
     """
     n, e = len(controls), len(errors)
+    if not e:
+        return np.empty((0, 3, 3), complex)
     times = np.broadcast_to(np.asarray(durations, dtype=float), (n,))
     _, bx, by = bright = _bright_states(controls)
     size = math.isqrt(n)

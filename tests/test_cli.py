@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, config merge, determinism."""
 
+import dataclasses
 import os
+import subprocess
+import sys
 import tempfile
 
 import click
@@ -10,7 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulseforge.cli import cmd_scan, main
+from pulseforge import GrapeConfig
+from pulseforge.cli import cmd_grape, cmd_scan, main
 
 TINY_GRAPE = [
     "grape",
@@ -38,6 +42,20 @@ def tiny_pulse(tmp_path_factory):
     result = CliRunner().invoke(main, TINY_GRAPE + ["--out", str(out)])
     assert result.exit_code == 0, result.output
     return out / "none_pulse.csv"
+
+
+def test_module_runs_as_a_script():
+    # As the README runs it: a fresh interpreter imports the package and
+    # lists the four commands.
+    result = subprocess.run(
+        [sys.executable, "-m", "pulseforge.cli", "--help"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    commands = result.stdout.split("Commands:")[1].splitlines()
+    assert {line.split()[0] for line in commands if line.strip()} == {
+        "compare", "grape", "info", "scan"
+    }
 
 
 def test_info(runner):
@@ -249,6 +267,20 @@ def test_bad_numeric_input_exits_2_before_any_work(
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not out.exists()
+
+
+def test_grape_options_are_the_config_fields():
+    # `grape` passes every option named after a GrapeConfig field on to it,
+    # so each field has an option of that name, with the field's default but
+    # for the seed, whose documented default is 1.
+    options = {p.name: p for p in cmd_grape.params}
+    for field in dataclasses.fields(GrapeConfig):
+        if field.name in ("error_kind", "training"):
+            continue
+        assert field.name in options
+        if field.name != "seed":
+            assert options[field.name].default == field.default, field.name
+    assert options["seed"].default == 1
 
 
 def test_grape_step_size_flag_is_gone(runner, tmp_path):

@@ -561,6 +561,9 @@ def test_gates_at_mixed_pairs_match_scipy(seed):
         for u, t in zip(controls, durations):
             expected = scipy.linalg.expm(-1j * (1 + s) * t * bin_hamiltonian(u, d)) @ expected
         assert np.max(np.abs(gate - expected)) <= 1e-12
+    # No pairs: an empty stack of gates.
+    empty = gates(controls, durations, np.empty((0, 2)))
+    assert empty.shape == (0, 3, 3) and empty.dtype == complex
 
 
 def test_segment_validation():

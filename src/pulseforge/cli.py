@@ -243,7 +243,7 @@ def cmd_scan(**params):
 @click.option("--train-points", type=int, default=5, show_default=True)
 @click.option("--bins", type=int, default=GrapeConfig.bins, show_default=True)
 @click.option("--time", "total_time", type=float, default=GrapeConfig.total_time,
-              help="total pulse time in 1/Lambda [default: 6*pi]")
+              help=f"total pulse time in 1/Lambda [default: {GrapeConfig.total_time / PI:g}*pi]")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--penalty", type=float, default=GrapeConfig.penalty, show_default=True,

@@ -214,8 +214,9 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     holds the Y_j, then the block starts and C_b tiled; X the step matrices,
     then the X_j; the weight stack the block products, C, C_b and K; the
     product stack (the scratch after it) the last step, 2x2 products, the
-    chain, S_b C, X C and M; the flat scratch one step's or chain product's
-    terms.  Written before read.
+    chain, S_b C, X C and M; the scratch's last two thirds R^T, complex and
+    tiled over the pairs, which numpy multiplies without casting buffers; the
+    flat scratch one step's or chain product's terms.  Written before read.
     """
     n, e = len(u), len(errors)
     slot, us, ts, ub, y, x, cw, xc, tmp, psi, terms = work or _workspace(n, errors)
@@ -238,8 +239,9 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
         out = ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
         _matmul3(steps[:, :, j], ys[:, :, j], out, scratch)
     np.moveaxis(products, 0, 2)[...] = out  # as the chain reads them
-    rotation = np.array([[-c, s], [s, c]])[:, :, None]  # R^T on the (bright, |2>) rows
-    sequences._matmul2(rotation, y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
+    rotation = _view(tmp[1:], (2, 2) + y.shape[2:])  # R^T on the (bright, |2>) rows
+    rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = -c, s, s, c
+    sequences._matmul2(rotation[:, :, None], y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
     np.negative(y[2], out=x[1])  # X_j = R^T Y_j, V's dark column being -B's
     chain, scratch = _view(xc, (blocks, 3, 3, e)), _view(terms, (3, 3, 3, e))  # S_1, ..., then U
     chain[0] = products[0]

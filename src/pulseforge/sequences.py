@@ -153,9 +153,9 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
     into `out` (no input).  A `tmp` of out's shape takes terms 2 and 3; a
     (3, 3, 3, ...) one takes every a_ik b_kj at once, summed over k by one
     ordered reduce from -0, which adds exactly: the same bytes, signed zeros
-    included, in 2 numpy calls, not 5, which pays on small stacks.  0.09 ms at
+    included, in 2 numpy calls, not 5, which pays on small stacks.  0.10 ms at
     (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on (400, 5, 3, 3)
-    takes 0.6 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    takes 0.52 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
     if tmp.ndim > out.ndim:  # -0j is complex(-0.0, -0.0), a constant
         terms = np.multiply(a[:, :, None], b[None], out=tmp)
         return np.add.reduce(terms, axis=1, out=out, initial=-0j)
@@ -198,45 +198,67 @@ def _bin_exponentials(bright, times, drift, blocks, psi=None):
     silent bin (r = 0) takes |0> as its bright state and -|3> as its dark one.
     Returns c and s (N, E), or (N, 1) when no pair detunes and one angle serves
     every pair; the phases e_k = e^{-i t w_k} (3, N, E), w = (w_0, a, w_2), by
-    one real cos and sin; and into `blocks` (3, N, E) the bright/|2> block
+    real cos and sin; and into `blocks` (3, N, E) the bright/|2> block
     [[p, q], [q, p']], p = c^2 e_0 + s^2 e_2, q = c s (e_2 - e_0),
     p' = s^2 e_0 + c^2 e_2, with e_1 on the dark state.  A given (6, N, E)
     `psi` gets Psi_ab = -i t e^{-i theta} sinc theta, theta = t (w_a - w_b)/2,
     at ab = 20, 10, 21, 02, 01, 12 (sinc 1 at 0), Psi_ba = -Psi_ab*.
+
+    With no detuning, a = -0, w_2 = h and w_0 = -h, or +0 where h = 0.  Then
+    one cos and one sin of t h give e_2, e_0 = e_2* up to the sign of w_0, and
+    e_1 = 1; Psi_02's gap t w_0 reuses e_0 and the sin of t h, and Psi_01 and
+    Psi_12, whose gaps are -t h/2 up to the sign of a zero, share one cos, sin
+    and sinc: 4 trig arrays and 2 divides, not 12 and 3, for the same bytes.
     """
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
     phi = 0.5 * np.arctan2(2.0 * bright[0], b - a)
     c, s = np.cos(phi), np.sin(phi, out=phi)
     m, h = 0.5 * (a + b), np.hypot(0.5 * (b - a), bright[0])
     tw = np.empty((3,) + times.T.shape)  # t w, w = (m - h, a, m + h)
-    tw[0], tw[1], tw[2] = times.T * (m - h), times.T * a, times.T * (m + h)
+    if detuned := drift.any():
+        tw[0], tw[1] = times.T * (m - h), times.T * a
+    tw[2] = times.T * (m + h)
     e0, e1, e2 = phases = np.empty(tw.shape, dtype=complex)  # as np.exp(-1j * tw)
-    np.cos(tw, out=phases.real)
-    np.negative(np.sin(tw, out=phases.imag), out=phases.imag)
+    k = 0 if detuned else 2  # the phases taken by cos and sin
+    np.cos(tw[k:], out=phases.real[k:])
+    np.negative(np.sin(tw[k:], out=phases.imag[k:]), out=phases.imag[k:])
+    if not detuned:  # t w_0 = sgn(w_0) t w_2, sin odd and cos even
+        e0.real, e0.imag, e1[...] = e2.real, np.copysign(1.0, m - h) * e2.imag, 1.0
     p, q, p_ = blocks  # p = e_0 + s^2 (e_2 - e_0), q = c s (e_2 - e_0), p' = e_2 - s^2 (e_2 - e_0)
     np.multiply(s * s, np.subtract(e2, e0, out=q), out=p_)
     np.add(e0, p_, out=p)
     np.subtract(e2, p_, out=p_)
     q *= c * s
     if psi is not None:  # Psi_ab = -i t e^{-i theta} sinc theta at the half gaps theta
-        theta, sinc, sin, cos = psi[:3].real, psi[:3].imag, psi[3:].real, psi[3:].imag
-        np.multiply(tw[[0, 0, 1]] - tw[[2, 1, 2]], 0.5, out=theta)  # ab = 02, 01, 12
-        np.sin(theta, out=sin)
-        np.cos(theta, out=cos)
+        g = 3 if detuned else 2  # ab = 02, 01, 12, or 02, 01 and Psi_12 from Psi_01
+        theta, sinc, sin, cos = psi[:g].real, psi[:g].imag, psi[3 : 3 + g].real, psi[3 : 3 + g].imag
+        if detuned:
+            np.multiply(tw[[0, 0, 1]] - tw[[2, 1, 2]], 0.5, out=theta)
+        else:  # theta_02 = t w_0, whose e^{-i theta} is e_0, and theta_01 = (0 - t h)/2
+            theta[0], sin[0], cos[0] = times.T * (m - h), -e0.imag, e0.real
+            np.multiply(np.subtract(0.0, tw[2], out=theta[1]), 0.5, out=theta[1])
+        np.sin(theta[3 - g :], out=sin[3 - g :])  # every gap, or 01 alone
+        np.cos(theta[3 - g :], out=cos[3 - g :])
         sinc.fill(1.0)  # its limit at theta = 0
         np.divide(sin, theta, out=sinc, where=theta != 0.0)
         sinc *= -times.T
         sin *= sinc
         cos *= sinc
-        np.negative(np.conjugate(psi[3:], out=psi[:3]), out=psi[:3])  # Psi_ba = -Psi_ab*
+        if not detuned:  # theta_12 is theta_01 but -0 for +0 at t h = 0: Psi_12's real 0 is +0
+            psi[5].real, psi[5].imag = psi[4].real + 0.0, psi[4].imag
+        psi[:3].real, psi[:3].imag = -psi[3:].real, psi[3:].imag  # Psi_ba = -Psi_ab*
     return c, s, phases, blocks
 
 
 def _turns(bx, by, ends) -> np.ndarray:
     """Each bin's turn B'^dag B, [[a, b], [-b*, a*]] on (bright (bx, 0, by), dark
     (-by*, 0, bx*)), into the next bin's basis along axis 0 or, where `ends`
-    holds, into the lab, the basis of a silent bin (bright |0>, dark |3>)."""
-    to_bx, to_by = np.where(ends, 1.0, np.roll(bx, -1, 0)), np.where(ends, 0.0, np.roll(by, -1, 0))
+    holds, into the lab, the basis of a silent bin (bright |0>, dark |3>).
+    The next bin's (bx, by) is a shifted slice; `ends` must hold on the last."""
+    to_bx, to_by = np.empty_like(bx), np.empty_like(by)
+    to_bx[:-1], to_by[:-1] = bx[1:], by[1:]
+    np.copyto(to_bx, 1.0, where=ends)
+    np.copyto(to_by, 0.0, where=ends)
     a = to_bx.conj() * bx + to_by.conj() * by
     b = to_by.conj() * bx.conj() - to_bx.conj() * by.conj()
     return np.array([[a, b], [-b.conj(), a.conj()]])
@@ -253,9 +275,12 @@ def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
     """Each bin's step M = T S into out (3, 3, ...), its turn T = [[a, b], [-b*, a*]]
     (`_turns`, on bright and dark) folded into S = [[p, q, 0], [q, p', 0],
     [0, 0, e_1]]: rows (a p, a q, b e_1), (q, p', 0), (-b* p, -b* q, a* e_1),
-    every entry written out of place.  Then Y -> M Y is one `_matmul3`."""
-    np.multiply(turns[:, :1], blocks[:2], out=out[::2, :2])
-    np.multiply(turns[:, 1], e1, out=out[::2, 2])
+    every entry written out of place by its own product, the turn entry
+    broadcast along the pairs only.  Then Y -> M Y is one `_matmul3`."""
+    for i, (t0, t1) in zip((0, 2), turns):
+        np.multiply(t0, blocks[0], out=out[i, 0])
+        np.multiply(t0, blocks[1], out=out[i, 1])
+        np.multiply(t1, e1, out=out[i, 2])
     out[1, :2], out[1, 2] = blocks[1:], 0.0
     return out
 

@@ -309,6 +309,15 @@ def test_matmul3_through_its_terms_is_the_three_term_sum_byte_for_byte(case, int
     assert out.tobytes() == expected.tobytes()
 
 
+def rolled_turns(bx, by, ends):
+    """`_turns` by np.roll and np.where: the next bin's (bx, by) along axis 0,
+    the lab's (1, 0) where `ends` holds."""
+    to_bx, to_by = np.where(ends, 1.0, np.roll(bx, -1, 0)), np.where(ends, 0.0, np.roll(by, -1, 0))
+    a = to_bx.conj() * bx + to_by.conj() * by
+    b = to_by.conj() * bx.conj() - to_bx.conj() * by.conj()
+    return np.array([[a, b], [-b.conj(), a.conj()]])
+
+
 @pytest.mark.parametrize("pairs", [1, 5])
 @pytest.mark.parametrize("kind", [ErrorKind.PLE, ErrorKind.ORE, None], ids=["ple", "ore", "mixed"])
 def test_step_matrices_are_the_same_bytes_from_a_chunk_and_a_slab(kind, pairs):
@@ -317,6 +326,7 @@ def test_step_matrices_are_the_same_bytes_from_a_chunk_and_a_slab(kind, pairs):
     # the same bytes either way, and each entry the out-of-place product of a
     # turn entry and one of p, q, e_1: numpy rounds an in-place product with
     # one-entry operands, as a one-bin chunk at one pair has, differently.
+    # The turns in both layouts are the bytes of the np.roll / np.where form.
     size, n = 20, 400
     rng = np.random.default_rng(26)
     controls = rng.uniform(-0.5, 0.5, size=(n, 4))
@@ -326,14 +336,18 @@ def test_step_matrices_are_the_same_bytes_from_a_chunk_and_a_slab(kind, pairs):
     e = len(errors)
     *_, phases, blocks = exponentials(controls, rng.uniform(0.01, 0.2, size=n), errors)
     _, bx, by = _bright_states(controls)
-    turns = _turns(bx, by, (np.arange(n) % size == size - 1)[:, None])  # gates' (2, 2, N, 1)
+    chunk_ends = (np.arange(n) % size == size - 1)[:, None]
+    turns = _turns(bx, by, chunk_ends)  # gates' (2, 2, N, 1)
     slot = np.arange(n).reshape(-1, size).T  # bin b size + j at (j, b)
+    slab_ends = (np.arange(size) == size - 1)[:, None, None]
     slab = _step_matrices(
         blocks[:, slot],
         phases[1][slot],
-        _turns(bx[slot], by[slot], (np.arange(size) == size - 1)[:, None, None]),
+        _turns(bx[slot], by[slot], slab_ends),
         np.full((3, 3, size, n // size, e), np.nan, dtype=complex),
     )
+    layouts = [(bx, by, chunk_ends), (bx[slot], by[slot], slab_ends)]
+    assert all(_turns(*args).tobytes() == rolled_turns(*args).tobytes() for args in layouts)
     (a, b), (p, q, p_), e1 = turns[0], blocks, phases[1]
     rows = np.array([
         [a * p, a * q, b * e1],
@@ -368,11 +382,27 @@ def sinc_reference_psi(t, tw):
     return np.concatenate((-ab.conj(), ab))
 
 
+def three_gap_psi(t, tw):
+    """Psi at ab = 20, 10, 21, 02, 01, 12 by the general three-gap arithmetic:
+    theta from the t w differences, its sin and cos, sinc divided where
+    theta != 0 and 1 elsewhere, times -t, and Psi_ba = -Psi_ab*."""
+    theta = (tw[[0, 0, 1]] - tw[[2, 1, 2]]) * 0.5
+    sin, cos = np.sin(theta), np.cos(theta)
+    sinc = np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0.0) * -t
+    ab = np.empty(theta.shape, dtype=complex)
+    ab.real, ab.imag = sin * sinc, cos * sinc
+    return np.concatenate((-ab.conj(), ab))
+
+
 def assert_psi_matches_sinc_reference(controls, durations, errors):
+    # Within 1e-15 of the np.exp / np.sinc reference, and bit for bit the
+    # three-gap arithmetic, which the shortcut for pairs that detune none
+    # must reproduce, the signs of zeros included.
     psi = np.full((6, len(controls), len(errors)), np.nan, dtype=complex)
     t, _, _, tw, _, _ = exponentials(controls, durations, errors, psi)
     ref = sinc_reference_psi(t, tw)
     assert np.all(np.abs(psi - ref) <= 1e-15 * np.abs(ref))
+    assert psi.tobytes() == three_gap_psi(t, tw).tobytes()
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-170, 1e-8, 1e-3, 1.0])

@@ -12,6 +12,8 @@ from .sequences import (
     ErrorKind,
     composite,
     propagator,
+    pulses_to_schedule,
+    schedule_to_pulses,
     sequence_table,
     sequential_gate,
 )
@@ -39,8 +41,6 @@ from .grape import (
     gradient,
     import_pulse_csv,
     performance,
-    pulses_to_schedule,
-    schedule_to_pulses,
     trained_min_fidelity,
 )
 

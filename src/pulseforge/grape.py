@@ -2,16 +2,15 @@
 
 Controls are N time bins of four piecewise-constant amplitudes u1..u4
 multiplying `linalg.CONTROL_HAMILTONIANS`, a `sequences.ControlSchedule`
-with one bin duration dt.  A checkpoint stores them as drives (u_m,
-theta_m, u_r, theta_r), which `pulses_to_schedule` maps back by
-`sequences._drive_controls`, the drive map of the composites too.  The
-performance of a schedule against a target U_T is
-P = |Tr(U_T^dag U(T))|^2, averaged over a training set of systematic
-error fractions.  `_objective` gives it and its exact gradient in one
-sweep over the bin propagators, in the product order of `sequences.gates`.
-L-BFGS with Armijo backtracking (de Fouquieres et al., J. Magn. Reson. 212,
-412 (2011)) ascends it over free parameters that map smoothly onto drives
-below Lambda = 1, each ascent through one `_workspace`.
+with one bin duration dt, stored in a checkpoint as the drives of
+`sequences.schedule_to_pulses`.  The performance of a schedule against a
+target U_T is P = |Tr(U_T^dag U(T))|^2, averaged over a training set of
+systematic error fractions, less a power penalty (`_score`).  `_objective`
+gives it and its exact gradient in one sweep over the bin propagators, in
+the product order of `sequences.gates`.  L-BFGS with Armijo backtracking
+(de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) ascends it over free
+parameters that `_drives` maps smoothly onto drives below Lambda = 1, its
+pullback taking the gradient back; each ascent runs through one `_workspace`.
 
 Bin propagators and a schedule's gates come from `sequences`, the engine
 of the composite pulses too, so every scheme shares one error convention:
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .linalg import IDENTITY, _check_unitary, gate_fidelity
 from .sequences import (
     ControlSchedule,
     ErrorKind,
-    _drive_controls,
     _error_terms,
     _matmul3,
     _write_text,
     error_pairs,
     propagator,
+    pulses_to_schedule,
+    schedule_to_pulses,
     sequential_gate,
 )
 
@@ -50,15 +50,12 @@ __all__ = [
     "ascend",
     "trained_min_fidelity",
     "ascend_with_restarts",
-    "schedule_to_pulses",
-    "pulses_to_schedule",
     "export_pulse_csv",
     "import_pulse_csv",
     "PULSE_CSV_HEADER",
 ]
 
 PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 # |u_k| <= Lambda/2 with Lambda = 1; `ascend` keeps each channel pair
 # radially below it, so the reconstructed u_m, u_r stay below Lambda too.
@@ -103,6 +100,9 @@ class GrapeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "training", tuple(float(e) for e in self.training))
+        for name in ("bins", "max_iterations", "seed"):
+            if not isinstance(value := getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.bins < 1:
             raise ValueError("need at least one bin")
         if not all(map(math.isfinite, (self.total_time, self.penalty, self.init_scale))):
@@ -154,9 +154,14 @@ def performance(
     """
     _require_one_dt(s)
     target = _check_unitary(target, "target")
-    full = propagator(s, kind, fractions)
-    tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U)
-    return float(np.mean(np.abs(tr) ** 2)) - penalty * s.dt * float(np.sum(s.u * s.u))
+    return _score(propagator(s, kind, fractions), target, s.u, s.dt, penalty)[1]
+
+
+def _score(full, target, u, dt, penalty) -> tuple[np.ndarray, float]:
+    """Tr(U_T^dag U) of each pair's gate in `full` (E, 3, 3), and the mean of
+    |Tr|^2 over the pairs minus the power penalty alpha_p * dt * sum(u^2)."""
+    tr = np.einsum("ba,eba->e", target.conj(), full)
+    return tr, float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
 
 
 def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
@@ -248,7 +253,7 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     for b in range(1, blocks):
         _matmul3(products[b], chain[b - 1], chain[b], scratch)
     full = np.moveaxis(chain[-1], 2, 0).copy()  # U, (E, 3, 3)
-    tr = np.einsum("ba,eba->e", target.conj(), full)  # Tr(U_T^dag U), as `performance`
+    tr, value = _score(full, target, u, dt, penalty)  # as `performance`
     weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
     starts, cb = _view(y, slab), _view(cw, slab)
     starts[:, :, 0], starts[:, :, 1:] = IDENTITY[..., None], np.moveaxis(chain[:-1], 0, 2)
@@ -271,7 +276,6 @@ def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.nda
     y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
     y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
     grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1)
-    value = float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
     return value, grad.real[slot] - 2.0 * penalty * dt * u
 
 
@@ -292,18 +296,26 @@ def gradient(
     return _objective(s.u, s.dt, error_pairs(kind, fractions), target, penalty)[1]
 
 
-def _drives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = p / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel pair, and the factors.
+def _drives(p: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """u = scale * p, scale = 1 / sqrt(1 + |p|^2 / CONTROL_BOUND^2) per channel
+    pair, and the pullback that takes a u-gradient g to the p-gradient
+    scale * g - scale^3 (p . g / CONTROL_BOUND^2) p, the chain rule of the map.
 
     Past |p| ~ 1e7 that factor rounds |u| up to the bound, so u is scaled by
-    at most (1 - 1e-12) CONTROL_BOUND / |p| instead; the returned factors,
-    which the chain rule takes, stay the smooth ones."""
+    at most (1 - 1e-12) CONTROL_BOUND / |p| instead; the pullback stays the
+    smooth map's."""
     pairs = p.reshape(-1, 2, 2)
     sq = pairs * pairs
     radial = (sq[..., :1] + sq[..., 1:]) / CONTROL_BOUND**2
     scale = 1.0 / np.sqrt(1.0 + radial)
     limit = (1.0 - 1e-12) / np.sqrt(np.maximum(radial, 1e-300))  # floored: p = 0 is no 1/0
-    return (pairs * np.minimum(scale, limit)).reshape(p.shape), scale
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        dot = pairs * (g := g.reshape(pairs.shape))
+        inward = (dot[..., :1] + dot[..., 1:]) / CONTROL_BOUND**2
+        return (scale * g - scale**3 * inward * pairs).reshape(p.shape)
+
+    return (pairs * np.minimum(scale, limit)).reshape(p.shape), pullback
 
 
 def _lbfgs_direction(grad: np.ndarray, history: list) -> np.ndarray:
@@ -337,14 +349,11 @@ def ascend(cfg: GrapeConfig) -> OptimizedPulse:
     work = _workspace(cfg.bins, errors)  # every evaluation's stacks
 
     def evaluate(params: np.ndarray, iteration: int):
-        u, scale = _drives(params)
+        u, pullback = _drives(params)
         value, g = _objective(u, dt, errors, TARGET, cfg.penalty, work)
         if not math.isfinite(value):
             raise GrapeNumericsError("non-finite objective", iteration)
-        pairs, g = params.reshape(-1, 2, 2), g.reshape(-1, 2, 2)
-        dot = pairs * g
-        inward = (dot[..., :1] + dot[..., 1:]) / CONTROL_BOUND**2
-        return u, value, (scale * g - scale**3 * inward * pairs).reshape(params.shape)
+        return u, value, pullback(g)
 
     u, best, grad = evaluate(p, 0)
     trace = [best]
@@ -410,68 +419,28 @@ def ascend_with_restarts(
     return best, best_score
 
 
-def schedule_to_pulses(s: ControlSchedule) -> np.ndarray:
-    """Per-bin physical drives (u_m, theta_m, u_r, theta_r), theta in [0, 2pi)."""
-    out = np.empty((s.bins, 4), dtype=float)
-    for c in (0, 2):
-        u_cos, u_sin = s.u[:, c], s.u[:, c + 1]
-        theta = np.mod(np.arctan2(-u_sin, -u_cos), TWO_PI)
-        theta[theta >= TWO_PI] = 0.0  # mod can round up to the period
-        amp = 2.0 * np.hypot(u_cos, u_sin)
-        theta[amp == 0.0] = 0.0  # silent bin, atan2 of signed zeros is noise
-        out[:, c] = amp
-        out[:, c + 1] = theta
-    return out
-
-
-def pulses_to_schedule(pulses: np.ndarray, dt: float) -> ControlSchedule:
-    """Inverse of schedule_to_pulses: (u_m, theta_m, u_r, theta_r) -> u1..u4."""
-    p = np.asarray(pulses, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 4:
-        raise ValueError(f"pulses must be (N, 4), got {p.shape}")
-    if np.any(p[:, (0, 2)] < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("pulse amplitudes must be finite and >= 0")
-    return ControlSchedule(u=_drive_controls(p), dt=dt)
-
-
-def _config_block(pulse: OptimizedPulse) -> list[str]:
-    cfg = pulse.config
-    training = ",".join(f"{e:.12g}" for e in cfg.training)
-    items = [
-        ("error", cfg.error_kind.value),
-        ("training", training),
-        ("total_time", f"{cfg.total_time:.12g}"),
-        ("bins", str(cfg.bins)),
-        ("penalty", f"{cfg.penalty:.12g}"),
-        ("max_iterations", str(cfg.max_iterations)),
-        ("seed", str(cfg.seed)),
-        ("init_scale", f"{cfg.init_scale:.12g}"),
-        ("performance", f"{pulse.performance:.12g}"),
-        ("iterations", str(pulse.iterations)),
-    ]
-    return [f"# {k}={v}" for k, v in items]
-
-
 def export_pulse_csv(pulse: OptimizedPulse, destination) -> str:
     """Write the checkpoint CSV to a path or text stream; returns the text.
 
-    The text is the pulse rows plus a `# key=value` config block.  Values
-    carry 12 significant digits; 9 would leave phase quantization of
-    order 5e-9 in the reconstructed controls, breaking the 1e-9 import
-    round-trip, so the checkpoint format is the wider one.  A schedule with
-    per-bin durations raises ValueError.
+    The text is the pulse rows, phases over pi, plus a `# key=value` config
+    block.  Values carry 12 significant digits; 9 would leave phase
+    quantization of order 5e-9 in the reconstructed controls, breaking the
+    1e-9 import round-trip, so the checkpoint format is the wider one.  A
+    schedule with per-bin durations raises ValueError.
     """
-    s = pulse.schedule
+    s, cfg = pulse.schedule, pulse.config
     _require_one_dt(s)
-    rows = schedule_to_pulses(s)
-    lines = [PULSE_CSV_HEADER]
-    for j in range(s.bins):
-        u_m, th_m, u_r, th_r = rows[j]
-        lines.append(
-            f"{j},{j * s.dt:.12g},{u_m:.12g},{th_m / PI:.12g},{u_r:.12g},{th_r / PI:.12g}"
-        )
-    lines.extend(_config_block(pulse))
-    text = "\n".join(lines) + "\n"
+    drives = schedule_to_pulses(s) / (1.0, PI, 1.0, PI)
+    table = np.column_stack((j := np.arange(s.bins), j * s.dt, drives)).tolist()
+    row = "%d," + ",".join(["%.12g"] * 5)  # one format per row, as `scanning.export_csv`
+    block = (
+        "# error=%s\n# training=%s\n# total_time=%.12g\n# bins=%d\n# penalty=%.12g\n"
+        "# max_iterations=%d\n# seed=%d\n# init_scale=%.12g\n"
+        "# performance=%.12g\n# iterations=%d\n"
+    ) % (cfg.error_kind.value, ",".join(f"{e:.12g}" for e in cfg.training), cfg.total_time,
+         cfg.bins, cfg.penalty, cfg.max_iterations, cfg.seed, cfg.init_scale,
+         pulse.performance, pulse.iterations)
+    text = "\n".join([PULSE_CSV_HEADER] + [row % tuple(v) for v in table]) + "\n" + block
     _write_text(destination, text, "pulse CSV")
     return text
 

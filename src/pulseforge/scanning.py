@@ -112,14 +112,13 @@ def scan(schemes: Sequence[tuple[str, object]], grid: ErrorGrid) -> ScanResult:
     pts = grid.points
     series: dict[str, tuple[float, ...]] = {}
     for label, pulse in schemes:
-        try:
-            stack = _grid_gates(pulse, grid)
+        try:  # gates that cannot be scored, such as non-finite ones, fail here too
+            series[label] = tuple(gate_fidelity(_grid_gates(pulse, grid), target).tolist())
         except Exception as exc:
             raise ScanError(
                 f"scheme {label!r} failed on the {grid.kind.value} grid "
                 f"[{pts[0]:.6g}, {pts[-1]:.6g}] ({len(pts)} points): {exc}"
             ) from exc
-        series[label] = tuple(gate_fidelity(stack, target).tolist())
     return ScanResult(grid=grid, series=series)
 
 

@@ -6,8 +6,9 @@ Bin index 0 acts first.  The built-in schemes are `COMPOSITES` rows of
 rectangular segments, each driving one transition (MW on |0>-|2>, RF on
 |2>-|3>) at unit amplitude u = Lambda for a dimensionless area tau with a
 fixed drive phase; `composite` makes each row one bin lasting its area.
-`_drive_controls` is the one drive map, for segments and pulse
-checkpoints alike.
+`_drive_controls` is the one drive map, for segments and pulse checkpoints
+alike; `pulses_to_schedule` checks drives (u_m, theta_m, u_r, theta_r) per
+bin and maps them, and `schedule_to_pulses` is its inverse.
 
 Systematic errors distort every bin identically.  The engine takes them as
 E (stretch s, detuning d) pairs, shape (E, 2): a pair stretches every bin
@@ -48,6 +49,8 @@ __all__ = [
     "ErrorKind",
     "error_pairs",
     "ControlSchedule",
+    "schedule_to_pulses",
+    "pulses_to_schedule",
     "gates",
     "propagator",
     "sequential_gate",
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 PI = math.pi
+TWO_PI = 2.0 * PI
 SQRT2 = math.sqrt(2.0)
 
 
@@ -134,6 +138,28 @@ class ControlSchedule:
     def duration(self) -> float:
         """bins * dt, or the left-to-right sum of per-bin durations."""
         return sum(self.dt.tolist()) if np.ndim(self.dt) else self.bins * self.dt
+
+
+def schedule_to_pulses(s: ControlSchedule) -> np.ndarray:
+    """Per-bin drives (u_m, theta_m, u_r, theta_r), theta in [0, 2pi): the inverse
+    of `_drive_controls` on both channels' (cos, sin) slices at once."""
+    u_cos, u_sin = s.u[:, 0::2], s.u[:, 1::2]
+    amp, theta = 2.0 * np.hypot(u_cos, u_sin), np.mod(np.arctan2(-u_sin, -u_cos), TWO_PI)
+    # mod can round up to the period; a silent channel's atan2 of signed zeros is noise
+    theta[(theta >= TWO_PI) | (amp == 0.0)] = 0.0
+    out = np.empty((s.bins, 4))
+    out[:, 0::2], out[:, 1::2] = amp, theta
+    return out
+
+
+def pulses_to_schedule(pulses: np.ndarray, dt: float) -> ControlSchedule:
+    """Inverse of schedule_to_pulses: (u_m, theta_m, u_r, theta_r) -> u1..u4."""
+    p = np.asarray(pulses, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValueError(f"pulses must be (N, 4), got {p.shape}")
+    if np.any(p[:, (0, 2)] < 0.0) or not np.all(np.isfinite(p)):
+        raise ValueError("pulse amplitudes must be finite and >= 0")
+    return ControlSchedule(u=_drive_controls(p), dt=dt)
 
 
 def _error_terms(errors):

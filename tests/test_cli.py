@@ -197,6 +197,24 @@ def test_grape_outputs(runner, tmp_path, tiny_pulse):
     assert pulse.read_bytes() == tiny_pulse.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["ple", "ore"])
+def test_grape_trains_on_the_error_range(runner, tmp_path, kind):
+    # The training commands of the README and the benchmark, small: the
+    # checkpoint names the error model and the training fractions, the
+    # report prints the trained range, and a rerun writes the same bytes.
+    args = ["grape", "--error", kind, "--bins", "36", "--seed", "6",
+            "--max-iterations", "60", "--restarts", "1"]
+    runs = [runner.invoke(main, args + ["--out", str(tmp_path / run)]) for run in "ab"]
+    assert [r.exit_code for r in runs] == [0, 0], runs[0].output
+    lines = (tmp_path / "a" / f"{kind}_pulse.csv").read_text().splitlines()
+    assert f"# error={kind}" in lines
+    assert "# training=-0.2,-0.1,0,0.1,0.2" in lines
+    assert f"trained-range min fidelity ({kind} in [-0.2, 0.2]): " in runs[0].output
+    for name in ("pulse.csv", "trace.csv"):
+        a, b = (tmp_path / run / f"{kind}_{name}" for run in "ab")
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_grape_unreachable_goal_exits_4(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -242,6 +260,7 @@ BAD_INPUT = [
     ("grape", ["--restarts", "-2"], "not in the range x>=1"),
     ("grape-config", "seed = -1", "seed must be >= 0"),
     ("grape-config", "restarts = 0", "not in the range x>=1"),
+    ("scan", ["--grid-points", "0"], "need at least one grid point"),
 ]
 
 
@@ -260,6 +279,8 @@ def test_bad_numeric_input_exits_2_before_any_work(
         cfg = tmp_path / "grape.cfg"
         cfg.write_text(flags + "\n")
         args = ["grape", "--error", "none", "--bins", "50", "--config", str(cfg)]
+    elif command == "scan":
+        args = ["scan"] + flags
     else:
         args = ["compare", "--grape-pulse", str(tiny_pulse)] + flags
     out = tmp_path / "out"
@@ -378,6 +399,19 @@ def test_compare_rejects_t_starts_near_the_float_limit(runner, tmp_path):
     bad.write_text("\n".join(["bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi", *rows]))
     result = runner.invoke(main, ["compare", "--grape-pulse", str(bad), "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as errors, they would fail first
+def test_scan_of_a_pulse_that_cannot_be_scored_exits_4(runner, tmp_path):
+    # A valid checkpoint whose one bin lasts 1e308: stretched by up to 2 it
+    # overflows, and the non-finite gates are an optimization failure.
+    huge = tmp_path / "huge.csv"
+    rows = ["0,0,0.5,0.5,0.5,0.5", "# bins=1", "# total_time=1e308"]
+    huge.write_text("\n".join(["bin,t_start,u_m,theta_m_over_pi,u_r,theta_r_over_pi", *rows]))
+    result = runner.invoke(main, ["scan", "--error", "ple", "--schemes", f"grape:{huge}",
+                                  "--grid-points", "41", "--out", str(tmp_path)])
+    assert result.exit_code == 4, result.output
+    assert "'grape' failed on the ple grid [-1, 1] (41 points)" in result.output
 
 
 def test_compare_requires_pulse_option(runner, tmp_path):

@@ -94,6 +94,11 @@ def test_config_defaults_and_validation():
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 GrapeConfig(**{field_name: bad})
+    for field_name in ("bins", "max_iterations", "seed"):
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            GrapeConfig(**{field_name: 20.5})
+    numpy_ints = GrapeConfig(bins=np.int64(20), max_iterations=np.int32(3), seed=np.uint8(1))
+    assert ascend(numpy_ints).iterations <= 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         GrapeConfig().bins = 10
 
@@ -624,6 +629,35 @@ def test_drive_map_keeps_amplitudes_below_lambda(rows):
     assert np.all(pulses[:, 2] < 1.0)
     assert np.all(u * p >= 0.0)
     assert np.all(np.abs(u) <= np.abs(p))
+
+
+@pytest.mark.parametrize(
+    "kind,fractions",
+    [(ErrorKind.PLE, (-0.4, 0.1, 0.3)), (ErrorKind.ORE, (-0.3, 0.2)), (NONE, ())],
+    ids=["ple", "ore", "none"],
+)
+def test_drive_pullback_is_the_parameter_gradient(kind, fractions):
+    # The ascent climbs p -> objective(u(p)); `_drives`' pullback of the exact
+    # u-gradient must be that map's gradient, here against central differences
+    # at channel pairs of |p| from 0.3 to 30, deep into the bound's saturation.
+    rng = np.random.default_rng(11)
+    bins, h = 8, 1e-6
+    direction = rng.normal(size=(2 * bins, 2))
+    radii = rng.permutation(np.geomspace(0.3, 30.0, 2 * bins))[:, None]
+    p = (direction * radii / np.linalg.norm(direction, axis=1, keepdims=True)).reshape(bins, 4)
+    errors, dt = error_pairs(kind, fractions), 6 * PI / bins
+
+    def objective(params):
+        return grape_module._objective(grape_module._drives(params)[0], dt, errors, USQ, 0.01)
+
+    _, pullback = grape_module._drives(p)
+    analytic = pullback(objective(p)[1])
+    numeric = np.zeros_like(p)
+    for index in np.ndindex(p.shape):
+        step = np.zeros_like(p)
+        step[index] = h
+        numeric[index] = (objective(p + step)[0] - objective(p - step)[0]) / (2 * h)
+    assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
 
 
 @pytest.fixture(scope="module")

@@ -113,6 +113,15 @@ def test_scan_wraps_factory_failure():
         scan([("bad", Broken())], ErrorGrid(ErrorKind.PLE, (0.25,)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as errors, they would fail first
+def test_scan_wraps_a_scheme_that_cannot_be_scored():
+    # Stretches up to 2 take the bin to t = 2e308, which overflows: the gates
+    # are not finite, and `gate_fidelity`'s check fails inside the scan.
+    pulse = ControlSchedule([[0.25, 0.0, 0.25, 0.0]], 1e308)
+    with pytest.raises(ScanError, match=r"'grape' failed on the ple grid \[-1, 1\]"):
+        scan([("grape", pulse)], ErrorGrid.uniform(ErrorKind.PLE, -1.0, 1.0, 41))
+
+
 def test_scan_result_validation():
     g = ErrorGrid(ErrorKind.PLE, (0.0, 0.1))
     with pytest.raises(ValueError):

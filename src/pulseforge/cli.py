@@ -160,7 +160,7 @@ def _grid(kind: ErrorKind, lo: float, hi: float, n: int) -> ErrorGrid:
         raise click.UsageError(str(exc)) from exc
 
 
-def _sweep(params: dict, pulses, name: str):
+def _scan_to_csv(params: dict, pulses, name: str):
     """Scan the schemes over the command's grid; write `<prefix>_<name>.csv`."""
     kind = ErrorKind(params["error"])
     grid = _grid(kind, params["grid_min"], params["grid_max"], params["grid_points"])
@@ -227,7 +227,7 @@ def main():
 @_output_options
 def cmd_scan(**params):
     """Sweep an error fraction and tabulate fidelity per scheme."""
-    result, csv_path = _sweep(params, _scheme_factories(params["schemes"]), "scan")
+    result, csv_path = _scan_to_csv(params, _scheme_factories(params["schemes"]), "scan")
     write_plot_script(result, csv_path.name, csv_path.with_suffix(".gp"))
     click.echo(f"wrote {csv_path} ({len(result.grid.points)} points, {params['error']})")
     click.echo("good-fidelity windows:")
@@ -311,7 +311,7 @@ def cmd_compare(**params):
     lam = _lambda_mhz(params)
     grape_sched = _load_pulse(params["grape_pulse"])
     pulses = [(name, composite(name)) for name in COMPOSITES] + [("grape", grape_sched)]
-    result, csv_path = _sweep(params, pulses, "compare")
+    result, csv_path = _scan_to_csv(params, pulses, "compare")
 
     durations = {label: pulse.duration for label, pulse in pulses}
     click.echo(f"wrote {csv_path}")

@@ -1,20 +1,16 @@
 """Robustness-averaged GRAPE for the three-level entangling gate.
 
-Controls are N time bins of four piecewise-constant amplitudes u1..u4
-multiplying `linalg.CONTROL_HAMILTONIANS`, a `sequences.ControlSchedule`
-with one bin duration dt, stored in a checkpoint as the drives of
-`sequences.schedule_to_pulses`.  The performance of a schedule against a
-target U_T is P = |Tr(U_T^dag U(T))|^2, averaged over a training set of
-systematic error fractions, less a power penalty (`_score`).  `_objective`
-gives it and its exact gradient in one sweep over the bin propagators, in
-the product order of `sequences.gates`.  L-BFGS with Armijo backtracking
-(de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) ascends it over free
-parameters that `_drives` maps smoothly onto drives below Lambda = 1, its
-pullback taking the gradient back; each ascent runs through one `_workspace`.
-
-Bin propagators and a schedule's gates come from `sequences`, the engine
-of the composite pulses too, so every scheme shares one error convention:
-the (stretch, detuning) pairs of `sequences.error_pairs`.
+A pulse is a `sequences.ControlSchedule` with one bin duration dt, stored in
+a checkpoint as the drives of `sequences.schedule_to_pulses`.  Against a
+target U_T its performance is P = |Tr(U_T^dag U(T))|^2, averaged over a
+training set of systematic error fractions, less a power penalty (`_score`).
+`_objective` gives P and its exact gradient from one `sequences._sweep`, the
+engine of every scheme's gates, which returns the gates and their pullback;
+this module owns the score, the gradient's seed, the drive map, the ascent
+and the checkpoint.  L-BFGS with Armijo backtracking (de Fouquieres et al.,
+J. Magn. Reson. 212, 412 (2011)) ascends P over free parameters that
+`_drives` maps smoothly onto drives below Lambda = 1, its pullback taking
+the gradient back; each ascent runs through one `_workspace`.
 """
 
 from __future__ import annotations
@@ -25,13 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sequences
-from .linalg import IDENTITY, _check_unitary, gate_fidelity
+from .linalg import _check_unitary, gate_fidelity
 from .sequences import (
     ControlSchedule,
     ErrorKind,
-    _error_terms,
-    _matmul3,
+    _sweep,
+    _workspace,
     _write_text,
     error_pairs,
     propagator,
@@ -100,8 +95,9 @@ class GrapeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "training", tuple(float(e) for e in self.training))
-        for name in ("bins", "max_iterations", "seed"):
-            if not isinstance(value := getattr(self, name), (int, np.integer)):
+        for name in ("bins", "max_iterations", "seed"):  # a bool is an int, yet no count
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.bins < 1:
             raise ValueError("need at least one bin")
@@ -164,119 +160,14 @@ def _score(full, target, u, dt, penalty) -> tuple[np.ndarray, float]:
     return tr, float(np.mean(np.abs(tr) ** 2)) - penalty * dt * float(np.sum(u * u))
 
 
-def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
-    """One training problem's layout for `_objective`: each bin's slot, the padded
-    controls and durations, (p, q, p') (3, slots, E), the Y, X, weight, product
-    and scratch stacks (3, 3, slots, E), Psi (6, slots, E) and a flat scratch of
-    27 blocks E for one step's products.  With size = isqrt(N), bin b size + j
-    sits in slot j blocks + b; the pads keep u = t = 0."""
-    e, slots = len(errors), (size := math.isqrt(bins)) * (blocks := -(-bins // size))
-    slot = np.arange(slots).reshape(size, -1).T.ravel()[:bins]
-    stacks = [np.empty((3, 3, slots, e), complex) for _ in range(3)]
-    stacks.extend(np.empty((2, 3, 3, slots, e), complex))  # one buffer, for 2x2 products too
-    return (slot, np.zeros((slots, 4)), np.zeros(slots), np.empty((3, slots, e), complex),
-            *stacks, np.empty((6, slots, e), complex), np.empty(27 * blocks * e, complex))
-
-
-def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
-    """The first prod(shape) entries of a workspace stack, as that shape."""
-    return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _objective(u, dt, errors, target, penalty, work=None) -> tuple[float, np.ndarray]:
-    """Penalized mean performance over the (E, 2) error pairs and its exact
-    gradient (N, 4), one sweep.
-
-    The forward pass is the arithmetic of `sequences.gates`, one step for all
-    blocks at once, so the value is that of `performance` bit for bit:
-    Y_j = B_j^dag W_j with the within-block prefix W_j = U_{j-1} ... U_f, and
-    the block products chain into the block starts S_b and U.  In
-    `_workspace`'s slots a step is one contiguous (3, 3, blocks, E) slab, one
-    `_matmul3` by the step matrices, built for every bin at once into X's
-    stack.  The pads (u = t = 0) are silent bins, whose basis is the lab's, so
-    the last real bin turns into the lab as in `gates` and each pad step is 1.
-    With A_j = W_j S_b and C = U_T^dag U, unitarity gives
-    U_T^dag U_N ... U_{j+1} = C A_j^dag U_j^dag, so d Tr(U_T^dag U) / du_jk =
-    Tr(Y'_j H_k), where Y'_j = V M_j V^dag, M_j = K_j o Psi and K_j =
-    (V^dag A_j) C (V^dag A_j)^dag = X_j C_b X_j^dag, with C_b = S_b C S_b^dag
-    and X_j = V^dag W_j, two rows of Y_j turned by the mixing angle: no A_j is
-    formed.  Psi, the divided difference of the bin exponential times
-    e^{i t w_b}, comes from `sequences._bin_exponentials`.  C carries each
-    pair's weight (2/E) conj(Tr(U_T^dag U)), so the gradient is
-    Re Tr(sum_e Y'_je H_k).
-
-    Y' is never formed: V = B' R with B' = [(bx, 0, by) | (by*, 0, -bx*) | |2>]
-    and the real R = [[-c, 0, s], [0, 1, 0], [s, 0, c]].  B's middle row is
-    (0, 0, 1) and the H_k couple |2> to |0> and |3> only, so four entries of
-    S = sum_e R M_e R^T serve (M is summed over the pairs first when no pair
-    detunes): Y'_01 = bx S_02 + by* S_12, Y'_10 = bx* S_20 + by S_21,
-    Y'_12 = by* S_20 - bx S_21, Y'_21 = by S_02 - bx* S_12, and the gradient is
-    (Re(Y'_01 + Y'_10), Im(Y'_10 - Y'_01), Re(Y'_12 + Y'_21), Im(Y'_12 - Y'_21)).
-
-    `work` is `_workspace(N, errors)`, built once per ascent by `ascend` and
-    fresh for any other caller; one built for another N or E raises ValueError.
-    No `_matmul3` operand is strided or broadcast along the slots or pairs.  Y
-    holds the Y_j, then the block starts and C_b tiled; X the step matrices,
-    then the X_j; the weight stack the block products, C, C_b and K; the
-    product stack (the scratch after it) the last step, 2x2 products, the
-    chain, S_b C, X C and M; the scratch's last two thirds R^T, complex and
-    tiled over the pairs, which numpy multiplies without casting buffers; the
-    flat scratch one step's or chain product's terms.  Written before read.
-    """
-    n, e = len(u), len(errors)
-    slot, us, ts, ub, y, x, cw, xc, tmp, psi, terms = work or _workspace(n, errors)
-    if (built := (len(slot), y.shape[-1])) != (n, e):
-        raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
-    grid = (size := math.isqrt(n), blocks := len(ts) // size)  # bin steps, blocks
-    us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U^B = 1
-    bright = sequences._bright_states(us)
-    scale, drift = _error_terms(errors)
-    times = scale * ts
-    c, s, phases, ub = sequences._bin_exponentials(bright, times, drift, ub, psi)
-    bxs, bys = (b.reshape(grid + (1,)) for b in bright[1:])
-    turns = sequences._turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None])
-    ys, ubs, e1 = (a.reshape(a.shape[:-2] + grid + (e,)) for a in (y, ub, phases[1]))
-    slab, products = (3, 3, blocks, e), _view(cw, (blocks, 3, 3, e))
-    steps = sequences._step_matrices(ubs, e1, turns, x.reshape(ys.shape))  # M_j = T_j S_j
-    scratch = _view(terms, (3,) + slab)
-    sequences._basis_start(bxs[0], bys[0], ys[:, :, 0])
-    for j in range(size):  # the last step writes each block's product, in the lab
-        out = ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
-        _matmul3(steps[:, :, j], ys[:, :, j], out, scratch)
-    np.moveaxis(products, 0, 2)[...] = out  # as the chain reads them
-    rotation = _view(tmp[1:], (2, 2) + y.shape[2:])  # R^T on the (bright, |2>) rows
-    rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = -c, s, s, c
-    sequences._matmul2(rotation[:, :, None], y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
-    np.negative(y[2], out=x[1])  # X_j = R^T Y_j, V's dark column being -B's
-    chain, scratch = _view(xc, (blocks, 3, 3, e)), _view(terms, (3, 3, 3, e))  # S_1, ..., then U
-    chain[0] = products[0]
-    for b in range(1, blocks):
-        _matmul3(products[b], chain[b - 1], chain[b], scratch)
-    full = np.moveaxis(chain[-1], 2, 0).copy()  # U, (E, 3, 3)
-    tr, value = _score(full, target, u, dt, penalty)  # as `performance`
-    weighted = (2.0 / e) * tr.conj()[:, None, None] * (target.conj().T @ full)
-    starts, cb = _view(y, slab), _view(cw, slab)
-    starts[:, :, 0], starts[:, :, 1:] = IDENTITY[..., None], np.moveaxis(chain[:-1], 0, 2)
-    cb[...] = np.moveaxis(weighted, 0, 2)[:, :, None]  # C over the blocks
-    sc = _matmul3(starts, cb, _view(xc, slab), _view(tmp, slab))
-    _matmul3(sc, np.swapaxes(np.conjugate(starts, out=starts), 0, 1), cb, _view(tmp, slab))
-    ys[...] = cb[:, :, None]  # C_b, tiled over each block's slots
-    xcb = _matmul3(x, y, xc, tmp)
-    k = _matmul3(xcb, np.swapaxes(np.conjugate(x, out=x), 0, 1), cw, tmp)
-    m = xc.reshape(9, -1, e)[:7]  # M = K o Psi at ab = 20, 10, 21, 02, 01, 12, then M_00 - M_22
-    for i, ab in enumerate(((2, 0), (1, 0), (2, 1), (0, 2), (0, 1), (1, 2))):
-        np.multiply(k[ab], psi[i], out=m[i])
-    np.subtract(k[0, 0], k[2, 2], out=m[6])
-    m[6] *= -1j * times.T
-    if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
-        m = np.einsum("ine->in", m)[..., None]
-    s02, s20 = np.einsum("ine->in", s * s * m[0:4:3] - c * c * m[3::-3] - c * s * m[6])
-    s12, s21 = np.einsum("ine->in", s * m[1:5:3] + c * m[5:1:-3])  # S = sum_e R M R^T
-    bx, by = bright[1][:, 0], bright[2][:, 0]
-    y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
-    y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
-    grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1)
-    return value, grad.real[slot] - 2.0 * penalty * dt * u
+    """`_score` of the gates of one `sequences._sweep` (`work`, if given) at the (E, 2)
+    error pairs, `performance`'s value bit for bit, and its exact gradient (N, 4): the
+    pullback of the seed (2/E) conj(Tr(U_T^dag U)) U_T^dag U per pair, less 2 alpha_p dt u."""
+    full, pullback = _sweep(u, dt, errors, work)
+    tr, value = _score(full, target, u, dt, penalty)
+    seed = (2.0 / len(errors)) * tr.conj()[:, None, None] * (target.conj().T @ full)
+    return value, pullback(seed) - 2.0 * penalty * dt * u
 
 
 def gradient(
@@ -404,8 +295,8 @@ def ascend_with_restarts(
     stops early once a run reaches GOAL.  Returns the best pulse and
     its score.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     best: OptimizedPulse | None = None
     best_score = -math.inf
     for r in range(restarts):

@@ -105,9 +105,13 @@ class ScanError(RuntimeError):
 
 
 def scan(schemes: Sequence[tuple[str, object]], grid: ErrorGrid) -> ScanResult:
-    """Score every (label, pulse) scheme over the grid against the sequential gate."""
+    """Score every (label, pulse) scheme over the grid against the sequential gate.
+    A label is one CSV header field: a repeat or a ',', CR or LF raises ValueError."""
     if not schemes:
         raise ValueError("need at least one scheme")
+    labels = [label for label, _ in schemes]
+    if bad := [s for s in labels if labels.count(s) > 1 or not set(s).isdisjoint(",\r\n")]:
+        raise ValueError(f"scheme label {bad[0]!r} repeats or holds ',', CR or LF")
     target = sequential_gate()
     pts = grid.points
     series: dict[str, tuple[float, ...]] = {}

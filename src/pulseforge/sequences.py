@@ -26,9 +26,9 @@ dark state, the superposition of |0> and |3> that the drives cancel on,
 is an exact eigenvector, and what remains is a 2x2 block of the bright
 state and |2> with one mixing angle; no eigensolver runs per bin.  In the
 basis B = [bright | |2> | dark] a bin acts by one 2x2 block and a phase, and
-consecutive bases differ by a 2x2 unitary of the controls.  `gates` and the
-GRAPE objective step each bin by one 3x3 product with that turn folded into
-the bin's step matrix (`_step_matrices`).
+consecutive bases differ by a 2x2 unitary of the controls.  `gates` and
+`_sweep`, the GRAPE objective's engine, step each bin by one 3x3 product
+with that turn folded into the bin's step matrix (`_step_matrices`).
 
 The composite constructions store the exact closed-form correction
 phases/angles rather than their two-decimal roundings.  The rounded
@@ -179,9 +179,7 @@ def _matmul3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
     into `out` (no input).  A `tmp` of out's shape takes terms 2 and 3; a
     (3, 3, 3, ...) one takes every a_ik b_kj at once, summed over k by one
     ordered reduce from -0, which adds exactly: the same bytes, signed zeros
-    included, in 2 numpy calls, not 5, which pays on small stacks.  0.10 ms at
-    (3, 3, 400, 5), 0.15 ms with a (3, 3, 400, 1) a; `@` on (400, 5, 3, 3)
-    takes 0.52 ms (best of 5 x 50, one numpy thread, 2-core Xeon)."""
+    included, in 2 numpy calls, not 5, which pays on small stacks."""
     if tmp.ndim > out.ndim:  # -0j is complex(-0.0, -0.0), a constant
         terms = np.multiply(a[:, :, None], b[None], out=tmp)
         return np.add.reduce(terms, axis=1, out=out, initial=-0j)
@@ -234,7 +232,7 @@ def _bin_exponentials(bright, times, drift, blocks, psi=None):
     one cos and one sin of t h give e_2, e_0 = e_2* up to the sign of w_0, and
     e_1 = 1; Psi_02's gap t w_0 reuses e_0 and the sin of t h, and Psi_01 and
     Psi_12, whose gaps are -t h/2 up to the sign of a zero, share one cos, sin
-    and sinc: 4 trig arrays and 2 divides, not 12 and 3, for the same bytes.
+    and sinc: 4 trig arrays and 2 divides give the detuned formulas' bytes.
     """
     a, b = -drift, 2.0 * drift  # the diagonal of drift * Z_TOTAL
     phi = 0.5 * np.arctan2(2.0 * bright[0], b - a)
@@ -312,8 +310,8 @@ def _step_matrices(blocks, e1, turns, out) -> np.ndarray:
 
 
 # The most error pairs `gates` steps through a (3, 3, 3, E) terms stack, enough
-# for ORE BB1's 53 scan nodes; more take the (3, 3, E) one, and a warm call at
-# 401 fractions on 400 bins then peaks at 0.63 MB traced.
+# for ORE BB1's 53 scan nodes; more take the (3, 3, E) one, which keeps a dense
+# grid's call under 0.65 MB traced.
 PAIRS = 54
 # Fraction x bin propagators `gates` exponentiates at once, in chunks of
 # consecutive bins that may cross bin blocks: 1080 = 20 x PAIRS, 20 bins per
@@ -331,7 +329,7 @@ def gates(controls, durations, errors) -> np.ndarray:
     ragged, each block starts from B_f^dag of its first bin f, and each bin
     steps Y_{j+1} = B_{j+1}^dag U_j B_j Y_j, the last bin turning into the lab,
     by its step matrix (`_step_matrices`) and one `_matmul3`.  The block
-    products chain by `_matmul3`: the GRAPE objective's order.  (p, q, p') and
+    products chain by `_matmul3`, in `_sweep`'s order.  (p, q, p') and
     the step matrices come in chunks of max(1, BLOCK_PROPAGATORS // E)
     consecutive bins, which may cross blocks: a block's first bin resets Y to
     its B^dag, and its last chains Y.  Up to PAIRS pairs `_matmul3` takes a
@@ -367,6 +365,113 @@ def gates(controls, durations, errors) -> np.ndarray:
                 out, y = y, out
         del e1  # the chunk's phases, before the next chunk's are made
     return np.moveaxis(out, 2, 0).copy()
+
+
+def _workspace(bins: int, errors) -> tuple[np.ndarray, ...]:
+    """One training problem's layout for `_sweep`: with size = isqrt(N), bin b
+    size + j sits in slot j blocks + b, and the padded controls and durations
+    keep u = t = 0 in the pads.  Y holds the Y_j, then the block starts and C_b
+    tiled; X the step matrices, then the X_j; the weight stack the block
+    products, C, C_b and K; the product stack (one buffer with the scratch) the
+    last step, 2x2 products, the chain, S_b C, X C and M; the scratch's last two
+    thirds R^T, complex and tiled over the pairs, which numpy multiplies without
+    casting buffers; the flat scratch one step's or chain product's terms."""
+    e, slots = len(errors), (size := math.isqrt(bins)) * (blocks := -(-bins // size))
+    slot = np.arange(slots).reshape(size, -1).T.ravel()[:bins]
+    stacks = [np.empty((3, 3, slots, e), complex) for _ in range(3)]
+    stacks.extend(np.empty((2, 3, 3, slots, e), complex))  # one buffer, for 2x2 products too
+    return (slot, np.zeros((slots, 4)), np.zeros(slots), np.empty((3, slots, e), complex),
+            *stacks, np.empty((6, slots, e), complex), np.empty(27 * blocks * e, complex))
+
+
+def _view(stack: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) entries of a workspace stack, as that shape."""
+    return stack.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _sweep(u, dt, errors, work=None):
+    """The gates U (E, 3, 3) of controls u (N, 4), one bin duration dt, at the
+    (E, 2) error pairs, `gates`' bytes, and their pullback, which maps a seed
+    C (E, 3, 3) to Re sum_e Tr(C_e U_e^dag dU_e / du_jk), (N, 4) in bin order.
+
+    Forward, all blocks of `gates` take step j at once: Y_j = B_j^dag W_j,
+    W_j = U_{j-1} ... U_f, is a (3, 3, blocks, E) slab of `_workspace`'s
+    slots, stepped by one `_matmul3` with the step matrices; the block
+    products chain into the starts S_b and U.  The pads (u = t = 0) are silent
+    bins stepping by 1 in the lab's basis, where a block's last real bin turns.
+
+    Backward, with A_j = W_j S_b, unitarity gives U^dag U_N ... U_{j+1} =
+    A_j^dag U_j^dag, so entry (j, k) is Tr(Y'_j H_k), where Y'_j = V M_j V^dag,
+    M_j = K_j o Psi and K_j = (V^dag A_j) C (V^dag A_j)^dag = X_j C_b X_j^dag,
+    with C_b = S_b C S_b^dag and X_j = V^dag W_j, two rows of Y_j turned by the
+    mixing angle: no A_j is formed.  Psi comes from `_bin_exponentials`.  Nor
+    is Y': V = B' R with B' = [(bx, 0, by) | (by*, 0, -bx*) | |2>] and the real
+    R = [[-c, 0, s], [0, 1, 0], [s, 0, c]].  B's middle row is (0, 0, 1) and the
+    H_k couple |2> to |0> and |3> only, so four entries of S = sum_e R M_e R^T
+    serve (M is summed over the pairs first when no pair detunes):
+    Y'_01 = bx S_02 + by* S_12, Y'_10 = bx* S_20 + by S_21, Y'_12 = by* S_20 -
+    bx S_21, Y'_21 = by S_02 - bx* S_12, and the entry is (Re(Y'_01 + Y'_10),
+    Im(Y'_10 - Y'_01), Re(Y'_12 + Y'_21), Im(Y'_12 - Y'_21)).
+
+    `work` is `_workspace(N, errors)`, or None for a fresh one; one built for
+    another N or E raises ValueError.  The pullback writes into it: call it
+    once, before the next sweep.  Every stack is written before it is read; no
+    `_matmul3` operand is strided or broadcast along the slots or pairs.
+    """
+    n, e = len(u), len(errors)
+    slot, us, ts, ub, y, x, cw, xc, tmp, psi, terms = work or _workspace(n, errors)
+    if (built := (len(slot), y.shape[-1])) != (n, e):
+        raise ValueError(f"workspace built for (N, E) = {built}, got {(n, e)}")
+    grid = (size := math.isqrt(n), blocks := len(ts) // size)  # bin steps, blocks
+    us[slot], ts[slot] = u, dt  # the pads keep u = t = 0, so U^B = 1
+    bright = _bright_states(us)
+    scale, drift = _error_terms(errors)
+    times = scale * ts
+    c, s, phases, ub = _bin_exponentials(bright, times, drift, ub, psi)
+    bxs, bys = (b.reshape(grid + (1,)) for b in bright[1:])
+    turns = _turns(bxs, bys, (np.arange(size) == size - 1)[:, None, None])
+    ys, ubs, e1 = (a.reshape(a.shape[:-2] + grid + (e,)) for a in (y, ub, phases[1]))
+    slab, products = (3, 3, blocks, e), _view(cw, (blocks, 3, 3, e))
+    steps = _step_matrices(ubs, e1, turns, x.reshape(ys.shape))  # M_j = T_j S_j
+    scratch = _view(terms, (3,) + slab)
+    _basis_start(bxs[0], bys[0], ys[:, :, 0])
+    for j in range(size):  # the last step writes each block's product, in the lab
+        out = ys[:, :, j + 1] if j + 1 < size else _view(xc, slab)
+        _matmul3(steps[:, :, j], ys[:, :, j], out, scratch)
+    np.moveaxis(products, 0, 2)[...] = out  # as the chain reads them
+    rotation = _view(tmp[1:], (2, 2) + y.shape[2:])  # R^T on the (bright, |2>) rows
+    rotation[0, 0], rotation[0, 1], rotation[1, 0], rotation[1, 1] = -c, s, s, c
+    _matmul2(rotation[:, :, None], y[:2], x[::2], _view(xc.base, (2, 2) + y.shape[1:]))
+    np.negative(y[2], out=x[1])  # X_j = R^T Y_j, V's dark column being -B's
+    chain, scratch = _view(xc, (blocks, 3, 3, e)), _view(terms, (3, 3, 3, e))  # S_1, ..., then U
+    chain[0] = products[0]
+    for b in range(1, blocks):
+        _matmul3(products[b], chain[b - 1], chain[b], scratch)
+
+    def pullback(seed: np.ndarray) -> np.ndarray:
+        starts, cb = _view(y, slab), _view(cw, slab)
+        starts[:, :, 0], starts[:, :, 1:] = np.eye(3)[..., None], np.moveaxis(chain[:-1], 0, 2)
+        cb[...] = np.moveaxis(seed, 0, 2)[:, :, None]  # C over the blocks
+        sc = _matmul3(starts, cb, _view(xc, slab), _view(tmp, slab))
+        _matmul3(sc, np.swapaxes(np.conjugate(starts, out=starts), 0, 1), cb, _view(tmp, slab))
+        ys[...] = cb[:, :, None]  # C_b, tiled over each block's slots
+        xcb = _matmul3(x, y, xc, tmp)
+        k = _matmul3(xcb, np.swapaxes(np.conjugate(x, out=x), 0, 1), cw, tmp)
+        m = xc.reshape(9, -1, e)[:7]  # M = K o Psi at ab = 20, 10, 21, 02, 01, 12, then M_00 - M_22
+        for i, ab in enumerate(((2, 0), (1, 0), (2, 1), (0, 2), (0, 1), (1, 2))):
+            np.multiply(k[ab], psi[i], out=m[i])
+        np.subtract(k[0, 0], k[2, 2], out=m[6])
+        m[6] *= -1j * times.T
+        if c.shape[1] == 1:  # one R serves every pair: sum M over the pairs first
+            m = np.einsum("ine->in", m)[..., None]
+        s02, s20 = np.einsum("ine->in", s * s * m[0:4:3] - c * c * m[3::-3] - c * s * m[6])
+        s12, s21 = np.einsum("ine->in", s * m[1:5:3] + c * m[5:1:-3])  # S = sum_e R M R^T
+        bx, by = bright[1][:, 0], bright[2][:, 0]
+        y01, y21 = bx * s02 + by.conj() * s12, by * s02 - bx.conj() * s12
+        y10, y12 = bx.conj() * s20 + by * s21, by.conj() * s20 - bx * s21
+        grad = np.stack((y01 + y10, 1j * (y01 - y10), y12 + y21, 1j * (y21 - y12)), 1)
+        return grad.real[slot]
+    return np.moveaxis(chain[-1], 2, 0).copy(), pullback
 
 
 def propagator(pulse, kind: ErrorKind, fractions=(0.0,)) -> np.ndarray:

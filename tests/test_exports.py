@@ -104,6 +104,27 @@ def test_every_private_module_name_is_used():
     assert unused == {}
 
 
+def test_only_the_engine_entry_points_of_sequences_are_read_outside_it():
+    # `sequences` owns the bin engine: its layout, sweep and backward
+    # contraction.  Other modules call the sweep and its workspace, the shared
+    # text writer and, for scanning's node bound, the bright states; no other
+    # private `sequences` name, imported or read as an attribute.
+    allowed = {"_sweep", "_workspace", "_write_text", "_bright_states"}
+    found = set()
+    for stem, tree in sources().items():
+        if stem == "sequences":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "sequences":
+                names = {a.name for a in n.names}
+            elif isinstance(n, ast.Attribute) and ast.unparse(n.value) == "sequences":
+                names = {n.attr}
+            else:
+                continue
+            found |= {f"{stem}: {name}" for name in names if name.startswith("_")}
+    assert sorted(e for e in found if e.split(": ")[1] not in allowed) == []
+
+
 def identifiers(tree):
     """Every name, attribute, import alias and definition name in a tree."""
     for n in ast.walk(tree):

@@ -101,6 +101,12 @@ def test_config_defaults_and_validation():
     assert ascend(numpy_ints).iterations <= 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         GrapeConfig().bins = 10
+    for field_name in ("bins", "max_iterations", "seed"):  # True would train seed 1
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            GrapeConfig(**{field_name: True})
+    for bad in (True, 2.0, "2", 0):  # refused before any ascent runs
+        with pytest.raises(ValueError, match="restart"):
+            ascend_with_restarts(GrapeConfig(bins=4, max_iterations=1), restarts=bad)
 
 
 def test_step_propagator_zero_bin_is_identity():
@@ -525,14 +531,14 @@ def test_objective_multiplies_contiguous_unbroadcast_slabs(monkeypatch, kind, fr
     # pass here: 20 steps and 19 block-chain products through a
     # (3, 3, 3, ...) terms stack, then S_b C, C_b, X C_b and K.
     calls = []
-    real = grape_module._matmul3
+    real = sequences._matmul3
 
     def recorded(a, b, out, tmp):
         out = real(a, b, out, tmp)
         calls.append((a, b, out, tmp.ndim > out.ndim))
         return out
 
-    monkeypatch.setattr(grape_module, "_matmul3", recorded)
+    monkeypatch.setattr(sequences, "_matmul3", recorded)
     s = make_schedule(6, bins=400)
     grape_module._objective(s.u, s.dt, error_pairs(kind, fractions), USQ, 0.01)
     assert [terms for *_, terms in calls] == [True] * 39 + [False] * 4

@@ -2,6 +2,7 @@
 
 import io
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ def test_scan_wraps_a_scheme_that_cannot_be_scored():
     pulse = ControlSchedule([[0.25, 0.0, 0.25, 0.0]], 1e308)
     with pytest.raises(ScanError, match=r"'grape' failed on the ple grid \[-1, 1\]"):
         scan([("grape", pulse)], ErrorGrid.uniform(ErrorKind.PLE, -1.0, 1.0, 41))
+
+
+@pytest.mark.parametrize(
+    "labels,bad",
+    [(("a", "a"), "a"), (("seq", "a,b"), "a,b"), (("a\r", "b"), "a\r"), (("a", "b\n"), "b\n")],
+)
+def test_scan_refuses_a_label_that_is_not_one_csv_field(labels, bad):
+    # One series per label: a repeat would drop a scheme's curve and a comma or
+    # line break would split the CSV header.  The broken first pulse shows that
+    # no gate is computed before the labels are checked.
+    class Broken:
+        dt = 1.0
+
+        @property
+        def u(self):
+            raise RuntimeError("computed")
+
+    schemes = [(labels[0], Broken()), (labels[1], composite("bb1"))]
+    with pytest.raises(ValueError, match=re.escape(f"scheme label {bad!r} ")):
+        scan(schemes, ErrorGrid(ErrorKind.PLE, (0.0, 0.25)))
 
 
 def test_scan_result_validation():
